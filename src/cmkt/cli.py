@@ -13,6 +13,7 @@ failures. Relative input paths are also tried against $CMKT_DATA_DIR.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -66,6 +67,31 @@ DATA_DIR_VAR = "CMKT_DATA_DIR"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
+
+# glibc mallopt parameters (malloc.h) and the values main sets.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+TRIM_THRESHOLD_BYTES = 128 << 20
+MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Stop glibc from returning freed activation buffers to the kernel.
+
+    Every training step allocates and frees the same few MB. By default
+    glibc trims those pages off the heap (or unmaps them) and the next
+    step faults each one back in, which can cost more than the arithmetic.
+    A fixed 128 MiB trim threshold and a 32 MiB mmap threshold keep them
+    mapped. Where libc.so.6 is missing (not glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
 def _resolve_input(raw: str) -> Path:
@@ -588,6 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

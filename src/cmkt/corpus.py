@@ -20,6 +20,7 @@ UNK = "[unk]"
 MASK = "[mask]"
 SEP = "[sep]"
 SPECIALS = (PAD, UNK, MASK, SEP)
+SPECIAL_IDS = frozenset(range(len(SPECIALS)))
 
 TRAIN = "train"
 DEV = "dev"
@@ -90,7 +91,7 @@ class Vocab:
 
     @property
     def special_ids(self) -> frozenset[int]:
-        return frozenset(range(4))
+        return SPECIAL_IDS
 
     def content_ids(self) -> np.ndarray:
         """Ids of ordinary words, the pool for random replacement."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -93,6 +94,35 @@ def _softmax_last(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _wgrad(a, b):
+    """Weight gradient of ``a @ W`` given output gradient ``b``: one GEMM over every leading axis."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _embedding_grad(tokens, d_emb, vocab_size):
+    """Sum of ``d_emb`` rows per token id, added in the same order as ``np.add.at``."""
+    flat = tokens.ravel()
+    return np.stack([np.bincount(flat, weights=col, minlength=vocab_size)
+                     for col in d_emb.reshape(flat.size, -1).T], axis=1)
+
+
+def _token_ce(logits, rows, cols, targets):
+    """Mean cross-entropy at the selected positions, as logsumexp minus the target
+    logit (finite where -log(softmax) underflows), and its gradient on all logits."""
+    sel = logits[rows, cols]
+    shifted = sel - sel.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=-1, keepdims=True)
+    idx = np.arange(len(targets))
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[idx, targets]))
+    d_sel = e / z
+    d_sel[idx, targets] -= 1.0
+    d_sel /= len(targets)
+    d_logits = np.zeros_like(logits)
+    np.add.at(d_logits, (rows, cols), d_sel)
+    return loss, d_logits
+
+
 class TextEncoder:
     """A pure-numpy transformer encoder over token-id sequences.
 
@@ -142,26 +172,27 @@ class TextEncoder:
         """Left-aligned pad-0 batch plus its real-token mask."""
         if len(seqs) == 0:
             raise ShapeError("cannot encode an empty batch")
-        v = self.config.vocab_size
-        for b, seq in enumerate(seqs):
-            if len(seq) == 0:
+        v, max_len = self.config.vocab_size, self.config.max_len
+        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        kept = np.minimum(lengths, max_len)  # ids past max_len are never checked or stored
+        real = np.arange(kept.max()) < kept[:, None]
+        tokens = np.full(real.shape, PAD_ID, dtype=np.int64)
+        tokens[real] = np.fromiter(chain.from_iterable(s[:max_len] for s in seqs),
+                                   dtype=np.int64, count=kept.sum())
+        bad = real & ((tokens < 0) | (tokens >= v))
+        too_long = lengths > max_len
+        offenders = np.flatnonzero((lengths == 0) | too_long | bad.any(axis=1))
+        if offenders.size:  # the first bad sequence decides, checked in the order below
+            b = int(offenders[0])
+            if lengths[b] == 0:
                 raise TokenizationError(f"sequence {b} is empty")
-            if len(seq) > self.config.max_len:
-                raise ValidationError(
-                    f"sequence {b} has {len(seq)} tokens, maximum is {self.config.max_len}"
-                )
-            for pos, t in enumerate(seq):
-                if not 0 <= t < v:
-                    raise TokenizationError(
-                        f"sequence {b} position {pos}: token id {t} outside vocabulary of size {v}"
-                    )
-        length = max(len(s) for s in seqs)
-        tokens = np.full((len(seqs), length), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(seqs), length))
-        for b, seq in enumerate(seqs):
-            tokens[b, : len(seq)] = seq
-            mask[b, : len(seq)] = 1.0
-        return tokens, mask
+            if too_long[b]:
+                raise ValidationError(f"sequence {b} has {lengths[b]} tokens, maximum is {max_len}")
+            pos = int(np.argmax(bad[b]))
+            raise TokenizationError(
+                f"sequence {b} position {pos}: token id {seqs[b][pos]} outside vocabulary of size {v}"
+            )
+        return tokens, real.astype(np.float64)
 
     def _dropout(self, x, site, dropout_seed, cache):
         p = self.config.dropout
@@ -270,11 +301,11 @@ class TextEncoder:
             if drop is not None:
                 d_ffn = d_ffn * drop
             d_h = d_ffn @ P[p + "w2"].T
-            grads[p + "w2"] = np.einsum("blf,bld->fd", blk["h"], d_ffn)
+            grads[p + "w2"] = _wgrad(blk["h"], d_ffn)
             grads[p + "b2"] = d_ffn.sum(axis=(0, 1))
             d_pre = d_h * (blk["pre_act"] > 0)
             d_y += d_pre @ P[p + "w1"].T
-            grads[p + "w1"] = np.einsum("bld,blf->df", blk["y"], d_pre)
+            grads[p + "w1"] = _wgrad(blk["y"], d_pre)
             grads[p + "b1"] = d_pre.sum(axis=(0, 1))
 
             d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_y, blk["ln1"])
@@ -284,7 +315,7 @@ class TextEncoder:
             if drop is not None:
                 d_proj = d_proj * drop
             d_ctx = d_proj @ P[p + "wo"].T
-            grads[p + "wo"] = np.einsum("bld,ble->de", blk["ctx"], d_proj)
+            grads[p + "wo"] = _wgrad(blk["ctx"], d_proj)
             grads[p + "bo"] = d_proj.sum(axis=(0, 1))
 
             attn = blk["attn"]
@@ -296,14 +327,13 @@ class TextEncoder:
 
             x_in = blk["x_in"]
             for name, d_side in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-                grads[p + name] = np.einsum("bld,ble->de", x_in, d_side)
+                grads[p + name] = _wgrad(x_in, d_side)
                 grads[p + "b" + name[1]] = d_side.sum(axis=(0, 1))
                 d_x = d_x + d_side @ P[p + name].T
 
         drop = cache["drop.emb"]
         d_emb = d_x if drop is None else d_x * drop
-        grads["tok_emb"] = np.zeros_like(P["tok_emb"])
-        np.add.at(grads["tok_emb"], tokens, d_emb)
+        grads["tok_emb"] = _embedding_grad(tokens, d_emb, self.config.vocab_size)
         grads["pos_emb"] = np.zeros_like(P["pos_emb"])
         grads["pos_emb"][: tokens.shape[1]] = d_emb.sum(axis=0)
         return grads
@@ -358,25 +388,14 @@ class TextEncoder:
         """
         if not selections:
             return 0.0, {}
-        dists, cache = self.masked_forward(seqs, dropout_seed)
+        cache = self.forward(seqs, dropout_seed)
         rows = np.array([s[0] for s in selections])
         cols = np.array([s[1] for s in selections])
         targets = np.array([s[2] for s in selections])
         length = cache["tokens"].shape[1]
         if np.any(cols >= length) or np.any(cols < 0):
             raise ValidationError("masked position outside the padded batch")
-        picked = dists[rows, cols, :]
-        loss = float(np.mean(-np.log(picked[np.arange(len(selections)), targets])))
-        d_logits_sel = picked.copy()
-        d_logits_sel[np.arange(len(selections)), targets] -= 1.0
-        d_logits_sel /= len(selections)
-        d_logits = np.zeros_like(dists)
-        np.add.at(d_logits, (rows, cols), d_logits_sel)
-        hidden = cache["hidden"]
-        grads = self.backward(cache, d_hidden=d_logits @ self.params["mlm_w"].T)
-        grads["mlm_w"] = np.einsum("bld,blv->dv", hidden, d_logits)
-        grads["mlm_b"] = d_logits.sum(axis=(0, 1))
-        return loss, grads
+        return self._head_step(cache, "mlm", rows, cols, targets)
 
     def voken_step(self, seqs, voken_targets, dropout_seed: Optional[int] = None):
         """Fused voken-classification loss and gradients.
@@ -392,24 +411,20 @@ class TextEncoder:
             raise ShapeError(
                 f"voken targets shape {targets.shape} does not match batch {cache['tokens'].shape}"
             )
-        logits = cache["hidden"] @ self.params["voken_w"] + self.params["voken_b"]
-        dists = _softmax_last(logits)
-        assigned = targets >= 0
-        count = int(assigned.sum())
-        if count == 0:
+        rows, cols = np.nonzero(targets >= 0)
+        if rows.size == 0:
             return 0.0, {}
-        rows, cols = np.nonzero(assigned)
-        tgt = targets[rows, cols]
-        picked = dists[rows, cols, :]
-        loss = float(np.mean(-np.log(picked[np.arange(count), tgt])))
-        d_logits_sel = picked.copy()
-        d_logits_sel[np.arange(count), tgt] -= 1.0
-        d_logits_sel /= count
-        d_logits = np.zeros_like(dists)
-        d_logits[rows, cols] = d_logits_sel
-        grads = self.backward(cache, d_hidden=d_logits @ self.params["voken_w"].T)
-        grads["voken_w"] = np.einsum("bld,blk->dk", cache["hidden"], d_logits)
-        grads["voken_b"] = d_logits.sum(axis=(0, 1))
+        return self._head_step(cache, "voken", rows, cols, targets[rows, cols])
+
+    def _head_step(self, cache, head, rows, cols, targets):
+        """Cross-entropy of a token head (``mlm`` or ``voken``) at the
+        selected positions, with gradients for the trunk and the head."""
+        w = self.params[head + "_w"]
+        logits = cache["hidden"] @ w + self.params[head + "_b"]
+        loss, d_logits = _token_ce(logits, rows, cols, targets)
+        grads = self.backward(cache, d_hidden=d_logits @ w.T)
+        grads[head + "_w"] = _wgrad(cache["hidden"], d_logits)
+        grads[head + "_b"] = d_logits.sum(axis=(0, 1))
         return loss, grads
 
     def token_states(self, seqs) -> tuple[np.ndarray, np.ndarray]:

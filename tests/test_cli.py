@@ -2,9 +2,11 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from cmkt import cli
 from cmkt.cli import main
 from cmkt.evaluation import (
     EvalRun,
@@ -575,3 +577,30 @@ class TestPathResolution:
             ]
         )
         assert rc == 2
+
+
+class TestAllocatorHook:
+    def test_every_main_call_sets_both_thresholds(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        for name in ("a", "b"):
+            assert main(["synth", "--out", str(tmp_path / name), "--seed", "1"]) == 0
+        assert calls == [(-1, 128 << 20), (-3, 32 << 20)] * 2
+
+    def test_real_libc_call_is_repeatable(self):
+        assert cli._keep_freed_heap() is None
+        assert cli._keep_freed_heap() is None
+
+    def test_missing_glibc_is_a_silent_no_op(self, tmp_path, monkeypatch, capsys):
+        def no_libc(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        assert cli._keep_freed_heap() is None
+        assert main(["synth", "--out", str(tmp_path / "w"), "--seed", "1"]) == 0
+        assert capsys.readouterr().err == ""

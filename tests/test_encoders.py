@@ -11,6 +11,7 @@ from cmkt import (
     TokenizationError,
     ValidationError,
 )
+from cmkt import encoders
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder, TextEncoderConfig
 
 STEP = 1e-5
@@ -122,6 +123,76 @@ class TestForwardBehaviour:
             enc.encode([])
 
 
+def reference_prepare_batch(seqs, vocab_size, max_len):
+    """The per-token loop ``prepare_batch`` replaced: the first offending
+    sequence decides, and within it emptiness, then length, then ids."""
+    for b, seq in enumerate(seqs):
+        if len(seq) == 0:
+            raise TokenizationError(f"sequence {b} is empty")
+        if len(seq) > max_len:
+            raise ValidationError(f"sequence {b} has {len(seq)} tokens, maximum is {max_len}")
+        for pos, t in enumerate(seq):
+            if not 0 <= t < vocab_size:
+                raise TokenizationError(
+                    f"sequence {b} position {pos}: token id {t} outside vocabulary of size {vocab_size}"
+                )
+    length = max(len(s) for s in seqs)
+    tokens = np.zeros((len(seqs), length), dtype=np.int64)
+    mask = np.zeros((len(seqs), length))
+    for b, seq in enumerate(seqs):
+        tokens[b, : len(seq)] = seq
+        mask[b, : len(seq)] = 1.0
+    return tokens, mask
+
+
+def outcome(fn, seqs):
+    try:
+        return fn(seqs)
+    except (TokenizationError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPrepareBatch:
+    @pytest.mark.parametrize("seqs, error, message", [
+        ([[4, 99], [5], [], [4] * 7], TokenizationError,
+         "sequence 0 position 1: token id 99 outside vocabulary of size 8"),
+        ([[4], [], [4, 99], [4] * 7], TokenizationError, "sequence 1 is empty"),
+        ([[4], [4] * 6 + [99], [99]], ValidationError, "sequence 1 has 7 tokens, maximum is 6"),
+        ([[4, 5], [5, -1, 99], [8]], TokenizationError,
+         "sequence 1 position 1: token id -1 outside vocabulary of size 8"),
+    ])
+    def test_first_offender_wins(self, seqs, error, message):
+        enc = TextEncoder(tiny_config(), seed=42)
+        with pytest.raises(error) as got:
+            enc.prepare_batch(seqs)
+        assert str(got.value) == message
+        assert outcome(lambda s: reference_prepare_batch(s, 8, 6), seqs) == (error, message)
+
+    def test_matches_reference_loop_on_random_batches(self):
+        enc = TextEncoder(tiny_config(), seed=42)
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            seqs = [
+                [int(t) for t in rng.integers(-1, 9 if rng.random() < 0.2 else 8,
+                                              size=rng.integers(0 if rng.random() < 0.1 else 1, 8))]
+                for _ in range(rng.integers(1, 6))
+            ]
+            got = outcome(enc.prepare_batch, seqs)
+            want = outcome(lambda s: reference_prepare_batch(s, 8, 6), seqs)
+            if isinstance(want[0], type):
+                assert got == want, seqs
+            else:
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+                    assert g.dtype == w.dtype
+
+    def test_numpy_rows_accepted(self):
+        enc = TextEncoder(tiny_config(), seed=42)
+        tokens, mask = enc.prepare_batch([np.array([4, 5, 6]), (7,)])
+        np.testing.assert_array_equal(tokens, [[4, 5, 6], [7, 0, 0]])
+        np.testing.assert_array_equal(mask, [[1, 1, 1], [1, 0, 0]])
+
+
 class TestDropoutPositivePair:
     def test_aligned_and_distinct(self):
         enc = TextEncoder(tiny_config(dropout=0.2), seed=42)
@@ -163,6 +234,25 @@ class TestMaskedLmHead:
         dists, _ = enc.masked_forward(SEQS)
         expected = np.mean([-np.log(dists[b, p, t]) for b, p, t in selections])
         np.testing.assert_allclose(loss, expected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_confident_wrong_head_gives_finite_loss(self):
+        """Huge but finite logits: -log(softmax) underflows to inf, while
+        logsumexp minus the target logit stays finite, and large."""
+        enc = TextEncoder(tiny_config(voken_count=3), seed=42)
+        enc.params["mlm_w"] *= 1e5
+        enc.params["voken_w"] *= 1e5
+        cache = enc.forward(SEQS)
+        logits = cache["hidden"] @ enc.params["mlm_w"]
+        wrong = int(np.argmin(logits[0, 0]))
+        loss, grads = enc.mlm_step(SEQS, [(0, 0, wrong)])
+        assert np.isfinite(loss) and loss > 100.0
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        v_logits = cache["hidden"] @ enc.params["voken_w"]
+        targets = np.full((3, 5), -1, dtype=np.int64)
+        targets[0, 0] = int(np.argmin(v_logits[0, 0]))
+        v_loss, _ = enc.voken_step(SEQS, targets)
+        assert np.isfinite(v_loss) and v_loss > 100.0
 
     def test_no_selections_is_zero(self):
         enc = TextEncoder(tiny_config(), seed=42)
@@ -284,6 +374,54 @@ class TestTextEncoderGradients:
 
         _, grads = enc.voken_step(SEQS, targets)
         fd_check_params(enc, value, grads)
+
+
+class TestGemmGradientsMatchReference:
+    """The GEMM weight gradients and the bincount embedding gradient equal
+    the einsum and np.add.at formulas they replaced."""
+
+    @staticmethod
+    def reference_wgrad(a, b):
+        return np.einsum("bli,blj->ij", a, b)
+
+    @staticmethod
+    def reference_embedding_grad(tokens, d_emb, vocab_size):
+        out = np.zeros((vocab_size, d_emb.shape[-1]))
+        np.add.at(out, tokens, d_emb)
+        return out
+
+    def both(self, monkeypatch, run):
+        fast = run()
+        monkeypatch.setattr(encoders, "_wgrad", self.reference_wgrad)
+        monkeypatch.setattr(encoders, "_embedding_grad", self.reference_embedding_grad)
+        slow = run()
+        return fast, slow
+
+    @pytest.mark.parametrize("pooling", ["mean", "first"])
+    def test_backward_and_heads(self, pooling, monkeypatch):
+        enc = TextEncoder(tiny_config(dropout=0.2, pooling=pooling, voken_count=3), seed=7)
+        seqs = [[4, 4, 5, 4], [5, 5], [7, 4, 6, 5, 5, 4], [4]]  # padded, repeated ids
+        rng = np.random.default_rng(4)
+        upstream = rng.normal(size=(4, 4))
+        ups = [rng.normal(size=(4, 4)) for _ in range(2)]
+        voken = np.full((4, 6), -1, dtype=np.int64)
+        voken[0, :4] = [0, 2, 2, 1]
+        voken[2, 3] = 1
+
+        def run():
+            cache = enc.forward(seqs, dropout_seed=5)
+            return [
+                enc.backward(cache, d_pooled=upstream, d_block_pooled=ups),
+                enc.mlm_step(seqs, [(0, 1, 5), (2, 4, 6), (2, 4, 6)], dropout_seed=6)[1],
+                enc.voken_step(seqs, voken, dropout_seed=8)[1],
+            ]
+
+        fast, slow = self.both(monkeypatch, run)
+        for f, s in zip(fast, slow):
+            assert f.keys() == s.keys()
+            for name in f:
+                np.testing.assert_allclose(f[name], s[name], rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_array_equal(f["tok_emb"], s["tok_emb"])
 
 
 class TestParamPlumbing:
