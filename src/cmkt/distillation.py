@@ -5,9 +5,10 @@ cross-modal objective; a fresh text-only student then trains on captions
 alone with masked prediction plus an activation-matching penalty pulling
 its per-block pooled states toward the teacher's on the same clean text.
 
-The student loop reuses the trainer's order derivation and masked-step
-helper with the same seed purposes, so with a zero transfer weight the
-run is step-for-step identical to plain masked-prediction pre-training.
+The student trains on the pre-training loop (``run_training_loop``) with
+components ``mlm`` and ``nst``, the latter a closure over the frozen
+teacher, so with a zero transfer weight the run is step-for-step
+identical to plain masked-prediction pre-training.
 When teacher and student widths differ, a fixed seeded linear adapter
 (purpose ``("nst-adapter", block)``) maps student activations into the
 teacher's width before comparison; the adapter is never trained.
@@ -21,9 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# bundle_text_encoder is not called here, but perfbench/tracing.py wraps it
+# under this module's name as well and fails if the name is missing
 from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
 from .encoders import TextEncoder
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError
 from .objectives import nst_loss_with_grad
 from .seeding import rng_for
 from .training import (
@@ -32,11 +35,7 @@ from .training import (
     PretrainResult,
     TrainingData,
     assemble_records,
-    epoch_order,
-    mlm_batch_step,
     run_training_loop,
-    _accumulate,
-    _sgd,
 )
 
 TEACHER_OBJECTIVES = ("cmcl", "hinge")
@@ -176,68 +175,26 @@ def distill(
         teacher.config.dim, config.dim, config.num_blocks, config.seed
     )
 
-    components = ("mlm", "nst")
-    weights = (spec.mlm_weight, spec.nst_weight)
-    loss_rows: list[dict] = []
-    checkpoints: list[Checkpoint] = []
-    step = 0
-    meta_base = {
-        "method": "CMKD",
-        "seed": config.seed,
-        "teacher": teacher_checkpoint.meta.get("method", "unknown"),
-        "mlm_weight": spec.mlm_weight,
-        "nst_weight": spec.nst_weight,
-    }
+    def nst(batch, epoch, step):
+        loss, grads = nst_step(teacher, student, [list(r.tokens) for r in batch], adapters)
+        return loss, grads, {}
 
-    def bundle(epoch: int, kind: str) -> Checkpoint:
-        meta = dict(meta_base)
-        meta.update({"epoch": epoch, "kind": kind, "step": step})
-        return bundle_text_encoder(student, data.vocab, meta)
-
-    for epoch in range(1, config.epochs + 1):
-        order = epoch_order(config.seed, epoch, len(records))
-        for start in range(0, len(records), config.batch_size):
-            batch = [records[int(i)] for i in order[start : start + config.batch_size]]
-            seqs = [list(r.tokens) for r in batch]
-            grads: dict[str, np.ndarray] = {}
-            row = {"step": step, "epoch": epoch}
-
-            if spec.mlm_weight > 0:
-                mlm, mlm_grads = mlm_batch_step(
-                    student,
-                    data.vocab,
-                    seqs,
-                    [r.index for r in batch],
-                    config.seed,
-                    epoch,
-                    step,
-                )
-                _accumulate(grads, mlm_grads, spec.mlm_weight)
-            else:
-                mlm = 0.0
-            row["mlm"] = mlm
-
-            if spec.nst_weight > 0:
-                nst, nst_grads = nst_step(teacher, student, seqs, adapters)
-                _accumulate(grads, nst_grads, spec.nst_weight)
-            else:
-                nst = 0.0
-            row["nst"] = nst
-
-            total = spec.mlm_weight * mlm + spec.nst_weight * nst
-            if not np.isfinite(total):
-                raise TrainingError(f"non-finite loss {total} at step {step}", step=step)
-            row["total"] = total
-            loss_rows.append(row)
-            _sgd(student.params, grads, config.learning_rate)
-            step += 1
-        checkpoints.append(bundle(epoch, "epoch"))
-    final = bundle(config.epochs, "final")
-    return PretrainResult(
-        method="CMKD",
-        config=config,
-        checkpoints=tuple(checkpoints),
-        final=final,
-        loss_rows=tuple(loss_rows),
-        components=components,
+    return run_training_loop(
+        "CMKD",
+        config,
+        student,
+        None,
+        vocab=data.vocab,
+        records=records,
+        global_pool=[],
+        components=("mlm", "nst"),
+        weights=(spec.mlm_weight, spec.nst_weight),
+        meta_base={
+            "method": "CMKD",
+            "seed": config.seed,
+            "teacher": teacher_checkpoint.meta.get("method", "unknown"),
+            "mlm_weight": spec.mlm_weight,
+            "nst_weight": spec.nst_weight,
+        },
+        extra_components={"nst": nst},
     )

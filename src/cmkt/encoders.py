@@ -30,7 +30,7 @@ from .errors import (
     TokenizationError,
     ValidationError,
 )
-from .objectives import IMAGE, TEXT, EmbeddingBatch
+from .objectives import IMAGE, TEXT, EmbeddingBatch, softmax_cross_entropy
 from .seeding import rng_for
 
 PAD_ID = 0
@@ -104,23 +104,6 @@ def _embedding_grad(tokens, d_emb, vocab_size):
     flat = tokens.ravel()
     return np.stack([np.bincount(flat, weights=col, minlength=vocab_size)
                      for col in d_emb.reshape(flat.size, -1).T], axis=1)
-
-
-def _token_ce(logits, rows, cols, targets):
-    """Mean cross-entropy at the selected positions, as logsumexp minus the target
-    logit (finite where -log(softmax) underflows), and its gradient on all logits."""
-    sel = logits[rows, cols]
-    shifted = sel - sel.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=-1, keepdims=True)
-    idx = np.arange(len(targets))
-    loss = float(np.mean(np.log(z[:, 0]) - shifted[idx, targets]))
-    d_sel = e / z
-    d_sel[idx, targets] -= 1.0
-    d_sel /= len(targets)
-    d_logits = np.zeros_like(logits)
-    np.add.at(d_logits, (rows, cols), d_sel)
-    return loss, d_logits
 
 
 class TextEncoder:
@@ -350,23 +333,6 @@ class TextEncoder:
         ids = tuple(batch_ids) if batch_ids is not None else tuple(range(len(seqs)))
         return EmbeddingBatch(cache["pooled"], TEXT, ids)
 
-    def dropout_positive_pair(
-        self,
-        seqs: Sequence[Sequence[int]],
-        seed_a: int,
-        seed_b: int,
-        batch_ids: Optional[Sequence] = None,
-    ) -> tuple[EmbeddingBatch, EmbeddingBatch]:
-        """Two encodings of the same captions under independent dropout."""
-        if seed_a == seed_b:
-            raise ConfigError(
-                f"dropout seeds must differ (both {seed_a}); equal seeds collapse the positives"
-            )
-        return (
-            self.encode(seqs, seed_a, batch_ids),
-            self.encode(seqs, seed_b, batch_ids),
-        )
-
     def block_activations(self, seqs: Sequence[Sequence[int]]) -> list[np.ndarray]:
         """Per-block mean-pooled hidden states, dropout disabled."""
         return self.forward(seqs, dropout_seed=None)["block_pooled"]
@@ -421,7 +387,9 @@ class TextEncoder:
         selected positions, with gradients for the trunk and the head."""
         w = self.params[head + "_w"]
         logits = cache["hidden"] @ w + self.params[head + "_b"]
-        loss, d_logits = _token_ce(logits, rows, cols, targets)
+        loss, d_sel = softmax_cross_entropy(logits[rows, cols], targets)
+        d_logits = np.zeros_like(logits)
+        np.add.at(d_logits, (rows, cols), d_sel)
         grads = self.backward(cache, d_hidden=d_logits @ w.T)
         grads[head + "_w"] = _wgrad(cache["hidden"], d_logits)
         grads[head + "_b"] = d_logits.sum(axis=(0, 1))

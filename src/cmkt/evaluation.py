@@ -26,6 +26,7 @@ from .checkpoint import Checkpoint, restore_text_encoder
 from .corpus import SEP, Vocab, tokenize
 from .encoders import TextEncoder
 from .errors import ConfigError, ParseError, ReportError, ShapeError
+from .objectives import softmax_cross_entropy
 from .seeding import derive_seed, rng_for
 
 SPLITS = ("train", "dev", "test")
@@ -231,16 +232,8 @@ def finetune(
             cache = encoder.forward(seqs, dropout_seed)
             pooled = cache["pooled"]
             scores = (pooled @ model.head_w + model.head_b).reshape(len(batch), n_choices)
-            shifted = scores - scores.max(axis=1, keepdims=True)
-            exp = np.exp(shifted)
-            probs = exp / exp.sum(axis=1, keepdims=True)
             gold = np.array([item.gold for item in batch])
-            loss = float(
-                np.mean(-np.log(probs[np.arange(len(batch)), gold]))
-            )
-            d_scores = probs.copy()
-            d_scores[np.arange(len(batch)), gold] -= 1.0
-            d_scores /= len(batch)
+            loss, d_scores = softmax_cross_entropy(scores, gold)
             d_flat = d_scores.reshape(-1)
             d_pooled = np.outer(d_flat, model.head_w)
             grads = encoder.backward(cache, d_pooled=d_pooled)

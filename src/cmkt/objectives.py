@@ -13,8 +13,8 @@ Aggregation conventions, stated once and tested:
   of per-item terms.
 * ``cmcl_total`` and ``ans_loss`` report the **mean** of per-item terms,
   where each item contributes both contrastive directions.
-* ``mlm_loss`` and ``voken_loss`` report the **mean** over supervised
-  positions.
+* ``softmax_cross_entropy``, ``mlm_loss`` and ``voken_loss`` report the
+  **mean** over supervised positions.
 """
 
 from __future__ import annotations
@@ -449,6 +449,26 @@ def hinge_loss(
 # ---------------------------------------------------------------------------
 # classification-style objectives
 # ---------------------------------------------------------------------------
+
+
+def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
+    """Mean cross-entropy of softmax(logits) rows against integer targets,
+    and its gradient on the logits.
+
+    The loss is logsumexp minus the target logit, so it stays finite where
+    -log(softmax) underflows. This is the cross-entropy the trainer's token
+    heads and the fine-tuner run; ``mlm_loss`` and ``voken_loss`` below take
+    probability rows and serve as its reference.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=-1, keepdims=True)
+    idx = np.arange(len(targets))
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[idx, targets]))
+    d_logits = e / z
+    d_logits[idx, targets] -= 1.0
+    d_logits /= len(targets)
+    return loss, d_logits
 
 
 def _check_distributions(name: str, dists: Array) -> Array:

@@ -18,8 +18,6 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Vocab
-from .encoders import TextEncoder
 from .errors import ConfigError, ParseError, ValidationError
 
 NOUN = "noun"
@@ -207,30 +205,6 @@ class FrequencyOracle:
         return self._ranked[:k]
 
 
-class EncoderMlmOracle:
-    """Ranks replacements by a text encoder's masked-token distribution."""
-
-    def __init__(self, encoder: TextEncoder, vocab: Vocab):
-        self.encoder = encoder
-        self.vocab = vocab
-
-    def top_candidates(self, words: Sequence[str], position: int, k: int) -> list[str]:
-        if position >= self.encoder.config.max_len:
-            return []
-        ids = [self.vocab.id_of(w) for w in words][: self.encoder.config.max_len]
-        ids[position] = self.vocab.mask_id
-        dists, _ = self.encoder.masked_forward([ids])
-        order = np.argsort(-dists[0, position], kind="stable")
-        out = []
-        for token_id in order:
-            if int(token_id) in self.vocab.special_ids:
-                continue
-            out.append(self.vocab.word_of(int(token_id)))
-            if len(out) == k:
-                break
-        return out
-
-
 @dataclass(frozen=True)
 class PerturbationConfig:
     """How many positions to attack and how many suggestions to take."""
@@ -361,39 +335,6 @@ def perturb_caption(
                 )
             )
     return records
-
-
-def generate_ans(
-    caption: str,
-    tagger: PosTagger,
-    oracle: MaskedLMOracle,
-    lexicon: Lexicon,
-    rng: np.random.Generator,
-    cfg: PerturbationConfig = PerturbationConfig(),
-) -> list[str]:
-    """Adversarial negative captions: single-word edits that survive the
-    synonym/hypernym filter."""
-    return [
-        r.perturbed_caption()
-        for r in perturb_caption(caption, tagger, oracle, lexicon, rng, cfg)
-        if r.verdict == ADVERSARIAL_NEGATIVE
-    ]
-
-
-def generate_psa(
-    caption: str,
-    tagger: PosTagger,
-    oracle: MaskedLMOracle,
-    lexicon: Lexicon,
-    rng: np.random.Generator,
-    cfg: PerturbationConfig = PerturbationConfig(),
-) -> list[str]:
-    """Equivalent-positive captions: the edits the filter discarded."""
-    return [
-        r.perturbed_caption()
-        for r in perturb_caption(caption, tagger, oracle, lexicon, rng, cfg)
-        if r.verdict == EQUIVALENT_POSITIVE
-    ]
 
 
 def save_records(records: Sequence[PerturbationRecord], path: str | Path) -> None:

@@ -26,9 +26,8 @@ documented purpose:
     ("hinge-neg", epoch, step)     mismatched-pair permutations
     ("negfill", epoch, step, slot) pool sampling for short negative lists
 
-The distillation driver reuses the order derivation and the masked-step
-helper, which is what makes a zero-transfer-weight distillation run
-match an MLM run step for step.
+Distillation runs on the same loop with one extra ``nst`` component, so
+a zero-transfer-weight distillation run matches an MLM run step for step.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ _METHOD_TABLE = {
     "CMKD": ((), False, False),
 }
 
-_COMPONENTS = ("mlm", "tcl", "cmcl", "voken", "hinge")
 _IMAGE_COMPONENTS = ("cmcl", "voken", "hinge")
 
 
@@ -319,8 +317,7 @@ def _validate_inputs(method: MethodSpec, data: TrainingData) -> None:
 
 
 def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
-    """The batch-order permutation for one epoch; shared with the
-    distillation driver."""
+    """The batch-order permutation for one epoch."""
     return rng_for(seed, "order", epoch).permutation(n)
 
 
@@ -334,7 +331,7 @@ def mlm_batch_step(
     step: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One masked-prediction step: per-record dynamic plans, one fused
-    forward/backward. Shared with the distillation driver."""
+    forward/backward."""
     masked = []
     selections = []
     for b, (rid, toks) in enumerate(zip(record_ids, batch_tokens)):
@@ -568,9 +565,17 @@ def run_training_loop(
     weights: tuple[float, ...],
     meta_base: dict,
     use_ans: bool = False,
+    extra_components: Optional[dict[str, Callable]] = None,
 ) -> PretrainResult:
-    """The epoch/batch/SGD loop shared by pretrain and the teacher trainer."""
+    """The epoch/batch/SGD loop of pretrain, the teacher trainer and
+    distillation.
+
+    ``extra_components`` maps further component names to closures with the
+    engine's ``(batch, epoch, step) -> (loss, text grads, image grads)``
+    signature. A component of weight 0 is not run and logs 0.0.
+    """
     engine = _ComponentEngine(config, encoder, image_encoder, vocab, global_pool, use_ans)
+    engine.fns.update(extra_components or {})
     loss_rows: list[dict] = []
     checkpoints: list[Checkpoint] = []
     step = 0
@@ -590,6 +595,9 @@ def run_training_loop(
             row = {"step": step, "epoch": epoch}
             total = 0.0
             for component, weight in zip(components, weights):
+                if weight == 0:
+                    row[component] = 0.0
+                    continue
                 loss, tg, ig = engine.run(component, batch, epoch, step)
                 row[component] = loss
                 total += weight * loss

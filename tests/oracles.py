@@ -66,6 +66,13 @@ def hinge_sum(images, texts, neg_images, neg_texts, margin):
     return total
 
 
+def softmax(row):
+    top = max(row)
+    exps = [math.exp(x - top) for x in row]
+    total = sum(exps)
+    return [e / total for e in exps]
+
+
 def cross_entropy_mean(dists, targets):
     items = [-math.log(d[t]) for d, t in zip(dists, targets)]
     return sum(items) / len(items)

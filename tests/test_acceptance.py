@@ -49,6 +49,7 @@ from cmkt.objectives import (
     infonce_loss,
     mlm_loss,
     nst_loss,
+    softmax_cross_entropy,
     tcl_loss,
     voken_loss,
 )
@@ -218,6 +219,16 @@ def test_criterion_1_loss_oracles():
             student = rng.normal(size=(n, d))
             got = nst_loss(teacher, student)
             assert abs(got - oracles.mmd2_poly2(teacher, student)) < 1e-10
+
+            # the cross-entropy the trainer and the fine-tuner run, on logits
+            logits = rng.normal(scale=3.0, size=(n, k))
+            got, d_logits = softmax_cross_entropy(logits, targets)
+            probs = [oracles.softmax(list(row)) for row in logits]
+            assert abs(got - oracles.cross_entropy_mean(probs, targets)) < 1e-10
+            for i in range(n):
+                for j in range(k):
+                    want = (probs[i][j] - (j == targets[i])) / n
+                    assert abs(d_logits[i, j] - want) < 1e-10
 
             cases += 1
         elapsed = time.perf_counter() - start

@@ -186,6 +186,8 @@ class TestNstAlignment:
         ]
         assert per_epoch[-1] < per_epoch[0]
         assert per_epoch[-1] < max(per_epoch)
+        # a zero-weight component is skipped, not computed and scaled away
+        assert all(r["mlm"] == 0.0 for r in result.loss_rows)
 
 
 class TestDistillValidation:

@@ -193,27 +193,6 @@ class TestPrepareBatch:
         np.testing.assert_array_equal(mask, [[1, 1, 1], [1, 0, 0]])
 
 
-class TestDropoutPositivePair:
-    def test_aligned_and_distinct(self):
-        enc = TextEncoder(tiny_config(dropout=0.2), seed=42)
-        a, b = enc.dropout_positive_pair(SEQS, 1, 2)
-        assert a.batch_ids == b.batch_ids
-        assert a.vectors.shape == b.vectors.shape
-        assert not np.array_equal(a.vectors, b.vectors)
-
-    def test_equal_seeds_rejected(self):
-        enc = TextEncoder(tiny_config(dropout=0.2), seed=42)
-        with pytest.raises(ConfigError):
-            enc.dropout_positive_pair(SEQS, 3, 3)
-
-    def test_reproducible(self):
-        enc = TextEncoder(tiny_config(dropout=0.2), seed=42)
-        a1, b1 = enc.dropout_positive_pair(SEQS, 1, 2)
-        a2, b2 = enc.dropout_positive_pair(SEQS, 1, 2)
-        np.testing.assert_array_equal(a1.vectors, a2.vectors)
-        np.testing.assert_array_equal(b1.vectors, b2.vectors)
-
-
 class TestMaskedLmHead:
     def test_distributions_normalized(self):
         enc = TextEncoder(tiny_config(), seed=42)

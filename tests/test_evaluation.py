@@ -264,6 +264,19 @@ class TestFinetune:
         expected /= 4
         assert model.loss_rows[0]["loss"] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_learning_rate_logs_finite_loss(self):
+        """lr 1e3 drives the scores far apart within a few steps: the gold
+        choice's softmax probability underflows to 0, where -log(softmax)
+        gives inf and a divide-by-zero warning; logsumexp stays finite."""
+        ds = make_dataset()
+        sub = ds.split("train")[:8]
+        cfg = FinetuneConfig(learning_rates=(1e3,), batch_size=4, seed=0)
+        model = finetune(make_checkpoint(), ds, sub, 1e3, cfg, max_epochs=3)
+        losses = [row["loss"] for row in model.loss_rows]
+        assert len(losses) == 6
+        assert all(np.isfinite(losses)), losses
+
     def test_learns_the_toy_task(self):
         ds = make_dataset(n_train=40, n_test=20)
         sub = ds.split("train")
