@@ -10,6 +10,7 @@ byte-comparable.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,23 +87,44 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    if not isinstance(header.get("meta"), dict):
+        raise ParseError(f"{path}: header has no metadata object")
     params: dict[str, np.ndarray] = {}
     offset = 12 + header_len
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in _tensor_index(header, path):
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
-            raise ParseError(f"{path}: tensor {entry['name']!r} runs past end of file")
-        params[entry["name"]] = (
+            raise ParseError(f"{path}: tensor {name!r} runs past end of file")
+        params[name] = (
             np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()
         )
         offset += nbytes
     if offset != len(raw):
         raise ParseError(f"{path}: {len(raw) - offset} trailing bytes after tensors")
     return Checkpoint(params=params, meta=header["meta"])
+
+
+def _tensor_index(header: dict, path: Path) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each tensor the header lists, in file order."""
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list):
+        raise ParseError(f"{path}: header has no tensor list")
+    index = []
+    for position, entry in enumerate(tensors):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ParseError(f"{path}: tensor entry {position} has no name")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise ParseError(f"{path}: tensor {name!r} has a bad shape {shape!r}")
+        index.append((name, tuple(shape)))
+    return index
 
 
 def bundle_text_encoder(

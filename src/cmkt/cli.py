@@ -22,8 +22,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Vocab, load_pairs
 from .distillation import DistillSpec, TeacherSpec, distill, train_teacher

@@ -8,7 +8,9 @@ its per-block pooled states toward the teacher's on the same clean text.
 The student trains on the pre-training loop (``run_training_loop``) with
 components ``mlm`` and ``nst``, the latter a closure over the frozen
 teacher, so with a zero transfer weight the run is step-for-step
-identical to plain masked-prediction pre-training.
+identical to plain masked-prediction pre-training. The teacher is frozen,
+runs without dropout and sees clean text, so its activations are computed
+once per distinct token sequence before training starts.
 When teacher and student widths differ, a fixed seeded linear adapter
 (purpose ``("nst-adapter", block)``) maps student activations into the
 teacher's width before comparison; the adapter is never trained.
@@ -120,12 +122,15 @@ def nst_step(
     student: TextEncoder,
     seqs: Sequence[Sequence[int]],
     adapters: Optional[list[np.ndarray]] = None,
+    teacher_blocks: Optional[list[np.ndarray]] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Activation-matching loss over clean text, averaged across blocks,
-    with gradients for the student."""
+    with gradients for the student. ``teacher_blocks`` are the teacher's
+    per-block activations on ``seqs`` when already computed."""
     cache = student.forward(seqs, dropout_seed=None)
     student_blocks = cache["block_pooled"]
-    teacher_blocks = teacher.block_activations(seqs)
+    if teacher_blocks is None:
+        teacher_blocks = teacher.block_activations(seqs)
     num_blocks = len(student_blocks)
     values = []
     d_blocks = []
@@ -175,8 +180,20 @@ def distill(
         teacher.config.dim, config.dim, config.num_blocks, config.seed
     )
 
+    row_of = {}  # distinct token sequence -> row of the teacher targets
+    for rec in records:
+        row_of.setdefault(rec.tokens, len(row_of))
+    distinct = [list(tokens) for tokens in row_of]
+    chunks = [
+        teacher.block_activations(distinct[start : start + config.batch_size])
+        for start in range(0, len(distinct), config.batch_size)
+    ]
+    targets = [np.concatenate(blocks) for blocks in zip(*chunks)]
+
     def nst(batch, epoch, step):
-        loss, grads = nst_step(teacher, student, [list(r.tokens) for r in batch], adapters)
+        rows = [row_of[r.tokens] for r in batch]
+        loss, grads = nst_step(teacher, student, [list(r.tokens) for r in batch], adapters,
+                               teacher_blocks=[t[rows] for t in targets])
         return loss, grads, {}
 
     return run_training_loop(

@@ -67,31 +67,40 @@ class TextEncoderConfig:
             raise ConfigError(f"voken_count must be >= 0, got {self.voken_count}")
 
 
+# The layer-norm variance, the backward row means and every bias, gamma and
+# beta column sum are matrix-vector products: at these narrow shapes a GEMV
+# is several times faster than a reduction along an axis.
+
+
 def _ln_forward(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    x_hat = (x - mu) * inv
-    return gamma * x_hat + beta, (x_hat, inv, gamma)
+    """Layer norm over the rows of a 2-D array. The row mean stays a
+    reduction: a GEMV mean rounds differently, enough to push the
+    first-token-pooling finite-difference test just past its bound."""
+    x_hat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((x_hat * x_hat) @ np.full(x.shape[1], 1.0 / x.shape[1]) + LN_EPS)
+    x_hat *= inv[:, None]
+    out = x_hat * gamma
+    out += beta
+    return out, (x_hat, inv, gamma)
 
 
-def _ln_backward(d_out, cache):
+def _ln_backward(d_out, cache, ones):
+    """Input, gamma and beta gradients of :func:`_ln_forward`; ``ones`` has
+    one entry per row."""
     x_hat, inv, gamma = cache
-    d_gamma = np.sum(d_out * x_hat, axis=(0, 1))
-    d_beta = np.sum(d_out, axis=(0, 1))
-    d_hat = d_out * gamma
-    d_x = inv * (
-        d_hat
-        - d_hat.mean(axis=-1, keepdims=True)
-        - x_hat * (d_hat * x_hat).mean(axis=-1, keepdims=True)
-    )
-    return d_x, d_gamma, d_beta
+    d_out_x_hat = d_out * x_hat
+    gamma_mean = gamma / x_hat.shape[1]
+    d_x = d_out * gamma
+    d_x -= (d_out @ gamma_mean)[:, None]
+    d_x -= x_hat * (d_out_x_hat @ gamma_mean)[:, None]
+    d_x *= inv[:, None]
+    return d_x, ones @ d_out_x_hat, ones @ d_out
 
 
 def _softmax_last(x):
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _wgrad(a, b):
@@ -100,10 +109,17 @@ def _wgrad(a, b):
 
 
 def _embedding_grad(tokens, d_emb, vocab_size):
-    """Sum of ``d_emb`` rows per token id, added in the same order as ``np.add.at``."""
-    flat = tokens.ravel()
-    return np.stack([np.bincount(flat, weights=col, minlength=vocab_size)
-                     for col in d_emb.reshape(flat.size, -1).T], axis=1)
+    """Sum of ``d_emb`` rows per token id, added in the same order as ``np.add.at``:
+    one bincount over (token id, column) bins."""
+    dim = d_emb.shape[-1]
+    bins = (tokens.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    return np.bincount(bins, weights=d_emb.ravel(),
+                       minlength=vocab_size * dim).reshape(vocab_size, dim)
+
+
+def _undrop(d_out, scale):
+    """Gradient through a dropout site whose cached scale is ``scale``."""
+    return d_out if scale is None else d_out * scale
 
 
 class TextEncoder:
@@ -183,7 +199,7 @@ class TextEncoder:
             cache["drop." + site] = None
             return x
         keep = rng_for(dropout_seed, "dropout", site).random(x.shape) >= p
-        scale = keep.astype(np.float64) / (1.0 - p)
+        scale = keep * (1.0 / (1.0 - p))
         cache["drop." + site] = scale
         return x * scale
 
@@ -196,40 +212,50 @@ class TextEncoder:
         tokens, mask = self.prepare_batch(seqs)
         P = self.params
         cache: dict = {"tokens": tokens, "mask": mask}
-        length = tokens.shape[1]
+        n, length = tokens.shape
+        d = self.config.dim
 
-        emb = P["tok_emb"][tokens] + P["pos_emb"][:length]
+        # hidden states are (n * length, d) matrices, so every projection is
+        # one GEMM; attention works on (n, length, .) views of them. Biases,
+        # residuals and the ReLU are applied in place on fresh GEMM outputs.
+        emb = (P["tok_emb"][tokens] + P["pos_emb"][:length]).reshape(n * length, d)
         x = self._dropout(emb, "emb", dropout_seed, cache)
         cache["block_pooled"] = []
-        scale = 1.0 / np.sqrt(self.config.dim)
+        scale = 1.0 / np.sqrt(d)
         col_bias = (1.0 - mask)[:, None, :] * MASK_BIAS
 
         for i in range(self.config.num_blocks):
             p = f"blk{i}."
-            blk: dict = {"x_in": x}
-            q = x @ P[p + "wq"] + P[p + "bq"]
-            k = x @ P[p + "wk"] + P[p + "bk"]
-            v = x @ P[p + "wv"] + P[p + "bv"]
-            scores = q @ k.transpose(0, 2, 1) * scale + col_bias
+            w_qkv = np.concatenate([P[p + "wq"], P[p + "wk"], P[p + "wv"]], axis=1)
+            b_qkv = np.concatenate([P[p + "bq"], P[p + "bk"], P[p + "bv"]])
+            qkv = x @ w_qkv
+            qkv += b_qkv
+            qkv = qkv.reshape(n, length, 3 * d)
+            q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+            scores = q @ k.transpose(0, 2, 1)
+            scores *= scale
+            scores += col_bias
             attn = _softmax_last(scores)
-            ctx = attn @ v
-            proj = ctx @ P[p + "wo"] + P[p + "bo"]
-            proj_d = self._dropout(proj, p + "attn", dropout_seed, cache)
-            r1 = x + proj_d
+            ctx = (attn @ v).reshape(n * length, d)
+            proj = ctx @ P[p + "wo"]
+            proj += P[p + "bo"]
+            r1 = self._dropout(proj, p + "attn", dropout_seed, cache)
+            r1 += x
             y, ln1 = _ln_forward(r1, P[p + "ln1_g"], P[p + "ln1_b"])
-            pre_act = y @ P[p + "w1"] + P[p + "b1"]
-            h = np.maximum(pre_act, 0.0)
-            ffn = h @ P[p + "w2"] + P[p + "b2"]
-            ffn_d = self._dropout(ffn, p + "ffn", dropout_seed, cache)
-            r2 = y + ffn_d
-            x, ln2 = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
-            blk.update(q=q, k=k, v=v, attn=attn, ctx=ctx, ln1=ln1, ln2=ln2,
-                       pre_act=pre_act, h=h, y=y)
-            cache[f"blk{i}"] = blk
-            cache["block_pooled"].append(self._pool(x, mask))
+            h = y @ P[p + "w1"]
+            h += P[p + "b1"]
+            np.maximum(h, 0.0, out=h)
+            ffn = h @ P[p + "w2"]
+            ffn += P[p + "b2"]
+            r2 = self._dropout(ffn, p + "ffn", dropout_seed, cache)
+            r2 += y
+            cache[f"blk{i}"] = dict(x_in=x, w_qkv=w_qkv, qkv=qkv, attn=attn, ctx=ctx,
+                                    h=h, y=y, ln1=ln1)
+            x, cache[f"blk{i}"]["ln2"] = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
+            cache["block_pooled"].append(self._pool(x.reshape(n, length, d), mask))
 
-        cache["hidden"] = x
-        cache["pooled"] = self._pool(x, mask)
+        cache["hidden"] = x.reshape(n, length, d)
+        cache["pooled"] = cache["block_pooled"][-1].copy()
         return cache
 
     def _pool(self, hidden, mask):
@@ -261,64 +287,65 @@ class TextEncoder:
         P = self.params
         mask = cache["mask"]
         tokens = cache["tokens"]
+        n, length = tokens.shape
+        d = self.config.dim
         grads: dict[str, np.ndarray] = {}
-        n_blocks = self.config.num_blocks
-        scale = 1.0 / np.sqrt(self.config.dim)
+        scale = 1.0 / np.sqrt(d)
+        ones = np.ones(n * length)
 
-        d_x = np.zeros_like(cache["hidden"])
+        def wgrad(a, b):  # weight gradients take (n, length, .) views
+            return _wgrad(a.reshape(n, length, -1), b.reshape(n, length, -1))
+
+        d_x = np.zeros((n * length, d))
         if d_hidden is not None:
-            d_x = d_x + d_hidden
+            d_x += d_hidden.reshape(n * length, d)
         if d_pooled is not None:
-            d_x = d_x + self._pool_backward(d_pooled, mask)
+            d_x += self._pool_backward(d_pooled, mask).reshape(n * length, d)
 
-        for i in reversed(range(n_blocks)):
+        for i in reversed(range(self.config.num_blocks)):
             if d_block_pooled is not None and d_block_pooled[i] is not None:
-                d_x = d_x + self._pool_backward(d_block_pooled[i], mask)
+                d_x += self._pool_backward(d_block_pooled[i], mask).reshape(n * length, d)
             p = f"blk{i}."
             blk = cache[f"blk{i}"]
 
-            d_r2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk["ln2"])
-            d_y = d_r2.copy()
-            d_ffn = d_r2
-            drop = cache["drop." + p + "ffn"]
-            if drop is not None:
-                d_ffn = d_ffn * drop
-            d_h = d_ffn @ P[p + "w2"].T
-            grads[p + "w2"] = _wgrad(blk["h"], d_ffn)
-            grads[p + "b2"] = d_ffn.sum(axis=(0, 1))
-            d_pre = d_h * (blk["pre_act"] > 0)
-            d_y += d_pre @ P[p + "w1"].T
-            grads[p + "w1"] = _wgrad(blk["y"], d_pre)
-            grads[p + "b1"] = d_pre.sum(axis=(0, 1))
+            d_r2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk["ln2"], ones)
+            d_ffn = _undrop(d_r2, cache["drop." + p + "ffn"])
+            grads[p + "w2"] = wgrad(blk["h"], d_ffn)
+            grads[p + "b2"] = ones @ d_ffn
+            d_pre = d_ffn @ P[p + "w2"].T
+            d_pre *= blk["h"] > 0
+            grads[p + "w1"] = wgrad(blk["y"], d_pre)
+            grads[p + "b1"] = ones @ d_pre
+            d_y = d_pre @ P[p + "w1"].T
+            d_y += d_r2
 
-            d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_y, blk["ln1"])
-            d_x = d_r1.copy()
-            d_proj = d_r1
-            drop = cache["drop." + p + "attn"]
-            if drop is not None:
-                d_proj = d_proj * drop
-            d_ctx = d_proj @ P[p + "wo"].T
-            grads[p + "wo"] = _wgrad(blk["ctx"], d_proj)
-            grads[p + "bo"] = d_proj.sum(axis=(0, 1))
+            d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_y, blk["ln1"], ones)
+            d_proj = _undrop(d_r1, cache["drop." + p + "attn"])
+            grads[p + "wo"] = wgrad(blk["ctx"], d_proj)
+            grads[p + "bo"] = ones @ d_proj
+            d_ctx = (d_proj @ P[p + "wo"].T).reshape(n, length, d)
 
-            attn = blk["attn"]
-            d_attn = d_ctx @ blk["v"].transpose(0, 2, 1)
+            qkv, attn = blk["qkv"], blk["attn"]
+            q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+            d_attn = d_ctx @ v.transpose(0, 2, 1)
             d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-            d_q = d_scores @ blk["k"] * scale
-            d_k = d_scores.transpose(0, 2, 1) @ blk["q"] * scale
-            d_v = attn.transpose(0, 2, 1) @ d_ctx
+            d_qkv = np.concatenate(
+                [d_scores @ k * scale, d_scores.transpose(0, 2, 1) @ q * scale,
+                 attn.transpose(0, 2, 1) @ d_ctx],
+                axis=-1,
+            ).reshape(n * length, 3 * d)
+            g_qkv = wgrad(blk["x_in"], d_qkv)
+            b_qkv = ones @ d_qkv
+            for j, side in enumerate("qkv"):
+                grads[p + "w" + side] = g_qkv[:, j * d : (j + 1) * d]
+                grads[p + "b" + side] = b_qkv[j * d : (j + 1) * d]
+            d_x = d_qkv @ blk["w_qkv"].T
+            d_x += d_r1
 
-            x_in = blk["x_in"]
-            for name, d_side in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-                grads[p + name] = _wgrad(x_in, d_side)
-                grads[p + "b" + name[1]] = d_side.sum(axis=(0, 1))
-                d_x = d_x + d_side @ P[p + name].T
-
-        drop = cache["drop.emb"]
-        d_emb = d_x if drop is None else d_x * drop
+        d_emb = _undrop(d_x, cache["drop.emb"]).reshape(n, length, d)
         grads["tok_emb"] = _embedding_grad(tokens, d_emb, self.config.vocab_size)
         grads["pos_emb"] = np.zeros_like(P["pos_emb"])
-        grads["pos_emb"][: tokens.shape[1]] = d_emb.sum(axis=0)
+        grads["pos_emb"][:length] = d_emb.sum(axis=0)
         return grads
 
     # ---------------------------------------------------------- public API

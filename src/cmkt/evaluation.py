@@ -8,14 +8,19 @@ classification tasks are 2-choice instances of the same pipeline.
 
 Epoch budget follows the protocol: train subsets of at most 128 items
 get the low-resource budget, larger subsets the fully-supervised one.
+
+Work done once per protocol call: each (question, choice) text is
+tokenized once, and the grid search's fine-tune of the first subsample at
+the chosen learning rate is the model that subsample is scored with.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
-import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +30,7 @@ import numpy as np
 from .checkpoint import Checkpoint, restore_text_encoder
 from .corpus import SEP, Vocab, tokenize
 from .encoders import TextEncoder
-from .errors import ConfigError, ParseError, ReportError, ShapeError
+from .errors import ConfigError, ParseError, ReportError, ShapeError, TrainingError
 from .objectives import softmax_cross_entropy
 from .seeding import derive_seed, rng_for
 
@@ -160,13 +165,18 @@ class TaskModel:
     head_w: np.ndarray
     head_b: float
     loss_rows: tuple[dict, ...] = ()
+    # (question, choice) -> token ids, filled on first use
+    token_ids: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def _choice_tokens(self, item: MCQAItem) -> list[list[int]]:
-        max_len = self.encoder.config.max_len
-        return [
-            tokenize(f"{item.question} {SEP} {choice}", self.vocab, max_len)
-            for choice in item.choices
-        ]
+        out = []
+        for choice in item.choices:
+            key = (item.question, choice)
+            if key not in self.token_ids:
+                text = f"{item.question} {SEP} {choice}"
+                self.token_ids[key] = tokenize(text, self.vocab, self.encoder.config.max_len)
+            out.append(self.token_ids[key])
+        return out
 
     def score_items(
         self, items: Sequence[MCQAItem], dropout_seed: Optional[int] = None
@@ -188,12 +198,40 @@ class TaskModel:
         return [int(i) for i in np.argmax(scores, axis=1)]
 
 
+# Inside a protocol or grid search call: one token-id table per
+# (vocabulary, max_len), shared by every task model the call builds. It
+# travels in a context variable because finetune and evaluate keep their
+# signatures, and it is dropped when the call returns.
+_SHARED_TOKEN_IDS: ContextVar[Optional[dict]] = ContextVar("shared_token_ids", default=None)
+
+
+def _sharing_token_ids(fn):
+    """Run ``fn`` with shared token-id tables, dropped when it returns."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _SHARED_TOKEN_IDS.get() is not None:
+            return fn(*args, **kwargs)
+        token = _SHARED_TOKEN_IDS.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _SHARED_TOKEN_IDS.reset(token)
+
+    return wrapper
+
+
 def build_task_model(checkpoint: Checkpoint, seed: int) -> TaskModel:
     """Fresh head on a restored encoder; the starting point of fine-tuning."""
     encoder, vocab = restore_text_encoder(checkpoint)
     rng = rng_for(seed, "head")
     head_w = rng.normal(scale=0.02, size=encoder.config.dim)
-    return TaskModel(encoder=encoder, vocab=vocab, head_w=head_w, head_b=0.0)
+    tables = _SHARED_TOKEN_IDS.get()
+    token_ids = {} if tables is None else tables.setdefault(
+        (tuple(checkpoint.meta["vocab"]), encoder.config.max_len), {}
+    )
+    return TaskModel(encoder=encoder, vocab=vocab, head_w=head_w, head_b=0.0,
+                     token_ids=token_ids)
 
 
 def finetune(
@@ -205,7 +243,8 @@ def finetune(
     max_epochs: Optional[int] = None,
 ) -> TaskModel:
     """Train encoder and head on the subset with cross-choice softmax
-    cross-entropy; deterministic given the config seed."""
+    cross-entropy; deterministic given the config seed. A non-finite loss
+    raises :class:`TrainingError` with its step."""
     subset = list(subset)
     if not subset:
         raise ConfigError("fine-tuning subset is empty")
@@ -234,6 +273,9 @@ def finetune(
             scores = (pooled @ model.head_w + model.head_b).reshape(len(batch), n_choices)
             gold = np.array([item.gold for item in batch])
             loss, d_scores = softmax_cross_entropy(scores, gold)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite fine-tuning loss {loss} at step {step}",
+                                    step=step)
             d_flat = d_scores.reshape(-1)
             d_pooled = np.outer(d_flat, model.head_w)
             grads = encoder.backward(cache, d_pooled=d_pooled)
@@ -348,8 +390,11 @@ def load_runs(path: str | Path) -> list[EvalRun]:
 class GridResult:
     best_learning_rate: float
     table: tuple[tuple[float, float], ...]  # (learning rate, dev accuracy)
+    # the fine-tune at the best rate: what finetune(..., best rate, config) returns
+    best_model: Optional[TaskModel] = dataclasses.field(default=None, compare=False, repr=False)
 
 
+@_sharing_token_ids
 def grid_search(
     checkpoint: Checkpoint,
     dataset: MCQADataset,
@@ -357,19 +402,20 @@ def grid_search(
     config: FinetuneConfig,
 ) -> GridResult:
     """One fine-tune per grid learning rate, scored on the dev split;
-    ties resolve to the smaller rate."""
+    ties resolve to the smaller rate. Only the best model so far is kept."""
     dev = dataset.split("dev")
     if not dev:
         raise ConfigError(f"dataset {dataset.name!r} has no dev split")
     table = []
+    best = None
     for lr in sorted(config.learning_rates):
         model = finetune(checkpoint, dataset, subset, lr, config)
-        table.append((lr, evaluate(model, dev)))
-    best_lr, best_acc = table[0]
-    for lr, acc in table[1:]:
-        if acc > best_acc:
-            best_lr, best_acc = lr, acc
-    return GridResult(best_learning_rate=best_lr, table=tuple(table))
+        acc = evaluate(model, dev)
+        table.append((lr, acc))
+        if best is None or acc > best[1]:
+            best = (lr, acc, model)
+        del model  # a non-best model is freed before the next fine-tune
+    return GridResult(best_learning_rate=best[0], table=tuple(table), best_model=best[2])
 
 
 def _subsample(
@@ -381,6 +427,7 @@ def _subsample(
     return [train[int(i)] for i in picked]
 
 
+@_sharing_token_ids
 def low_resource_protocol(
     checkpoint: Checkpoint,
     dataset: MCQADataset,
@@ -390,7 +437,8 @@ def low_resource_protocol(
     method: Optional[str] = None,
 ) -> list[EvalRun]:
     """For each size: seeded subsamples, one grid search on the first,
-    fine-tune each, score the fixed test split."""
+    fine-tune each, score the fixed test split. The first subsample's
+    model is the grid's, which already trained it at the chosen rate."""
     train = dataset.split("train")
     test = dataset.split("test")
     if not test:
@@ -412,8 +460,8 @@ def low_resource_protocol(
             _subsample(dataset, size, config.seed, s) for s in range(n_subsamples)
         ]
         grid = grid_search(checkpoint, dataset, subsets[0], config)
-        accuracies = []
-        for subset in subsets:
+        accuracies = [evaluate(grid.best_model, test)]
+        for subset in subsets[1:]:
             model = finetune(
                 checkpoint, dataset, subset, grid.best_learning_rate, config
             )
@@ -431,6 +479,7 @@ def low_resource_protocol(
     return runs
 
 
+@_sharing_token_ids
 def supervised_protocol(
     checkpoint: Checkpoint,
     dataset: MCQADataset,

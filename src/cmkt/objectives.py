@@ -19,7 +19,7 @@ Aggregation conventions, stated once and tested:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

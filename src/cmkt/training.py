@@ -62,7 +62,7 @@ from .objectives import (
     hinge_loss,
     tcl_loss,
 )
-from .perturbation import ADVERSARIAL_NEGATIVE, EQUIVALENT_POSITIVE, PerturbationRecord
+from .perturbation import ADVERSARIAL_NEGATIVE, PerturbationRecord
 from .seeding import derive_seed, rng_for
 
 METHOD_NAMES = (

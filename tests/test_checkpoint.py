@@ -131,6 +131,31 @@ class TestCorruptionDetection:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b'{"meta":{},"version":1}', "tensor list"),
+            (b'{"meta":{},"tensors":{"a":[2]},"version":1}', "tensor list"),
+            (b'{"meta":{},"tensors":[{"shape":[2]}],"version":1}', "no name"),
+            (b'{"meta":{},"tensors":["a"],"version":1}', "no name"),
+            (b'{"meta":{},"tensors":[{"name":"a"}],"version":1}', "bad shape"),
+            (b'{"meta":{},"tensors":[{"name":"a","shape":"2"}],"version":1}', "bad shape"),
+            (b'{"meta":{},"tensors":[{"name":"a","shape":[-2]}],"version":1}', "bad shape"),
+            (b'{"meta":{},"tensors":[{"name":"a","shape":[1.5]}],"version":1}', "bad shape"),
+            (b'{"tensors":[],"version":1}', "metadata"),
+            (b'[1]', "JSON object"),
+        ],
+        ids=["no-tensors", "tensors-not-list", "entry-no-name", "entry-not-object",
+             "entry-no-shape", "shape-not-list", "negative-dim", "float-dim",
+             "no-meta", "header-not-object"],
+    )
+    def test_malformed_header_is_parse_error(self, tmp_path, header, message):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
+                         + np.zeros(2).tobytes())
+        with pytest.raises(ParseError, match=message):
+            load_checkpoint(path)
+
 
 class TestEncoderBundle:
     def make_encoder(self):

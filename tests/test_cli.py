@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, outputs, manifests, determinism."""
 
 import json
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -380,6 +381,26 @@ class TestFinetuneCommand:
         assert "99999" in capsys.readouterr().err
 
 
+    def test_diverging_learning_rate_exit_3_with_step(self, world_dir, cmcl_dir,
+                                                      tiny_eval_config, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.warns(RuntimeWarning):  # the overflow that makes the loss NaN
+            rc = main(
+                [
+                    "finetune",
+                    "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                    "--dataset", str(world_dir / "mcqa.jsonl"),
+                    "--learning-rate", "1e250",
+                    "--train-size", "32",
+                    "--config", str(tiny_eval_config),
+                    "--out", str(out),
+                ]
+            )
+        assert rc == 3
+        assert "non-finite fine-tuning loss" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvalCommand:
     def test_low64_writes_five_run_seeds(self, world_dir, cmcl_dir,
                                          tiny_eval_config, tmp_path):
@@ -457,6 +478,28 @@ class TestEvalCommand:
         )
         assert rc == 2
         assert "test" in capsys.readouterr().err
+
+    def test_checkpoint_header_without_tensors_exit_2(self, world_dir, cmcl_dir,
+                                                      tiny_eval_config, tmp_path, capsys):
+        raw = (cmcl_dir / "checkpoint-final.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + header_len])
+        del header["tensors"]
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :])
+        rc = main(
+            [
+                "eval",
+                "--checkpoint", str(bad),
+                "--dataset", str(world_dir / "mcqa.jsonl"),
+                "--protocol", "low64",
+                "--config", str(tiny_eval_config),
+                "--out", str(tmp_path / "runs.jsonl"),
+            ]
+        )
+        assert rc == 2
+        assert "tensor list" in capsys.readouterr().err
 
 
 def fabricated_runs():

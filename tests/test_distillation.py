@@ -19,7 +19,8 @@ from cmkt import (
     train_teacher,
 )
 from cmkt.corpus import CaptionPair, Vocab
-from cmkt.encoders import FeatureBank
+from cmkt import distillation
+from cmkt.encoders import FeatureBank, TextEncoder
 
 PAIR_ROWS = [
     ("img00", "a red block on the table", "train"),
@@ -239,6 +240,40 @@ class TestDistillRun:
         save_checkpoint(r1.final, p1)
         save_checkpoint(r2.final, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_teacher_runs_once_per_distinct_caption(self, monkeypatch):
+        data = make_data()
+        config = small_config(epochs=3)
+        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        seen = []
+        real = TextEncoder.block_activations
+
+        def counting(self, seqs):
+            seen.extend(tuple(s) for s in seqs)
+            return real(self, seqs)
+
+        monkeypatch.setattr(TextEncoder, "block_activations", counting)
+        distill(teacher.final, data, DistillSpec(), config)
+        assert len(seen) == len(set(seen)) == len(PAIR_ROWS)
+
+    def test_cached_teacher_targets_match_per_batch_teacher(self, monkeypatch):
+        data = make_data()
+        config = small_config(epochs=3)
+        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        cached = distill(teacher.final, data, DistillSpec(), config)
+        real = distillation.nst_step
+        monkeypatch.setattr(  # drop the cached targets: the teacher runs on every batch
+            distillation, "nst_step",
+            lambda teacher, student, seqs, adapters, teacher_blocks: real(
+                teacher, student, seqs, adapters),
+        )
+        per_batch = distill(teacher.final, data, DistillSpec(), config)
+        assert len(cached.loss_rows) == len(per_batch.loss_rows)
+        for a, b in zip(cached.loss_rows, per_batch.loss_rows):
+            assert a["nst"] == pytest.approx(b["nst"], rel=0, abs=1e-12)
+        final = per_batch.final.params
+        for name, value in cached.final.params.items():
+            np.testing.assert_allclose(value, final[name], rtol=0, atol=1e-12)
 
     def test_student_checkpoint_is_text_only(self):
         data = make_data()

@@ -403,6 +403,63 @@ class TestGemmGradientsMatchReference:
             np.testing.assert_array_equal(f["tok_emb"], s["tok_emb"])
 
 
+class TestKernelsMatchReference:
+    """Layer norm, dropout and the embedding gradient against the formulas
+    they replaced."""
+
+    @staticmethod
+    def reference_ln_forward(x, gamma, beta):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + encoders.LN_EPS)
+        x_hat = (x - mu) * inv
+        return gamma * x_hat + beta, (x_hat, inv, gamma)
+
+    @staticmethod
+    def reference_ln_backward(d_out, cache):
+        x_hat, inv, gamma = cache
+        d_hat = d_out * gamma
+        d_x = inv * (
+            d_hat
+            - d_hat.mean(axis=-1, keepdims=True)
+            - x_hat * (d_hat * x_hat).mean(axis=-1, keepdims=True)
+        )
+        return d_x, np.sum(d_out * x_hat, axis=0), np.sum(d_out, axis=0)
+
+    @pytest.mark.parametrize("dim", [4, 32])
+    def test_layer_norm_matches_var_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(loc=0.5, scale=2.0, size=(200, dim))
+        gamma, beta = rng.normal(size=dim), rng.normal(size=dim)
+        d_out = rng.normal(size=(200, dim))
+        out, cache = encoders._ln_forward(x, gamma, beta)
+        ref_out, ref_cache = self.reference_ln_forward(x, gamma, beta)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        got = encoders._ln_backward(d_out, cache, np.ones(len(x)))
+        want = self.reference_ln_backward(d_out, ref_cache)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_dropout_scale_equals_old_formula(self):
+        enc = TextEncoder(tiny_config(dropout=0.3), seed=0)
+        x = np.random.default_rng(0).normal(size=(7, 5, 4))
+        cache = {}
+        out = enc._dropout(x, "site", 9, cache)
+        keep = encoders.rng_for(9, "dropout", "site").random(x.shape) >= 0.3
+        scale = keep.astype(np.float64) / (1.0 - 0.3)
+        np.testing.assert_array_equal(cache["drop.site"], scale)
+        np.testing.assert_array_equal(out, x * scale)
+
+    def test_embedding_grad_equals_per_column_bincount(self):
+        rng = np.random.default_rng(5)
+        tokens = rng.integers(0, 9, size=(6, 7))  # repeated ids, some never used
+        d_emb = rng.normal(size=(6, 7, 4))
+        flat = tokens.ravel()
+        old = np.stack([np.bincount(flat, weights=col, minlength=11)
+                        for col in d_emb.reshape(flat.size, -1).T], axis=1)
+        np.testing.assert_array_equal(encoders._embedding_grad(tokens, d_emb, 11), old)
+
+
 class TestParamPlumbing:
     def test_roundtrip_and_clone(self):
         enc = TextEncoder(tiny_config(), seed=42)

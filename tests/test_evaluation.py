@@ -7,7 +7,7 @@ import cmkt.evaluation as evaluation_module
 from cmkt.checkpoint import bundle_text_encoder
 from cmkt.corpus import SPECIALS, Vocab
 from cmkt.encoders import TextEncoder, TextEncoderConfig
-from cmkt.errors import ConfigError, ParseError, ReportError, ShapeError
+from cmkt.errors import ConfigError, ParseError, ReportError, ShapeError, TrainingError
 from cmkt.evaluation import (
     EvalRun,
     FinetuneConfig,
@@ -211,6 +211,14 @@ class TestFinetune:
         model = finetune(make_checkpoint(), ds, one, 0.5, cfg, max_epochs=60)
         assert model.predict(one) == [one[0].gold]
         assert model.loss_rows[-1]["loss"] < 0.1
+
+    def test_non_finite_loss_raises_training_error_with_step(self):
+        ds = make_dataset()
+        sub = ds.split("train")[:6]
+        cfg = FinetuneConfig(learning_rates=(1e250,), batch_size=4, seed=0)
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingError, match="non-finite") as info:
+            finetune(make_checkpoint(), ds, sub, 1e250, cfg, max_epochs=3)
+        assert info.value.step == 1
 
     def test_identical_seeds_identical_models(self):
         ds = make_dataset()
@@ -462,6 +470,96 @@ class TestLowResourceProtocol:
             low_resource_protocol(
                 make_checkpoint(), ds, tiny_protocol_config(), sizes=(4,),
             )
+
+
+def reference_low_resource(checkpoint, dataset, config, sizes, n_subsamples=5):
+    """The protocol as it was written before the grid's model was reused:
+    every subsample, the first included, is fine-tuned again at the chosen
+    rate."""
+    from cmkt.evaluation import _subsample
+
+    test = dataset.split("test")
+    runs = []
+    for size in sizes:
+        subsets = [_subsample(dataset, size, config.seed, s) for s in range(n_subsamples)]
+        grid = grid_search(checkpoint, dataset, subsets[0], config)
+        accuracies = [
+            evaluate(finetune(checkpoint, dataset, sub, grid.best_learning_rate, config), test)
+            for sub in subsets
+        ]
+        runs.append(EvalRun(dataset=dataset.name, method="random-init", size=str(size),
+                            accuracies=tuple(accuracies), seeds=tuple(range(n_subsamples)),
+                            learning_rate=grid.best_learning_rate))
+    return runs
+
+
+class TestProtocolReuse:
+    """The protocol scores the first subsample with the grid's own model and
+    tokenizes each (question, choice) once per call."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(evaluation_module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation_module, name, counting)
+        return calls
+
+    def test_finetunes_per_size(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "finetune")
+        ds = make_dataset(n_train=24, n_dev=4, n_test=6)
+        config = tiny_protocol_config(learning_rates=(0.03, 0.1, 0.3))
+        low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8), n_subsamples=4)
+        assert len(calls) == 2 * (3 + 4 - 1)
+
+    @pytest.mark.parametrize("rates", [(0.1,), (0.03, 0.1, 0.3)])
+    def test_runs_equal_reference_that_refits_first_subsample(self, rates):
+        ds = make_dataset(n_train=24, n_dev=4, n_test=6)
+        config = tiny_protocol_config(learning_rates=rates)
+        runs = low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8))
+        assert runs == reference_low_resource(make_checkpoint(), ds, config, sizes=(4, 8))
+
+    def test_grid_keeps_the_best_rate_model(self):
+        ds = make_dataset(n_train=8, n_dev=4)
+        config = tiny_protocol_config(learning_rates=(0.03, 0.3))
+        subset = ds.split("train")
+        grid = grid_search(make_checkpoint(), ds, subset, config)
+        again = finetune(make_checkpoint(), ds, subset, grid.best_learning_rate, config)
+        np.testing.assert_array_equal(grid.best_model.head_w, again.head_w)
+        for name, value in again.encoder.params.items():
+            np.testing.assert_array_equal(grid.best_model.encoder.params[name], value)
+
+    def test_each_choice_tokenized_once_per_protocol_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "tokenize")
+        ds = make_dataset(n_train=24, n_dev=4, n_test=6)
+        config = tiny_protocol_config(learning_rates=(0.03, 0.1))
+        for _ in range(2):
+            calls.clear()
+            low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8))
+            texts = [args[0] for args in calls]
+            assert len(texts) == len(set(texts))
+            assert len(texts) <= len({(i.question, c) for i in ds.items for c in i.choices})
+        assert evaluation_module._SHARED_TOKEN_IDS.get() is None
+
+    def test_each_choice_tokenized_once_per_finetune_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "tokenize")
+        ds = make_dataset(n_train=8)
+        sub = ds.split("train")
+        model = finetune(make_checkpoint(), ds, sub, 0.1, tiny_protocol_config(), max_epochs=3)
+        assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})
+        evaluate(model, sub)
+        assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})
+
+    def test_diverging_grid_rate_raises(self):
+        ds = make_dataset(n_train=8, n_dev=4)
+        config = tiny_protocol_config(learning_rates=(0.1, 1e250))
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingError) as info:
+            grid_search(make_checkpoint(), ds, ds.split("train"), config)
+        assert info.value.step is not None
 
 
 class TestSupervisedProtocol:
