@@ -20,7 +20,6 @@ import numpy as np
 from cmkt.objectives import (
     IMAGE,
     TEXT,
-    ContrastiveConfig,
     EmbeddingBatch,
     ans_loss,
     cmcl_total,
@@ -47,8 +46,7 @@ print("lower temperature exaggerates the diagonal advantage, so the")
 print("(sum-aggregated) loss falls when pairs are roughly aligned\n")
 
 print("=== both directions, averaged over the batch ===")
-cfg = ContrastiveConfig(temperature=0.05)
-plain = cmcl_total(image_batch, text_batch, cfg)
+plain = cmcl_total(image_batch, text_batch, temperature=0.05)
 print(f"  cmcl_total = {plain.total:.6f}")
 print(f"  per item   = {np.round(plain.per_item, 3)}\n")
 
@@ -56,8 +54,7 @@ print("=== hard negatives join the image-to-text denominator ===")
 for m in (0, 2, 4):
     # perturbed captions: close to the true caption, hence hard
     negatives = texts[:, None, :] + 0.2 * rng.normal(size=(n, m, d))
-    cfg_m = ContrastiveConfig(temperature=0.05, hard_negative_count=m)
-    value = ans_loss(image_batch, text_batch, negatives, cfg_m).total
+    value = ans_loss(image_batch, text_batch, negatives, temperature=0.05).total
     marker = "  (== cmcl_total exactly)" if m == 0 else ""
     print(f"  M={m}: loss {value:.6f}{marker}")
 print("each extra plausible caption makes the right one harder to pick\n")

@@ -9,6 +9,7 @@ byte-comparable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -138,19 +139,8 @@ def bundle_text_encoder(
     params = {TEXT_PREFIX + k: v.copy() for k, v in encoder.params.items()}
     if image_params is not None:
         params.update({IMAGE_PREFIX + k: v.copy() for k, v in image_params.items()})
-    cfg = encoder.config
     full_meta = dict(meta)
-    full_meta["encoder_config"] = {
-        "vocab_size": cfg.vocab_size,
-        "dim": cfg.dim,
-        "ffn_dim": cfg.ffn_dim,
-        "num_blocks": cfg.num_blocks,
-        "max_len": cfg.max_len,
-        "dropout": cfg.dropout,
-        "pooling": cfg.pooling,
-        "voken_count": cfg.voken_count,
-        "init_scale": cfg.init_scale,
-    }
+    full_meta["encoder_config"] = dataclasses.asdict(encoder.config)
     full_meta["vocab"] = [vocab.word_of(i) for i in range(len(vocab))]
     return Checkpoint(params=params, meta=full_meta)
 

@@ -29,6 +29,7 @@ from .encoders import FeatureBank
 from .errors import CmktError, ConfigError, TrainingError
 from .evaluation import (
     FinetuneConfig,
+    _subsample,
     evaluate,
     finetune,
     load_mcqa,
@@ -54,8 +55,6 @@ from .training import (
     METHOD_NAMES,
     PretrainConfig,
     TrainingData,
-    config_from_dict,
-    config_to_dict,
     pretrain,
     write_loss_log,
 )
@@ -148,48 +147,25 @@ def _write_manifest(
     )
 
 
-def _load_json_config(raw: str | None) -> dict:
-    if raw is None:
-        return {}
-    path = _require_file(raw, "config file")
-    try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return loaded
-
-
-def _pretrain_config(args) -> PretrainConfig:
-    fields = _load_json_config(args.config)
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    base = config_to_dict(PretrainConfig())
-    base.update(fields)
-    return config_from_dict(base)
-
-
-def _finetune_config(args) -> FinetuneConfig:
-    fields = _load_json_config(args.config)
-    unknown = set(fields) - {f.name for f in dataclasses.fields(FinetuneConfig)}
+def _read_config(cls, args):
+    """The command's config: the ``--config`` JSON object's fields over the
+    defaults of dataclass ``cls``, then ``--seed``. A key that is not a
+    field of ``cls`` is an error."""
+    fields = {}
+    if args.config is not None:
+        path = _require_file(args.config, "config file")
+        try:
+            fields = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(fields, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+    unknown = set(fields) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown fine-tune config fields: {sorted(unknown)}")
-    if "learning_rates" in fields:
-        fields["learning_rates"] = tuple(fields["learning_rates"])
+        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     if args.seed is not None:
         fields["seed"] = args.seed
-    return FinetuneConfig(**fields)
-
-
-def _finetune_config_dict(config: FinetuneConfig) -> dict:
-    return {
-        "learning_rates": list(config.learning_rates),
-        "max_epochs_low_resource": config.max_epochs_low_resource,
-        "max_epochs_full": config.max_epochs_full,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-    }
+    return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +174,14 @@ def _finetune_config_dict(config: FinetuneConfig) -> dict:
 
 
 def cmd_synth(args) -> int:
-    fields = _load_json_config(args.config)
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    unknown = set(fields) - {f.name for f in dataclasses.fields(SynthConfig)}
-    if unknown:
-        raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
-    config = SynthConfig(**fields)
+    config = _read_config(SynthConfig, args)
     out = Path(args.out)
     artifacts = generate_world(config)
     paths = save_world(artifacts, out)
     _write_manifest(
         out / "manifest.json",
         "synth",
-        {f.name: getattr(config, f.name) for f in dataclasses.fields(SynthConfig)},
+        dataclasses.asdict(config),
         {},
         list(paths.values()),
         config.seed,
@@ -301,13 +271,12 @@ def _write_pretrain_outputs(result, out: Path) -> list[Path]:
 
 
 def cmd_pretrain(args) -> int:
-    config = _pretrain_config(args)
+    config = _read_config(PretrainConfig, args)
     data, inputs = _load_training_data(args)
     result = pretrain(args.method, data, config)
     out = Path(args.out)
     outputs = _write_pretrain_outputs(result, out)
-    snapshot = config_to_dict(config)
-    snapshot["method"] = args.method
+    snapshot = {**dataclasses.asdict(config), "method": args.method}
     _write_manifest(out / "manifest.json", "pretrain", snapshot, inputs, outputs, config.seed)
     final_total = result.loss_rows[-1]["total"] if result.loss_rows else float("nan")
     print(f"{args.method}: {len(result.loss_rows)} steps, final loss {final_total:.4f} -> {out}")
@@ -315,20 +284,19 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_teacher(args) -> int:
-    config = _pretrain_config(args)
+    config = _read_config(PretrainConfig, args)
     data, inputs = _load_training_data(args)
     result = train_teacher(TeacherSpec(objective=args.objective), data, config)
     out = Path(args.out)
     outputs = _write_pretrain_outputs(result, out)
-    snapshot = config_to_dict(config)
-    snapshot["objective"] = args.objective
+    snapshot = {**dataclasses.asdict(config), "objective": args.objective}
     _write_manifest(out / "manifest.json", "teacher", snapshot, inputs, outputs, config.seed)
     print(f"teacher:{args.objective} trained -> {out}")
     return EXIT_OK
 
 
 def cmd_distill(args) -> int:
-    config = _pretrain_config(args)
+    config = _read_config(PretrainConfig, args)
     teacher_path = _require_file(args.teacher, "teacher checkpoint")
     data, inputs = _load_training_data(args)
     inputs["teacher"] = teacher_path
@@ -337,15 +305,14 @@ def cmd_distill(args) -> int:
     result = distill(teacher, data, spec, config)
     out = Path(args.out)
     outputs = _write_pretrain_outputs(result, out)
-    snapshot = config_to_dict(config)
-    snapshot.update({"mlm_weight": spec.mlm_weight, "nst_weight": spec.nst_weight})
+    snapshot = {**dataclasses.asdict(config), **dataclasses.asdict(spec)}
     _write_manifest(out / "manifest.json", "distill", snapshot, inputs, outputs, config.seed)
     print(f"distilled student -> {out}")
     return EXIT_OK
 
 
 def cmd_finetune(args) -> int:
-    config = _finetune_config(args)
+    config = _read_config(FinetuneConfig, args)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     dataset_path = _require_file(args.dataset, "dataset")
     checkpoint = load_checkpoint(ckpt_path)
@@ -357,8 +324,6 @@ def cmd_finetune(args) -> int:
         size = int(args.train_size)
         if size > len(train):
             raise ConfigError(f"train split has {len(train)} items, cannot take {size}")
-        from .evaluation import _subsample
-
         subset = _subsample(dataset, size, config.seed, 0)
     model = finetune(checkpoint, dataset, subset, args.learning_rate, config)
     test = dataset.split("test")
@@ -379,7 +344,7 @@ def cmd_finetune(args) -> int:
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "finetune",
-        {**_finetune_config_dict(config), "learning_rate": args.learning_rate,
+        {**dataclasses.asdict(config), "learning_rate": args.learning_rate,
          "train_size": args.train_size},
         {"checkpoint": ckpt_path, "dataset": dataset_path},
         [out],
@@ -390,7 +355,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _finetune_config(args)
+    config = _read_config(FinetuneConfig, args)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     dataset_path = _require_file(args.dataset, "dataset")
     checkpoint = load_checkpoint(ckpt_path)
@@ -408,7 +373,7 @@ def cmd_eval(args) -> int:
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "eval",
-        {**_finetune_config_dict(config), "protocol": args.protocol},
+        {**dataclasses.asdict(config), "protocol": args.protocol},
         {"checkpoint": ckpt_path, "dataset": dataset_path},
         [out],
         config.seed,

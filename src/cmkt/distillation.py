@@ -27,7 +27,7 @@ import numpy as np
 # bundle_text_encoder is not called here, but perfbench/tracing.py wraps it
 # under this module's name as well and fails if the name is missing
 from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
-from .encoders import TextEncoder
+from .encoders import ImageEncoder, TextEncoder
 from .errors import ConfigError
 from .objectives import nst_loss_with_grad
 from .seeding import rng_for
@@ -80,8 +80,6 @@ def train_teacher(
     """Pre-train the fusion teacher on image/caption pairs."""
     if data.bank is None:
         raise ConfigError("teacher training needs an image feature bank")
-    from .encoders import ImageEncoder
-
     records, _ = assemble_records(MethodSpec.named("CMCL"), data, config)
     encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
     image_encoder = ImageEncoder.initialized(data.bank, config.dim, config.seed)

@@ -9,18 +9,18 @@ classification tasks are 2-choice instances of the same pipeline.
 Epoch budget follows the protocol: train subsets of at most 128 items
 get the low-resource budget, larger subsets the fully-supervised one.
 
-Work done once per protocol call: each (question, choice) text is
-tokenized once, and the grid search's fine-tune of the first subsample at
-the chosen learning rate is the model that subsample is scored with.
+Work done once: each (question, choice) text is tokenized once per
+dataset object, vocabulary and max_len, and the grid search's fine-tune of
+the first subsample at the chosen learning rate is the model that
+subsample is scored with.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
-import functools
 import io
 import json
-from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -70,6 +70,9 @@ class MCQADataset:
     name: str
     items: list[MCQAItem]
     n_choices: int
+    # (vocabulary, max_len) -> {(question, choice): token ids}, filled by
+    # the task models fine-tuned on this dataset
+    token_tables: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_items(cls, name: str, items: Sequence[MCQAItem]) -> "MCQADataset":
@@ -122,7 +125,7 @@ def load_mcqa(path: str | Path, name: Optional[str] = None) -> MCQADataset:
                     split=raw["split"],
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise ParseError(f"{path}:{lineno}: bad item: {exc}") from exc
     return MCQADataset.from_items(name or path.stem, items)
 
@@ -165,7 +168,8 @@ class TaskModel:
     head_w: np.ndarray
     head_b: float
     loss_rows: tuple[dict, ...] = ()
-    # (question, choice) -> token ids, filled on first use
+    # (question, choice) -> token ids, filled on first use; finetune hands
+    # in the dataset's table so every model tuned on it shares one
     token_ids: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def _choice_tokens(self, item: MCQAItem) -> list[list[int]]:
@@ -180,45 +184,21 @@ class TaskModel:
 
     def score_items(
         self, items: Sequence[MCQAItem], dropout_seed: Optional[int] = None
-    ) -> np.ndarray:
-        """(n_items, n_choices) head scores; dropout only when a seed is
-        given (training)."""
+    ) -> tuple[np.ndarray, dict]:
+        """(n_items, n_choices) head scores and the encoder cache they came
+        from; dropout only when a seed is given (training)."""
         if not items:
             raise ConfigError("no items to score")
         n_choices = len(items[0].choices)
         seqs = [toks for item in items for toks in self._choice_tokens(item)]
         cache = self.encoder.forward(seqs, dropout_seed)
-        pooled = cache["pooled"]
-        scores = pooled @ self.head_w + self.head_b
-        return scores.reshape(len(items), n_choices)
+        scores = cache["pooled"] @ self.head_w + self.head_b
+        return scores.reshape(len(items), n_choices), cache
 
     def predict(self, items: Sequence[MCQAItem]) -> list[int]:
         """Argmax choice per item; exact ties resolve to the lowest index."""
-        scores = self.score_items(items)
+        scores, _ = self.score_items(items)
         return [int(i) for i in np.argmax(scores, axis=1)]
-
-
-# Inside a protocol or grid search call: one token-id table per
-# (vocabulary, max_len), shared by every task model the call builds. It
-# travels in a context variable because finetune and evaluate keep their
-# signatures, and it is dropped when the call returns.
-_SHARED_TOKEN_IDS: ContextVar[Optional[dict]] = ContextVar("shared_token_ids", default=None)
-
-
-def _sharing_token_ids(fn):
-    """Run ``fn`` with shared token-id tables, dropped when it returns."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if _SHARED_TOKEN_IDS.get() is not None:
-            return fn(*args, **kwargs)
-        token = _SHARED_TOKEN_IDS.set({})
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _SHARED_TOKEN_IDS.reset(token)
-
-    return wrapper
 
 
 def build_task_model(checkpoint: Checkpoint, seed: int) -> TaskModel:
@@ -226,12 +206,7 @@ def build_task_model(checkpoint: Checkpoint, seed: int) -> TaskModel:
     encoder, vocab = restore_text_encoder(checkpoint)
     rng = rng_for(seed, "head")
     head_w = rng.normal(scale=0.02, size=encoder.config.dim)
-    tables = _SHARED_TOKEN_IDS.get()
-    token_ids = {} if tables is None else tables.setdefault(
-        (tuple(checkpoint.meta["vocab"]), encoder.config.max_len), {}
-    )
-    return TaskModel(encoder=encoder, vocab=vocab, head_w=head_w, head_b=0.0,
-                     token_ids=token_ids)
+    return TaskModel(encoder=encoder, vocab=vocab, head_w=head_w, head_b=0.0)
 
 
 def finetune(
@@ -259,18 +234,18 @@ def finetune(
 
     model = build_task_model(checkpoint, config.seed)
     encoder = model.encoder
-    n_choices = dataset.n_choices
+    model.token_ids = dataset.token_tables.setdefault(
+        (tuple(checkpoint.meta["vocab"]), encoder.config.max_len), {}
+    )
     loss_rows = []
     step = 0
     for epoch in range(1, epochs + 1):
         order = rng_for(config.seed, "ft-order", epoch).permutation(len(subset))
         for start in range(0, len(subset), config.batch_size):
             batch = [subset[int(i)] for i in order[start : start + config.batch_size]]
-            seqs = [toks for item in batch for toks in model._choice_tokens(item)]
-            dropout_seed = derive_seed(config.seed, "ft-dropout", epoch, step)
-            cache = encoder.forward(seqs, dropout_seed)
-            pooled = cache["pooled"]
-            scores = (pooled @ model.head_w + model.head_b).reshape(len(batch), n_choices)
+            scores, cache = model.score_items(
+                batch, derive_seed(config.seed, "ft-dropout", epoch, step)
+            )
             gold = np.array([item.gold for item in batch])
             loss, d_scores = softmax_cross_entropy(scores, gold)
             if not np.isfinite(loss):
@@ -279,7 +254,7 @@ def finetune(
             d_flat = d_scores.reshape(-1)
             d_pooled = np.outer(d_flat, model.head_w)
             grads = encoder.backward(cache, d_pooled=d_pooled)
-            d_head_w = pooled.T @ d_flat
+            d_head_w = cache["pooled"].T @ d_flat
             d_head_b = float(d_flat.sum())
             for name, g in grads.items():
                 encoder.params[name] -= learning_rate * g
@@ -381,7 +356,7 @@ def load_runs(path: str | Path) -> list[EvalRun]:
                     learning_rate=float(raw["learning_rate"]),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise ParseError(f"{path}:{lineno}: bad run: {exc}") from exc
     return runs
 
@@ -394,7 +369,6 @@ class GridResult:
     best_model: Optional[TaskModel] = dataclasses.field(default=None, compare=False, repr=False)
 
 
-@_sharing_token_ids
 def grid_search(
     checkpoint: Checkpoint,
     dataset: MCQADataset,
@@ -427,7 +401,6 @@ def _subsample(
     return [train[int(i)] for i in picked]
 
 
-@_sharing_token_ids
 def low_resource_protocol(
     checkpoint: Checkpoint,
     dataset: MCQADataset,
@@ -479,7 +452,6 @@ def low_resource_protocol(
     return runs
 
 
-@_sharing_token_ids
 def supervised_protocol(
     checkpoint: Checkpoint,
     dataset: MCQADataset,
@@ -630,9 +602,7 @@ def report(runs: Sequence[EvalRun], layout: str = "low_resource") -> Report:
     text = "\n".join(lines) + "\n\n" + footer + "\n"
 
     csv_buf = io.StringIO()
-    import csv as csv_module
-
-    writer = csv_module.writer(csv_buf)
+    writer = csv.writer(csv_buf)
     writer.writerow(
         ["method", "dataset", "size", "mean", "std", "learning_rate", "accuracies", "seeds"]
     )
@@ -658,9 +628,7 @@ def report(runs: Sequence[EvalRun], layout: str = "low_resource") -> Report:
 
 def parse_report_csv(content: str) -> list[EvalRun]:
     """Inverse of the CSV half of :func:`report`."""
-    import csv as csv_module
-
-    reader = csv_module.reader(io.StringIO(content))
+    reader = csv.reader(io.StringIO(content))
     header = next(reader, None)
     if header is None or header[:3] != ["method", "dataset", "size"]:
         raise ParseError("not a report CSV (bad header)")

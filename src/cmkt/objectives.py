@@ -91,28 +91,6 @@ class LossResult:
     gradients: Optional[dict[str, Array]] = None
 
 
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """Shared knobs of the contrastive family.
-
-    Defaults: temperature 0.05, margin 1.0, no hard negatives.
-    """
-
-    temperature: float = 0.05
-    margin: float = 1.0
-    hard_negative_count: int = 0
-
-    def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.margin < 0:
-            raise ConfigError(f"margin must be non-negative, got {self.margin}")
-        if self.hard_negative_count < 0:
-            raise ConfigError(
-                f"hard_negative_count must be >= 0, got {self.hard_negative_count}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -303,6 +281,8 @@ def _bidirectional(
     temperature: float,
 ):
     """Both contrastive directions; hard negatives only join image-to-text."""
+    if not temperature > 0:
+        raise ConfigError(f"temperature must be positive, got {temperature}")
     _check_aligned(image_batch, text_batch)
     n = image_batch.n
     per_vl, d_img_1, d_txt_1, d_neg = _contrastive_direction(
@@ -328,21 +308,21 @@ def _bidirectional(
 def cmcl_total(
     image_batch: EmbeddingBatch,
     text_batch: EmbeddingBatch,
-    cfg: ContrastiveConfig,
+    temperature: float,
 ) -> LossResult:
     """Bidirectional in-batch contrastive loss over aligned image/text pairs.
 
     total = mean_i ( image_to_text_i + text_to_image_i ).
     Gradients: ``image``, ``text``.
     """
-    return _bidirectional(image_batch, text_batch, None, cfg.temperature)
+    return _bidirectional(image_batch, text_batch, None, temperature)
 
 
 def ans_loss(
     image_batch: EmbeddingBatch,
     text_batch: EmbeddingBatch,
     hard_negatives: Array,
-    cfg: ContrastiveConfig,
+    temperature: float,
 ) -> LossResult:
     """Bidirectional contrastive loss with per-item hard negative captions.
 
@@ -364,13 +344,8 @@ def ans_loss(
             f"hard_negatives shape {hard_negatives.shape} does not match "
             f"batch ({image_batch.n}, M, {image_batch.dim})"
         )
-    if m != cfg.hard_negative_count:
-        raise ShapeError(
-            f"config expects M={cfg.hard_negative_count} hard negatives, "
-            f"tensor has M={m}"
-        )
     negs = hard_negatives if m > 0 else None
-    result = _bidirectional(image_batch, text_batch, negs, cfg.temperature)
+    result = _bidirectional(image_batch, text_batch, negs, temperature)
     if m == 0:
         result.gradients["hard_negatives"] = np.zeros_like(hard_negatives)
     return result

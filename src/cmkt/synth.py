@@ -15,6 +15,7 @@ similarity list, and a multiple-choice paraphrase task.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,12 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import SPECIALS, CaptionPair, Vocab
+from .corpus import SPECIALS, CaptionPair, Vocab, load_pairs, save_pairs
 from .encoders import FeatureBank
 from .errors import ConfigError, ParseError
-from .evaluation import MCQADataset, MCQAItem
+from .evaluation import MCQADataset, MCQAItem, load_mcqa, save_mcqa
 from .perturbation import NOUN, OTHER, VERB, Lexicon, MockOracle, PosTagger
 from .seeding import rng_for
+from .training import load_similarity_set, save_similarity_set
 
 # surface lexicon: two interchangeable words per attribute value
 COLORS = (
@@ -408,10 +410,6 @@ def load_oracle_table(path: str | Path) -> dict[str, list[str]]:
 
 
 def save_world(artifacts: SynthArtifacts, out_dir: str | Path) -> dict[str, Path]:
-    from .corpus import save_pairs
-    from .evaluation import save_mcqa
-    from .training import config_to_dict, save_similarity_set
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {key: out / name for key, name in WORLD_FILES.items()}
@@ -423,21 +421,14 @@ def save_world(artifacts: SynthArtifacts, out_dir: str | Path) -> dict[str, Path
     save_oracle_table(artifacts.oracle_table, paths["oracle"])
     save_similarity_set(artifacts.similarity, paths["similarity"])
     save_mcqa(artifacts.mcqa, paths["mcqa"])
-    cfg = {
-        field: getattr(artifacts.config, field)
-        for field in artifacts.config.__dataclass_fields__
-    }
     paths["config"].write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(dataclasses.asdict(artifacts.config), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
     )
     return paths
 
 
 def load_world(world_dir: str | Path) -> SynthArtifacts:
-    from .corpus import load_pairs
-    from .evaluation import load_mcqa
-    from .training import load_similarity_set
-
     root = Path(world_dir)
     config_path = root / WORLD_FILES["config"]
     if not config_path.exists():

@@ -54,7 +54,6 @@ from .errors import ConfigError, DomainError, ParseError, ShapeError, TrainingEr
 from .objectives import (
     IMAGE,
     TEXT,
-    ContrastiveConfig,
     EmbeddingBatch,
     ans_loss,
     cmcl_total,
@@ -64,19 +63,6 @@ from .objectives import (
 )
 from .perturbation import ADVERSARIAL_NEGATIVE, PerturbationRecord
 from .seeding import derive_seed, rng_for
-
-METHOD_NAMES = (
-    "MLM",
-    "TCL",
-    "TCL+MLM",
-    "TCL+ANS",
-    "TCL+PSA+ANS",
-    "VOKEN+MLM",
-    "CMCL",
-    "CMCL+ANS",
-    "CMCL+PSA+ANS",
-    "CMKD",
-)
 
 # name -> (components, use_ans, use_psa)
 _METHOD_TABLE = {
@@ -92,6 +78,17 @@ _METHOD_TABLE = {
     "CMKD": ((), False, False),
 }
 
+METHOD_NAMES = tuple(_METHOD_TABLE)
+
+
+def _method_row(name: str) -> tuple[tuple[str, ...], bool, bool]:
+    if name not in _METHOD_TABLE:
+        raise ConfigError(
+            f"unknown method {name!r}; valid names: {', '.join(METHOD_NAMES)}"
+        )
+    return _METHOD_TABLE[name]
+
+
 _IMAGE_COMPONENTS = ("cmcl", "voken", "hinge")
 
 
@@ -99,32 +96,17 @@ _IMAGE_COMPONENTS = ("cmcl", "voken", "hinge")
 class MethodSpec:
     """A named composition of component losses.
 
-    Build via :meth:`named`; the name fixes which components are active
-    and whether perturbation records are consumed as hard negatives
-    (``use_ans``) or extra positives (``use_psa``).
+    Build via :meth:`named`; the name fixes, through ``_METHOD_TABLE``,
+    which components are active and whether perturbation records are
+    consumed as hard negatives (``use_ans``) or extra positives
+    (``use_psa``).
     """
 
     name: str
-    components: tuple[str, ...]
     weights: tuple[float, ...]
-    use_ans: bool = False
-    use_psa: bool = False
 
     def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise ConfigError(
-                f"unknown method {self.name!r}; valid names: {', '.join(METHOD_NAMES)}"
-            )
-        expected, ans, psa = _METHOD_TABLE[self.name]
-        if tuple(self.components) != expected:
-            raise ConfigError(
-                f"method {self.name} uses components {expected}, got {tuple(self.components)}"
-            )
-        if (self.use_ans, self.use_psa) != (ans, psa):
-            raise ConfigError(
-                f"method {self.name} does not admit use_ans={self.use_ans}, use_psa={self.use_psa}"
-            )
-        if len(self.weights) != len(self.components):
+        if len(self.weights) != len(_method_row(self.name)[0]):
             raise ConfigError(
                 f"{len(self.weights)} weights for {len(self.components)} components"
             )
@@ -133,14 +115,21 @@ class MethodSpec:
 
     @classmethod
     def named(cls, name: str, weights: Optional[Sequence[float]] = None) -> "MethodSpec":
-        if name not in _METHOD_TABLE:
-            raise ConfigError(
-                f"unknown method {name!r}; valid names: {', '.join(METHOD_NAMES)}"
-            )
-        components, ans, psa = _METHOD_TABLE[name]
         if weights is None:
-            weights = (1.0,) * len(components)
-        return cls(name, components, tuple(float(w) for w in weights), ans, psa)
+            weights = (1.0,) * len(_method_row(name)[0])
+        return cls(name, tuple(float(w) for w in weights))
+
+    @property
+    def components(self) -> tuple[str, ...]:
+        return _METHOD_TABLE[self.name][0]
+
+    @property
+    def use_ans(self) -> bool:
+        return _METHOD_TABLE[self.name][1]
+
+    @property
+    def use_psa(self) -> bool:
+        return _METHOD_TABLE[self.name][2]
 
     @property
     def needs_images(self) -> bool:
@@ -193,18 +182,6 @@ class PretrainConfig:
             pooling=self.pooling,
             voken_count=voken_count,
         )
-
-
-def config_to_dict(config: PretrainConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def config_from_dict(values: dict) -> PretrainConfig:
-    known = {f.name for f in dataclasses.fields(PretrainConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return PretrainConfig(**values)
 
 
 @dataclass
@@ -378,6 +355,12 @@ def _pick_negatives(
     return rows
 
 
+def _check_finite(vectors: np.ndarray, what: str, step: int) -> np.ndarray:
+    if not np.all(np.isfinite(vectors)):
+        raise TrainingError(f"non-finite {what} embeddings at step {step}", step=step)
+    return vectors
+
+
 class _ComponentEngine:
     """Per-method closures computing (loss, text grads, image grads) for
     one batch at the current parameters."""
@@ -412,6 +395,16 @@ class _ComponentEngine:
     def run(self, component: str, batch, epoch: int, step: int):
         return self.fns[component](batch, epoch, step)
 
+    def _encode(self, seqs, purpose, epoch, step):
+        """Text forward under the dropout draw of ``purpose``; a
+        non-finite pooled output means training diverged."""
+        cache = self.encoder.forward(seqs, derive_seed(self.config.seed, purpose, epoch, step))
+        _check_finite(cache["pooled"], "text", step)
+        return cache
+
+    def _images(self, image_ids, step):
+        return _check_finite(self.image_encoder.encode(image_ids).vectors, "image", step)
+
     def _embed_negatives(self, batch, epoch, step, purpose):
         """Forward pass over the batch's hard negatives; returns the
         (N, M, d) tensor and the cache for the backward pass."""
@@ -420,10 +413,7 @@ class _ComponentEngine:
         rows = _pick_negatives(
             batch, self.global_pool, self.m, self.config.seed, epoch, step
         )
-        flat = [list(toks) for row in rows for toks in row]
-        cache = self.encoder.forward(
-            flat, derive_seed(self.config.seed, purpose, epoch, step)
-        )
+        cache = self._encode([list(toks) for row in rows for toks in row], purpose, epoch, step)
         tensor = cache["pooled"].reshape(len(batch), self.m, -1)
         return tensor, cache
 
@@ -442,9 +432,8 @@ class _ComponentEngine:
     def _tcl(self, batch, epoch, step):
         seqs = [list(rec.tokens) for rec in batch]
         ids = tuple(rec.index for rec in batch)
-        seed = self.config.seed
-        cache_a = self.encoder.forward(seqs, derive_seed(seed, "tcl-a", epoch, step))
-        cache_b = self.encoder.forward(seqs, derive_seed(seed, "tcl-b", epoch, step))
+        cache_a = self._encode(seqs, "tcl-a", epoch, step)
+        cache_b = self._encode(seqs, "tcl-b", epoch, step)
         reps = EmbeddingBatch(cache_a["pooled"], TEXT, ids)
         positives = EmbeddingBatch(cache_b["pooled"], TEXT, ids)
         negs, cache_n = self._embed_negatives(batch, epoch, step, "tcl-neg")
@@ -469,27 +458,14 @@ class _ComponentEngine:
         seqs = [list(rec.tokens) for rec in batch]
         ids = tuple(rec.index for rec in batch)
         image_ids = [rec.image_id for rec in batch]
-        seed = self.config.seed
-        cache_t = self.encoder.forward(seqs, derive_seed(seed, "cmcl-text", epoch, step))
+        cache_t = self._encode(seqs, "cmcl-text", epoch, step)
         text_batch = EmbeddingBatch(cache_t["pooled"], TEXT, ids)
-        image_vectors = self.image_encoder.encode(image_ids).vectors
-        image_batch = EmbeddingBatch(image_vectors, IMAGE, ids)
+        image_batch = EmbeddingBatch(self._images(image_ids, step), IMAGE, ids)
         negs, cache_n = self._embed_negatives(batch, epoch, step, "cmcl-neg")
         if negs is not None:
-            result = ans_loss(
-                image_batch,
-                text_batch,
-                negs,
-                ContrastiveConfig(
-                    temperature=self.config.temperature, hard_negative_count=self.m
-                ),
-            )
+            result = ans_loss(image_batch, text_batch, negs, self.config.temperature)
         else:
-            result = cmcl_total(
-                image_batch,
-                text_batch,
-                ContrastiveConfig(temperature=self.config.temperature),
-            )
+            result = cmcl_total(image_batch, text_batch, self.config.temperature)
         grads = self.encoder.backward(cache_t, d_pooled=result.gradients["text"])
         if negs is not None:
             d_negs = result.gradients["hard_negatives"].reshape(len(batch) * self.m, -1)
@@ -511,13 +487,12 @@ class _ComponentEngine:
         seqs = [list(rec.tokens) for rec in batch]
         ids = tuple(rec.index for rec in batch)
         image_ids = [rec.image_id for rec in batch]
-        seed = self.config.seed
-        cache_t = self.encoder.forward(seqs, derive_seed(seed, "hinge-text", epoch, step))
+        cache_t = self._encode(seqs, "hinge-text", epoch, step)
         text_batch = EmbeddingBatch(cache_t["pooled"], TEXT, ids)
-        image_vectors = self.image_encoder.encode(image_ids).vectors
+        image_vectors = self._images(image_ids, step)
         image_batch = EmbeddingBatch(image_vectors, IMAGE, ids)
         n = len(batch)
-        rng = rng_for(seed, "hinge-neg", epoch, step)
+        rng = rng_for(self.config.seed, "hinge-neg", epoch, step)
         perm_img = rng.permutation(n)
         perm_txt = rng.permutation(n)
         neg_images = EmbeddingBatch(
@@ -836,8 +811,11 @@ def read_loss_log(path: str | Path) -> list[dict]:
             raise ParseError(f"{path}: not a loss log (missing step/epoch columns)")
         rows = []
         for row in reader:
-            parsed = {"step": int(row["step"]), "epoch": int(row["epoch"])}
-            for key in reader.fieldnames[2:]:
-                parsed[key] = float(row[key])
+            try:
+                parsed = {"step": int(row["step"]), "epoch": int(row["epoch"])}
+                for key in reader.fieldnames[2:]:
+                    parsed[key] = float(row[key])
+            except (ValueError, TypeError) as exc:
+                raise ParseError(f"{path}:{reader.line_num}: bad row: {exc}") from exc
             rows.append(parsed)
     return rows

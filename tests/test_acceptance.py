@@ -41,7 +41,6 @@ from cmkt.evaluation import (
 from cmkt.objectives import (
     IMAGE,
     TEXT,
-    ContrastiveConfig,
     EmbeddingBatch,
     ans_loss,
     cmcl_total,
@@ -182,11 +181,10 @@ def test_criterion_1_loss_oracles():
                 want = oracles.infonce_sum(tb.vectors, pb.vectors, tau)
             assert abs(got - want) < 1e-10
 
-            got = cmcl_total(ib, tb, ContrastiveConfig(temperature=tau)).total
+            got = cmcl_total(ib, tb, tau).total
             assert abs(got - oracles.bidirectional_mean(images, texts, tau)) < 1e-10
 
-            cfg = ContrastiveConfig(temperature=tau, hard_negative_count=m)
-            got = ans_loss(ib, tb, negs, cfg).total
+            got = ans_loss(ib, tb, negs, tau).total
             want = oracles.bidirectional_mean(
                 images, texts, tau, hard_negatives=negs if m else None
             )
@@ -264,7 +262,6 @@ def test_criterion_2_gradient_checks():
         n, d, m = 4, 8, 2
         rng = np.random.default_rng(77)
         tau = 0.1
-        cfg = ContrastiveConfig(temperature=tau, hard_negative_count=m)
         images = rng.normal(size=(n, d))
         texts = rng.normal(size=(n, d))
         negs = rng.normal(size=(n, m, d))
@@ -272,12 +269,12 @@ def test_criterion_2_gradient_checks():
 
         res = cmcl_total(
             EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-            ContrastiveConfig(temperature=tau),
+            tau,
         )
         _check_grad(
             lambda x: cmcl_total(
                 EmbeddingBatch(x, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-                ContrastiveConfig(temperature=tau),
+                tau,
             ).total,
             images,
             res.gradients["image"],
@@ -285,7 +282,7 @@ def test_criterion_2_gradient_checks():
         _check_grad(
             lambda x: cmcl_total(
                 EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(x, TEXT, ids),
-                ContrastiveConfig(temperature=tau),
+                tau,
             ).total,
             texts,
             res.gradients["text"],
@@ -326,12 +323,12 @@ def test_criterion_2_gradient_checks():
 
         res = ans_loss(
             EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-            negs, cfg,
+            negs, tau,
         )
         _check_grad(
             lambda x: ans_loss(
                 EmbeddingBatch(x, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-                negs, cfg,
+                negs, tau,
             ).total,
             images,
             res.gradients["image"],
@@ -339,7 +336,7 @@ def test_criterion_2_gradient_checks():
         _check_grad(
             lambda x: ans_loss(
                 EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-                x, cfg,
+                x, tau,
             ).total,
             negs,
             res.gradients["hard_negatives"],
@@ -416,10 +413,10 @@ def test_criterion_3_reduction_identities():
         texts = EmbeddingBatch(rng.normal(size=(n, d)), TEXT, ids)
 
         # ans with zero hard negatives is cmcl, bit for bit
-        plain = cmcl_total(images, texts, ContrastiveConfig())
+        plain = cmcl_total(images, texts, 0.05)
         reduced = ans_loss(
             images, texts, np.zeros((n, 0, d)),
-            ContrastiveConfig(hard_negative_count=0),
+            0.05,
         )
         assert reduced.total == plain.total
         np.testing.assert_array_equal(reduced.per_item, plain.per_item)

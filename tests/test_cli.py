@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, outputs, manifests, determinism."""
 
+import dataclasses
 import json
+import re
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +13,7 @@ from cmkt import cli
 from cmkt.cli import main
 from cmkt.evaluation import (
     EvalRun,
+    FinetuneConfig,
     MCQADataset,
     MCQAItem,
     load_mcqa,
@@ -20,6 +23,7 @@ from cmkt.evaluation import (
 )
 from cmkt.perturbation import load_records
 from cmkt.synth import SynthConfig, generate_world, save_world
+from cmkt.training import PretrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +118,49 @@ class TestSynthCommand:
                 continue
             assert member.read_bytes() == (b / member.name).read_bytes()
 
-    def test_rejects_unknown_config_field(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text('{"n_train_pairs": 8, "bogus": 1}')
-        rc = main(["synth", "--out", str(tmp_path / "w"), "--config", str(cfg)])
-        assert rc == 2
-        assert "bogus" in capsys.readouterr().err
+
+def config_command(command, world_dir, cmcl_dir, out):
+    """(config, argv without --config, manifest path) for one command; every
+    field of the config differs from its default where the run allows."""
+    if command == "synth":
+        config = SynthConfig(n_train_pairs=8, n_retrieval=2, mcqa_train=4, mcqa_dev=2,
+                             mcqa_test=2, similarity_pairs=2, noise=0.2, seed=4)
+        return config, ["synth", "--out", str(out)], out / "manifest.json"
+    if command == "pretrain":
+        config = PretrainConfig(batch_size=16, max_len=12, learning_rate=0.05, epochs=1,
+                                temperature=0.1, margin=0.5, seed=4, hard_negative_cap=2,
+                                voken_count=8, dim=8, ffn_dim=16, num_blocks=1,
+                                dropout=0.2, pooling="first")
+        argv = ["pretrain", "--method", "MLM", "--pairs", str(world_dir / "pairs.tsv"),
+                "--vocab", str(world_dir / "vocab.txt"), "--out", str(out)]
+        return config, argv, out / "manifest.json"
+    config = FinetuneConfig(learning_rates=(0.1,), max_epochs_low_resource=1,
+                            max_epochs_full=1, batch_size=32, seed=4)
+    argv = ["eval", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+            "--dataset", str(world_dir / "mcqa.jsonl"), "--protocol", "low64",
+            "--out", str(out)]
+    return config, argv, Path(str(out) + ".manifest.json")
+
+
+@pytest.mark.parametrize("command", ["synth", "pretrain", "eval"])
+def test_rejects_unknown_config_field(command, world_dir, cmcl_dir, tmp_path, capsys):
+    """--config keys are exactly the fields of the command's config class:
+    every field round-trips into the manifest, and one key more is exit 2."""
+    config, argv, manifest_path = config_command(command, world_dir, cmcl_dir,
+                                                 tmp_path / "out")
+    fields = json.loads(json.dumps(dataclasses.asdict(config)))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(fields))
+    assert main(argv + ["--config", str(good)]) == 0
+    recorded = json.loads(manifest_path.read_text())["config"]
+    assert {key: recorded[key] for key in fields} == fields
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**fields, "bogus": 1}))
+    capsys.readouterr()
+    assert main(argv + ["--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and type(config).__name__ in err
 
 
 class TestPerturbCommand:
@@ -292,6 +333,29 @@ class TestPretrainCommand:
         )
         assert rc == 2
         assert "bank" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["pretrain", "--method", "CMCL"],
+                                         ["pretrain", "--method", "TCL"],
+                                         ["teacher", "--objective", "hinge"]],
+                             ids=["CMCL", "TCL", "teacher-hinge"])
+    def test_diverging_learning_rate_exit_3_with_step(self, world_dir, tmp_path,
+                                                      command, capsys):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"batch_size": 16, "max_len": 16, "epochs": 2,
+                                   "learning_rate": 1e200, "dim": 16, "ffn_dim": 32,
+                                   "num_blocks": 1}))
+        rc = main(
+            command + [
+                "--pairs", str(world_dir / "pairs.tsv"),
+                "--vocab", str(world_dir / "vocab.txt"),
+                "--bank", str(world_dir / "features.npz"),
+                "--out", str(tmp_path / "o"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == 3
+        assert re.search(r"non-finite .* at step \d+", capsys.readouterr().err)
 
     def test_manifest_hashes_inputs(self, cmcl_dir):
         manifest = json.loads((cmcl_dir / "manifest.json").read_text())
@@ -564,6 +628,18 @@ class TestReportCommand:
         svg = (out / "plot.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
+
+    def test_non_numeric_learning_rate_exit_2_names_line(self, tmp_path, capsys):
+        runs_path = tmp_path / "runs.jsonl"
+        save_runs(fabricated_runs(), runs_path)
+        lines = runs_path.read_text().splitlines()
+        raw = json.loads(lines[1])
+        raw["learning_rate"] = "x"
+        lines[1] = json.dumps(raw)
+        runs_path.write_text("\n".join(lines) + "\n")
+        rc = main(["report", "--runs", str(runs_path), "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert f"{runs_path}:2:" in capsys.readouterr().err
 
     def test_missing_cell_nonzero_exit_lists_it(self, tmp_path, capsys):
         runs = [r for r in fabricated_runs()

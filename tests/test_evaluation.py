@@ -1,5 +1,7 @@
 """Downstream harness tests: datasets, fine-tuning, protocols, report."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,15 @@ class TestMCQADataset:
         path = tmp_path / "task.jsonl"
         path.write_text('{"question": "q", "choices": ["a", "b"], "gold": 0}\n')
         with pytest.raises(ParseError, match=":1:"):
+            load_mcqa(path)
+
+    def test_load_rejects_non_integer_gold(self, tmp_path):
+        path = tmp_path / "task.jsonl"
+        path.write_text(
+            '{"question": "q", "choices": ["a", "b"], "gold": 0, "split": "train"}\n'
+            '{"question": "q", "choices": ["a", "b"], "gold": "x", "split": "train"}\n'
+        )
+        with pytest.raises(ParseError, match=":2:"):
             load_mcqa(path)
 
 
@@ -543,7 +554,6 @@ class TestProtocolReuse:
             texts = [args[0] for args in calls]
             assert len(texts) == len(set(texts))
             assert len(texts) <= len({(i.question, c) for i in ds.items for c in i.choices})
-        assert evaluation_module._SHARED_TOKEN_IDS.get() is None
 
     def test_each_choice_tokenized_once_per_finetune_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "tokenize")
@@ -605,6 +615,16 @@ class TestEvalRun:
         path = tmp_path / "runs.jsonl"
         save_runs(runs, path)
         assert load_runs(path) == runs
+
+    def test_non_numeric_learning_rate_is_parse_error(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        save_runs([EvalRun(dataset="d", method="MLM", size="64",
+                           accuracies=(0.5,), seeds=(0,), learning_rate=0.1)], path)
+        raw = json.loads(path.read_text())
+        raw["learning_rate"] = "x"
+        path.write_text(path.read_text() + json.dumps(raw) + "\n")
+        with pytest.raises(ParseError, match=":2:"):
+            load_runs(path)
 
 
 def grid_runs(methods, datasets, sizes, base=0.5):

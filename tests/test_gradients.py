@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cmkt import (
-    ContrastiveConfig,
     EmbeddingBatch,
     ans_loss,
     cmcl_total,
@@ -128,11 +127,10 @@ class TestCmclGradients:
     def test_both_inputs(self):
         rng = np.random.default_rng(42)
         inputs = {"image": rows(rng, 4, 3), "text": rows(rng, 4, 3)}
-        cfg = ContrastiveConfig()
-        result = cmcl_total(batch(inputs["image"], "image"), batch(inputs["text"]), cfg)
+        result = cmcl_total(batch(inputs["image"], "image"), batch(inputs["text"]), 0.05)
         check_gradient(
             lambda b: cmcl_total(
-                batch(b["image"], "image"), batch(b["text"]), cfg
+                batch(b["image"], "image"), batch(b["text"]), 0.05
             ).total,
             inputs,
             result.gradients,
@@ -147,16 +145,15 @@ class TestAnsGradients:
             "text": rows(rng, 3, 4),
             "hard_negatives": rows(rng, 6, 4).reshape(3, 2, 4),
         }
-        cfg = ContrastiveConfig(hard_negative_count=2)
         result = ans_loss(
             batch(inputs["image"], "image"),
             batch(inputs["text"]),
             inputs["hard_negatives"],
-            cfg,
+            0.05,
         )
         check_gradient(
             lambda b: ans_loss(
-                batch(b["image"], "image"), batch(b["text"]), b["hard_negatives"], cfg
+                batch(b["image"], "image"), batch(b["text"]), b["hard_negatives"], 0.05
             ).total,
             inputs,
             result.gradients,
@@ -224,14 +221,14 @@ class TestGradientAggregationScale:
         rng = np.random.default_rng(8)
         v = rows(rng, 3, 3)
         l = rows(rng, 3, 3)
-        cfg = ContrastiveConfig()
-        g = cmcl_total(batch(v, "image"), batch(l), cfg).gradients
+        tau = 0.05
+        g = cmcl_total(batch(v, "image"), batch(l), tau).gradients
         eps = 1e-6
         v2 = v.copy()
         v2[0, 0] += eps
-        hi = cmcl_total(batch(v2, "image"), batch(l), cfg).total
+        hi = cmcl_total(batch(v2, "image"), batch(l), tau).total
         v2[0, 0] -= 2 * eps
-        lo = cmcl_total(batch(v2, "image"), batch(l), cfg).total
+        lo = cmcl_total(batch(v2, "image"), batch(l), tau).total
         np.testing.assert_allclose(g["image"][0, 0], (hi - lo) / (2 * eps), rtol=1e-3)
 
     def test_ans_zero_negative_gradient_is_zero_tensor(self):
@@ -240,6 +237,6 @@ class TestGradientAggregationScale:
         l = rows(rng, 3, 3)
         result = ans_loss(
             batch(v, "image"), batch(l), np.zeros((3, 0, 3)),
-            ContrastiveConfig(hard_negative_count=0),
+            0.05,
         )
         assert result.gradients["hard_negatives"].shape == (3, 0, 3)

@@ -1,4 +1,6 @@
-"""Lint check without a linter: every top-level import in ``src/cmkt`` is used."""
+"""Lint check without a linter: every import in ``src/cmkt``, at the top level
+or inside a function, is used, and no function imports again from a module the
+file already imports at the top level."""
 
 import ast
 from pathlib import Path
@@ -14,17 +16,27 @@ KEPT = {
 }
 
 
+def bound_names(node: ast.AST) -> list[str]:
+    """Names an import statement binds; none for anything else."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def source_modules(node: ast.AST) -> list[str]:
+    """Modules an import statement reads from, relative ones with their dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return []
+
+
 def imported_names(tree: ast.Module) -> dict[str, int]:
-    """Names bound by the module's top-level imports, with their line."""
-    names = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                names[alias.asname or alias.name] = node.lineno
-    return names
+    """Names bound by every import in the module, with their line."""
+    return {name: node.lineno for node in ast.walk(tree) for name in bound_names(node)}
 
 
 def used_names(tree: ast.Module) -> set[str]:
@@ -48,9 +60,32 @@ def unused_imports(source: str, module: str) -> list[str]:
     )
 
 
+def local_reimports(source: str, module: str) -> list[str]:
+    """Imports inside functions from a module the file imports at the top."""
+    tree = ast.parse(source)
+    top = {m for node in tree.body for m in source_modules(node)}
+    local = [
+        node
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    ]
+    return sorted(
+        f"{module}.py:{node.lineno}: {m}"
+        for node in local
+        for m in source_modules(node)
+        if m in top
+    )
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_function_reimports_a_top_level_module(path):
+    assert local_reimports(path.read_text(encoding="utf-8"), path.stem) == []
 
 
 def test_scan_finds_unused_and_counts_all():
@@ -63,3 +98,17 @@ def test_scan_finds_unused_and_counts_all():
         "    return x\n"
     )
     assert unused_imports(source, "m") == ["m.py:1: json", "m.py:2: Sequence"]
+
+
+def test_scan_covers_function_bodies():
+    source = (
+        "import csv\n"
+        "from .a import B\n\n\n"
+        "def f():\n"
+        "    import json\n"
+        "    from .a import C\n"
+        "    from .d import E\n"
+        "    return csv, B, C, E\n"
+    )
+    assert unused_imports(source, "m") == ["m.py:6: json"]
+    assert local_reimports(source, "m") == ["m.py:7: .a"]

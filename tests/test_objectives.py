@@ -17,7 +17,6 @@ import oracles
 from cmkt import (
     AlignmentError,
     ConfigError,
-    ContrastiveConfig,
     DomainError,
     EmbeddingBatch,
     ShapeError,
@@ -270,7 +269,7 @@ class TestCmcl:
         mean_i(log 2 + log 2) = log 4."""
         rows = np.tile([1.0, 1.0], (2, 1))
         result = cmcl_total(
-            batch(rows, "image"), batch(rows.copy()), ContrastiveConfig()
+            batch(rows, "image"), batch(rows.copy()), 0.05
         )
         np.testing.assert_allclose(result.total, math.log(4.0))
 
@@ -278,7 +277,7 @@ class TestCmcl:
         """Perfectly separated pairs at tau=0.05: each direction pays
         log(1 + e^-20) per item."""
         eye = np.eye(2)
-        result = cmcl_total(batch(eye, "image"), batch(eye.copy()), ContrastiveConfig())
+        result = cmcl_total(batch(eye, "image"), batch(eye.copy()), 0.05)
         np.testing.assert_allclose(
             result.total, 2.0 * math.log1p(math.exp(-20.0)), rtol=1e-6
         )
@@ -287,7 +286,7 @@ class TestCmcl:
         rng = np.random.default_rng(42)
         v = random_rows(rng, 6, 5)
         l = random_rows(rng, 6, 5)
-        result = cmcl_total(batch(v, "image"), batch(l), ContrastiveConfig())
+        result = cmcl_total(batch(v, "image"), batch(l), 0.05)
         np.testing.assert_allclose(
             result.total, oracles.bidirectional_mean(v.tolist(), l.tolist(), 0.05)
         )
@@ -297,7 +296,7 @@ class TestCmcl:
         result = cmcl_total(
             batch(random_rows(rng, 4, 3), "image"),
             batch(random_rows(rng, 4, 3)),
-            ContrastiveConfig(),
+            0.05,
         )
         np.testing.assert_allclose(result.total, np.mean(result.per_item))
 
@@ -307,8 +306,8 @@ class TestCmcl:
         rng = np.random.default_rng(11)
         v = random_rows(rng, 5, 4)
         l = random_rows(rng, 5, 4)
-        fwd = cmcl_total(batch(v, "image"), batch(l), ContrastiveConfig()).total
-        rev = cmcl_total(batch(l, "image"), batch(v), ContrastiveConfig()).total
+        fwd = cmcl_total(batch(v, "image"), batch(l), 0.05).total
+        rev = cmcl_total(batch(l, "image"), batch(v), 0.05).total
         np.testing.assert_allclose(fwd, rev)
 
     @given(st.integers(0, 2**31))
@@ -319,26 +318,32 @@ class TestCmcl:
         v = random_rows(rng, 5, 3)
         l = random_rows(rng, 5, 3)
         perm = rng.permutation(5)
-        base = cmcl_total(batch(v, "image"), batch(l), ContrastiveConfig()).total
+        base = cmcl_total(batch(v, "image"), batch(l), 0.05).total
         ids = tuple(int(p) for p in perm)
         shuffled = cmcl_total(
             batch(v[perm], "image", ids=ids), batch(l[perm], ids=ids),
-            ContrastiveConfig(),
+            0.05,
         ).total
         np.testing.assert_allclose(base, shuffled, rtol=1e-9)
 
 
-class TestAns:
-    def cfg(self, m):
-        return ContrastiveConfig(hard_negative_count=m)
+    @pytest.mark.parametrize("tau", [0.0, -0.05])
+    def test_nonpositive_temperature_rejected(self, tau):
+        eye = np.eye(2)
+        with pytest.raises(ConfigError, match="temperature"):
+            cmcl_total(batch(eye, "image"), batch(eye.copy()), tau)
+        with pytest.raises(ConfigError, match="temperature"):
+            ans_loss(batch(eye, "image"), batch(eye.copy()), np.ones((2, 1, 2)), tau)
 
+
+class TestAns:
     def test_zero_negatives_bit_identical_to_cmcl(self):
         rng = np.random.default_rng(42)
         v = batch(random_rows(rng, 5, 4), "image")
         l = batch(random_rows(rng, 5, 4))
         empty = np.zeros((5, 0, 4))
-        with_ans = ans_loss(v, l, empty, self.cfg(0))
-        without = cmcl_total(v, l, ContrastiveConfig())
+        with_ans = ans_loss(v, l, empty, 0.05)
+        without = cmcl_total(v, l, 0.05)
         assert with_ans.total == without.total
         assert np.array_equal(with_ans.per_item, without.per_item)
         assert np.array_equal(with_ans.gradients["image"], without.gradients["image"])
@@ -351,7 +356,7 @@ class TestAns:
         rows = np.tile([2.0, 1.0], (2, 1))
         negs = np.tile([2.0, 1.0], (2, 1, 1))
         result = ans_loss(
-            batch(rows, "image"), batch(rows.copy()), negs, self.cfg(1)
+            batch(rows, "image"), batch(rows.copy()), negs, 0.05
         )
         np.testing.assert_allclose(result.total, math.log(6.0))
 
@@ -360,7 +365,7 @@ class TestAns:
         v = random_rows(rng, 4, 5)
         l = random_rows(rng, 4, 5)
         negs = random_rows(rng, 4 * 3, 5).reshape(4, 3, 5)
-        result = ans_loss(batch(v, "image"), batch(l), negs, self.cfg(3))
+        result = ans_loss(batch(v, "image"), batch(l), negs, 0.05)
         expected = oracles.bidirectional_mean(
             v.tolist(), l.tolist(), 0.05, hard_negatives=negs.tolist()
         )
@@ -375,8 +380,8 @@ class TestAns:
         v = batch(random_rows(rng, 4, 3), "image")
         l = batch(random_rows(rng, 4, 3))
         negs = random_rows(rng, 4, 3).reshape(4, 1, 3)
-        with_negs = ans_loss(v, l, negs, self.cfg(1)).total
-        without = cmcl_total(v, l, ContrastiveConfig()).total
+        with_negs = ans_loss(v, l, negs, 0.05).total
+        without = cmcl_total(v, l, 0.05).total
         assert with_negs > without
 
     def test_negative_similar_to_image_costs_more_than_dissimilar(self):
@@ -386,20 +391,14 @@ class TestAns:
         l = batch(np.eye(2))
         aligned = np.stack([np.eye(2)[i].reshape(1, 2) for i in range(2)])
         orthogonal = np.stack([np.eye(2)[1 - i].reshape(1, 2) for i in range(2)])
-        hard = ans_loss(v, l, aligned, self.cfg(1)).total
-        easy = ans_loss(v, l, orthogonal, self.cfg(1)).total
+        hard = ans_loss(v, l, aligned, 0.05).total
+        easy = ans_loss(v, l, orthogonal, 0.05).total
         assert hard > easy
-
-    def test_wrong_negative_count_rejected(self):
-        v = batch(np.eye(2), "image")
-        negs = np.zeros((2, 2, 2)) + 1.0
-        with pytest.raises(ShapeError):
-            ans_loss(v, batch(np.eye(2)), negs, self.cfg(3))
 
     def test_wrong_negative_rank_rejected(self):
         v = batch(np.eye(2), "image")
         with pytest.raises(ShapeError):
-            ans_loss(v, batch(np.eye(2)), np.ones((2, 2)), self.cfg(1))
+            ans_loss(v, batch(np.eye(2)), np.ones((2, 2)), 0.05)
 
 
 class TestHinge:

@@ -1,6 +1,9 @@
 """Trainer tests: method composition, loop bookkeeping, determinism,
 voken assignment, rank correlation, and checkpoint selection."""
 
+import argparse
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -32,6 +35,7 @@ from cmkt import (
     write_loss_log,
 )
 from cmkt import training as training_module
+from cmkt.cli import _read_config
 from cmkt.corpus import CaptionPair, Vocab
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder
 from cmkt.perturbation import (
@@ -41,8 +45,6 @@ from cmkt.perturbation import (
 )
 from cmkt.training import (
     assemble_records,
-    config_from_dict,
-    config_to_dict,
     epoch_order,
     mlm_batch_step,
 )
@@ -136,10 +138,6 @@ class TestMethodSpec:
         assert MethodSpec.named("VOKEN+MLM").needs_images
         assert not MethodSpec.named("TCL+PSA+ANS").needs_images
 
-    def test_wrong_components_rejected(self):
-        with pytest.raises(ConfigError, match="components"):
-            MethodSpec("MLM", ("tcl",), (1.0,))
-
     def test_weight_count_must_match(self):
         with pytest.raises(ConfigError, match="weights"):
             MethodSpec.named("TCL+MLM", weights=[1.0])
@@ -179,13 +177,19 @@ class TestPretrainConfig:
         with pytest.raises(ConfigError):
             PretrainConfig(**{field: value})
 
-    def test_dict_roundtrip(self):
-        config = small_config()
-        assert config_from_dict(config_to_dict(config)) == config
+    @staticmethod
+    def _read(tmp_path, fields):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(fields))
+        return _read_config(PretrainConfig, argparse.Namespace(config=path, seed=None))
 
-    def test_unknown_dict_key_rejected(self):
+    def test_dict_roundtrip(self, tmp_path):
+        config = small_config()
+        assert self._read(tmp_path, dataclasses.asdict(config)) == config
+
+    def test_unknown_dict_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="optimizer"):
-            config_from_dict({"optimizer": "adam"})
+            self._read(tmp_path, {"optimizer": "adam"})
 
 
 class TestInputValidation:
@@ -660,4 +664,12 @@ class TestLossLogIO:
         path = tmp_path / "other.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ParseError):
+            read_loss_log(path)
+
+    @pytest.mark.parametrize("row", ["0,1,x,1.0", "0,1,0.5", "one,1,0.5,0.5"],
+                             ids=["non-numeric", "short", "bad-step"])
+    def test_bad_cell_is_parse_error_with_line(self, tmp_path, row):
+        path = tmp_path / "loss.csv"
+        path.write_text(f"step,epoch,mlm,total\n0,1,0.5,0.5\n{row}\n")
+        with pytest.raises(ParseError, match=":3:"):
             read_loss_log(path)
