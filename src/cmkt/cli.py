@@ -51,6 +51,7 @@ from .perturbation import (
 )
 from .seeding import rng_for
 from .synth import SynthConfig, generate_world, load_oracle_table, save_world
+from .textio import read_config, write_lines
 from .training import (
     METHOD_NAMES,
     PretrainConfig,
@@ -142,30 +143,19 @@ def _write_manifest(
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_lines(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _read_config(cls, args):
-    """The command's config: the ``--config`` JSON object's fields over the
-    defaults of dataclass ``cls``, then ``--seed``. A key that is not a
-    field of ``cls`` is an error."""
-    fields = {}
-    if args.config is not None:
-        path = _require_file(args.config, "config file")
-        try:
-            fields = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(fields, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(fields) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    """The command's config: the ``--config`` file read into dataclass
+    ``cls`` (defaults without one), then ``--seed``."""
+    if args.config is None:
+        config = cls()
+    else:
+        config = read_config(cls, _require_file(args.config, "config file"))
     if args.seed is not None:
-        fields["seed"] = args.seed
-    return cls(**fields)
+        config = dataclasses.replace(config, seed=args.seed)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +330,7 @@ def cmd_finetune(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines(out, [json.dumps(result, indent=2, sort_keys=True)])
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "finetune",
@@ -386,15 +376,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _plot_csv(series) -> str:
+def _plot_csv(series) -> list[str]:
     lines = ["method,size,mean_accuracy"]
     for method, points in series:
         for size, mean in points:
             lines.append(f"{method},{size},{mean!r}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _plot_svg(series) -> str:
+def _plot_svg(series) -> list[str]:
     """Minimal line chart: accuracy against train size, one polyline per
     method."""
     width, height, margin = 480, 320, 48
@@ -441,7 +431,7 @@ def _plot_svg(series) -> str:
             f'fill="{color}">{method}</text>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
 def cmd_report(args) -> int:
@@ -460,11 +450,11 @@ def cmd_report(args) -> int:
     if args.plot_data or args.render:
         series = plot_series(runs)
         plot_path = out / "plot.csv"
-        plot_path.write_text(_plot_csv(series), encoding="utf-8")
+        write_lines(plot_path, _plot_csv(series))
         outputs.append(plot_path)
         if args.render:
             svg_path = out / "plot.svg"
-            svg_path.write_text(_plot_svg(series), encoding="utf-8")
+            write_lines(svg_path, _plot_svg(series))
             outputs.append(svg_path)
     _write_manifest(
         out / "manifest.json",
@@ -490,9 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Visual-knowledge transfer pipeline: synthesize data, "
         "perturb captions, pre-train, distill, fine-tune, evaluate, report.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help="master seed; overrides the config file")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--config", default=None,
                         help="JSON config file for the command")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -502,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("perturb", parents=[common],
+    p = sub.add_parser("perturb", parents=[seeded],
                        help="generate caption perturbation records")
     p.add_argument("--pairs", required=True)
     p.add_argument("--lexicon", required=True)
@@ -561,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output runs file")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[seeded],
                        help="render the result table, CSV, and plot data")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--layout", choices=("low_resource", "full"),

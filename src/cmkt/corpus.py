@@ -13,7 +13,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, TokenizationError, ValidationError
+from .errors import ConfigError, TokenizationError, ValidationError
+from .textio import parse_errors, read_lines, tab_fields, write_lines
 
 PAD = "[pad]"
 UNK = "[unk]"
@@ -98,12 +99,13 @@ class Vocab:
         return np.arange(4, len(self._id_to_word))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self._id_to_word) + "\n", encoding="utf-8")
+        write_lines(path, self._id_to_word)
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        words = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([w for w in words if w])
+        words = [word for _, word in read_lines(path)]
+        with parse_errors(path):
+            return cls(words)
 
 
 def tokenize(text: str, vocab: Vocab, max_len: Optional[int] = None) -> list[int]:
@@ -144,34 +146,16 @@ class CaptionPair:
 
 
 def load_pairs(path: str | Path) -> list[CaptionPair]:
-    """Read tab-separated (image_id, caption, split) records.
-
-    Malformed lines fail fast with their 1-based line number.
-    """
+    """Read tab-separated (image_id, caption, split) records."""
     pairs = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        image_id, caption, split = fields
-        if not caption.strip():
-            raise ParseError(f"{path}: line {lineno}: caption field is empty")
-        if split not in SPLITS:
-            raise ParseError(
-                f"{path}: line {lineno}: split must be one of {SPLITS}, got {split!r}"
-            )
-        pairs.append(CaptionPair(image_id=image_id, caption=caption, split=split))
+    for where, line in read_lines(path):
+        with parse_errors(where):
+            pairs.append(CaptionPair(*tab_fields(line, 3)))
     return pairs
 
 
 def save_pairs(pairs: Iterable[CaptionPair], path: str | Path) -> None:
-    lines = [f"{p.image_id}\t{p.caption}\t{p.split}" for p in pairs]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(path, (f"{p.image_id}\t{p.caption}\t{p.split}" for p in pairs))
 
 
 @dataclass(frozen=True)

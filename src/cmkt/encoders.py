@@ -32,6 +32,7 @@ from .errors import (
 )
 from .objectives import IMAGE, TEXT, EmbeddingBatch, softmax_cross_entropy
 from .seeding import rng_for
+from .textio import parse_errors, read_lines, tab_fields, write_lines
 
 PAD_ID = 0
 LN_EPS = 1e-5
@@ -512,8 +513,9 @@ class FeatureBank:
             "<III", FEATURE_VERSION, len(self), self.dim
         )
         path.write_bytes(header + self._features.astype("<f4").tobytes())
-        sidecar = "\n".join(f"{img_id}\t{row}" for row, img_id in enumerate(self._ids))
-        Path(str(path) + ".ids").write_text(sidecar + "\n", encoding="utf-8")
+        write_lines(
+            str(path) + ".ids", (f"{img_id}\t{row}" for row, img_id in enumerate(self._ids))
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureBank":
@@ -528,23 +530,19 @@ class FeatureBank:
         if len(raw) != expected:
             raise ParseError(f"{path}: expected {expected} bytes, found {len(raw)}")
         features = np.frombuffer(raw[20:], dtype="<f4").reshape(count, dim)
-        sidecar = Path(str(path) + ".ids")
+        sidecar = str(path) + ".ids"
         ids: list[Optional[str]] = [None] * count
-        for lineno, line in enumerate(
-            sidecar.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError(f"{sidecar}: line {lineno}: expected 'id<TAB>row'")
-            row = int(parts[1])
-            if not 0 <= row < count or ids[row] is not None:
-                raise ParseError(f"{sidecar}: line {lineno}: bad or duplicate row {row}")
-            ids[row] = parts[0]
-        if any(i is None for i in ids):
+        for where, line in read_lines(sidecar):
+            with parse_errors(where):
+                img_id, row = tab_fields(line, 2)
+                row = int(row)
+                if not 0 <= row < count or ids[row] is not None:
+                    raise ValueError(f"bad or duplicate row {row}")
+            ids[row] = img_id
+        if None in ids:
             raise ParseError(f"{sidecar}: id map does not cover all {count} rows")
-        return cls(ids, features)
+        with parse_errors(sidecar):
+            return cls(ids, features)
 
 
 class ImageEncoder:

@@ -33,6 +33,7 @@ from .encoders import TextEncoder
 from .errors import ConfigError, ParseError, ReportError, ShapeError, TrainingError
 from .objectives import softmax_cross_entropy
 from .seeding import derive_seed, rng_for
+from .textio import fits, parse_errors, read_lines, write_lines
 
 SPLITS = ("train", "dev", "test")
 
@@ -52,6 +53,9 @@ class MCQAItem:
     split: str
 
     def __post_init__(self):
+        if not (fits(("",), self.choices) and fits(0, self.gold)):
+            raise ConfigError(f"need a list of strings as choices and an integer index as "
+                              f"gold, got {self.choices!r} and {self.gold!r}")
         object.__setattr__(self, "choices", tuple(self.choices))
         if len(self.choices) < 2:
             raise ConfigError(f"need at least 2 choices, got {len(self.choices)}")
@@ -93,41 +97,25 @@ class MCQADataset:
 
 
 def save_mcqa(dataset: MCQADataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in dataset.items:
-            fh.write(
-                json.dumps(
-                    {
-                        "question": item.question,
-                        "choices": list(item.choices),
-                        "gold": item.gold,
-                        "split": item.split,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    # vars, not dataclasses.asdict, which deep-copies every string of every item
+    write_lines(path, (json.dumps(vars(item), sort_keys=True) for item in dataset.items))
 
 
 def load_mcqa(path: str | Path, name: Optional[str] = None) -> MCQADataset:
-    path = Path(path)
     items = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
+    for where, line in read_lines(path):
+        with parse_errors(where):
             raw = json.loads(line)
             items.append(
                 MCQAItem(
                     question=raw["question"],
-                    choices=tuple(raw["choices"]),
-                    gold=int(raw["gold"]),
+                    choices=raw["choices"],
+                    gold=raw["gold"],
                     split=raw["split"],
                 )
             )
-        except (ValueError, KeyError, TypeError, ConfigError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad item: {exc}") from exc
-    return MCQADataset.from_items(name or path.stem, items)
+    with parse_errors(path):
+        return MCQADataset.from_items(name or Path(path).stem, items)
 
 
 @dataclass(frozen=True)
@@ -299,8 +287,11 @@ class EvalRun:
     learning_rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not all(map(fits, ("", "", "", (0.0,), (0,), 0.0), dataclasses.astuple(self))):
+            raise ConfigError(f"a run's fields have the wrong types: {self!r}")
+        object.__setattr__(self, "accuracies", tuple(map(float, self.accuracies)))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
         if not self.accuracies:
             raise ConfigError("a run needs at least one accuracy")
         if len(self.accuracies) != len(self.seeds):
@@ -320,44 +311,14 @@ class EvalRun:
 
 
 def save_runs(runs: Sequence[EvalRun], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for run in runs:
-            fh.write(
-                json.dumps(
-                    {
-                        "dataset": run.dataset,
-                        "method": run.method,
-                        "size": run.size,
-                        "accuracies": list(run.accuracies),
-                        "seeds": list(run.seeds),
-                        "learning_rate": run.learning_rate,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_lines(path, (json.dumps(dataclasses.asdict(run), sort_keys=True) for run in runs))
 
 
 def load_runs(path: str | Path) -> list[EvalRun]:
-    path = Path(path)
     runs = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            runs.append(
-                EvalRun(
-                    dataset=raw["dataset"],
-                    method=raw["method"],
-                    size=str(raw["size"]),
-                    accuracies=tuple(raw["accuracies"]),
-                    seeds=tuple(raw["seeds"]),
-                    learning_rate=float(raw["learning_rate"]),
-                )
-            )
-        except (ValueError, KeyError, TypeError, ConfigError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad run: {exc}") from exc
+    for where, line in read_lines(path):
+        with parse_errors(where):
+            runs.append(EvalRun(**json.loads(line)))
     return runs
 
 
@@ -636,17 +597,18 @@ def parse_report_csv(content: str) -> list[EvalRun]:
     for row in reader:
         if not row:
             continue
-        method, dataset, size, _mean, _std, lr, accs, seeds = row
-        runs.append(
-            EvalRun(
-                dataset=dataset,
-                method=method,
-                size=size,
-                accuracies=tuple(float(a) for a in accs.split(";")),
-                seeds=tuple(int(s) for s in seeds.split(";")),
-                learning_rate=float(lr),
+        with parse_errors(f"report CSV:{reader.line_num}"):
+            method, dataset, size, _mean, _std, lr, accs, seeds = row
+            runs.append(
+                EvalRun(
+                    dataset=dataset,
+                    method=method,
+                    size=size,
+                    accuracies=tuple(float(a) for a in accs.split(";")),
+                    seeds=tuple(int(s) for s in seeds.split(";")),
+                    learning_rate=float(lr),
+                )
             )
-        )
     return runs
 
 

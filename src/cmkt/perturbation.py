@@ -18,7 +18,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ValidationError
+from .textio import parse_errors, read_lines, tab_fields, write_lines
 
 NOUN = "noun"
 VERB = "verb"
@@ -115,30 +116,19 @@ class Lexicon:
         for child in sorted(self._parents):
             for parent in sorted(self._parents[child]):
                 lines.append(f"{child}\t{HYPER}\t{parent}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, lines)
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":
-        syn_pairs, hyper_edges = [], []
-        text = Path(path).read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 'word<TAB>relation<TAB>word'"
-                )
-            a, rel, b = fields
-            if rel == SYN:
-                syn_pairs.append((a, b))
-            elif rel == HYPER:
-                hyper_edges.append((a, b))
-            else:
-                raise ParseError(
-                    f"{path}: line {lineno}: relation must be {SYN!r} or {HYPER!r}, got {rel!r}"
-                )
-        return cls(syn_pairs, hyper_edges)
+        relations = {SYN: [], HYPER: []}
+        for where, line in read_lines(path):
+            with parse_errors(where):
+                a, rel, b = tab_fields(line, 3)
+                if rel not in relations:
+                    raise ValueError(f"relation must be {SYN!r} or {HYPER!r}, got {rel!r}")
+                relations[rel].append((a, b))
+        with parse_errors(path):
+            return cls(relations[SYN], relations[HYPER])
 
 
 class PosTagger:
@@ -154,21 +144,17 @@ class PosTagger:
         return self._tags.get(word.lower(), OTHER)
 
     def save(self, path: str | Path) -> None:
-        lines = [f"{w}\t{t}" for w, t in sorted(self._tags.items())]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, (f"{w}\t{t}" for w, t in sorted(self._tags.items())))
 
     @classmethod
     def load(cls, path: str | Path) -> "PosTagger":
         tags = {}
-        text = Path(path).read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'word<TAB>tag'")
-            tags[fields[0]] = fields[1]
-        return cls(tags)
+        for where, line in read_lines(path):
+            with parse_errors(where):
+                word, tag = tab_fields(line, 2)
+            tags[word] = tag
+        with parse_errors(path):
+            return cls(tags)
 
 
 class MaskedLMOracle(Protocol):
@@ -338,33 +324,23 @@ def perturb_caption(
 
 
 def save_records(records: Sequence[PerturbationRecord], path: str | Path) -> None:
-    lines = [
-        f"{r.original_caption}\t{r.position}\t{r.original}\t{r.replacement}\t{r.verdict}"
-        for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines(
+        path,
+        (
+            f"{r.original_caption}\t{r.position}\t{r.original}\t{r.replacement}\t{r.verdict}"
+            for r in records
+        ),
+    )
 
 
 def load_records(path: str | Path) -> list[PerturbationRecord]:
     records = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise ParseError(
-                f"{path}: line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
-            )
-        caption, position, original, replacement, verdict = fields
-        if not position.isdigit():
-            raise ParseError(f"{path}: line {lineno}: position {position!r} is not an integer")
-        try:
+    for where, line in read_lines(path):
+        with parse_errors(where):
+            caption, position, original, replacement, verdict = tab_fields(line, 5)
             records.append(
                 PerturbationRecord(caption, int(position), original, replacement, verdict)
             )
-        except ValidationError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 

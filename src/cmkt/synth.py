@@ -29,6 +29,7 @@ from .errors import ConfigError, ParseError
 from .evaluation import MCQADataset, MCQAItem, load_mcqa, save_mcqa
 from .perturbation import NOUN, OTHER, VERB, Lexicon, MockOracle, PosTagger
 from .seeding import rng_for
+from .textio import parse_errors, read_config, read_lines, write_lines
 from .training import load_similarity_set, save_similarity_set
 
 # surface lexicon: two interchangeable words per attribute value
@@ -389,23 +390,19 @@ WORLD_FILES = {
 
 
 def save_oracle_table(table: dict[str, list[str]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in sorted(table):
-            fh.write("\t".join([word, *table[word]]) + "\n")
+    write_lines(path, ("\t".join([word, *table[word]]) for word in sorted(table)))
 
 
 def load_oracle_table(path: str | Path) -> dict[str, list[str]]:
-    path = Path(path)
     table: dict[str, list[str]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise ParseError(f"{path}:{lineno}: need a word and candidates")
-        if parts[0] in table:
-            raise ParseError(f"{path}:{lineno}: duplicate word {parts[0]!r}")
-        table[parts[0]] = parts[1:]
+    for where, line in read_lines(path):
+        with parse_errors(where):
+            word, *candidates = line.split("\t")
+            if not candidates:
+                raise ValueError("need a word and candidates")
+            if word in table:
+                raise ValueError(f"duplicate word {word!r}")
+        table[word] = candidates
     return table
 
 
@@ -421,9 +418,9 @@ def save_world(artifacts: SynthArtifacts, out_dir: str | Path) -> dict[str, Path
     save_oracle_table(artifacts.oracle_table, paths["oracle"])
     save_similarity_set(artifacts.similarity, paths["similarity"])
     save_mcqa(artifacts.mcqa, paths["mcqa"])
-    paths["config"].write_text(
-        json.dumps(dataclasses.asdict(artifacts.config), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    write_lines(
+        paths["config"],
+        [json.dumps(dataclasses.asdict(artifacts.config), indent=2, sort_keys=True)],
     )
     return paths
 
@@ -433,10 +430,8 @@ def load_world(world_dir: str | Path) -> SynthArtifacts:
     config_path = root / WORLD_FILES["config"]
     if not config_path.exists():
         raise ParseError(f"{root} is not a generated world (no {WORLD_FILES['config']})")
-    raw = json.loads(config_path.read_text(encoding="utf-8"))
-    config = SynthConfig(**raw)
     return SynthArtifacts(
-        config=config,
+        config=read_config(SynthConfig, config_path, ParseError),
         pairs=load_pairs(root / WORLD_FILES["pairs"]),
         bank=FeatureBank.load(root / WORLD_FILES["bank"]),
         vocab=Vocab.load(root / WORLD_FILES["vocab"]),

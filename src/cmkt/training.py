@@ -32,7 +32,6 @@ a zero-transfer-weight distillation run matches an MLM run step for step.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +62,7 @@ from .objectives import (
 )
 from .perturbation import ADVERSARIAL_NEGATIVE, PerturbationRecord
 from .seeding import derive_seed, rng_for
+from .textio import parse_errors, read_lines, tab_fields, write_lines
 
 # name -> (components, use_ans, use_psa)
 _METHOD_TABLE = {
@@ -766,26 +766,16 @@ def select_checkpoint(
 
 def load_similarity_set(path: str | Path) -> list[tuple[str, str, float]]:
     """Tab-separated sentence pairs with gold scores, one per line."""
-    path = Path(path)
     items = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        a, b, raw = fields
-        try:
-            score = float(raw)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad score {raw!r}") from exc
-        items.append((a, b, score))
+    for where, line in read_lines(path):
+        with parse_errors(where):
+            a, b, score = tab_fields(line, 3)
+            items.append((a, b, float(score)))
     return items
 
 
 def save_similarity_set(items: Sequence[tuple[str, str, float]], path: str | Path) -> None:
-    lines = [f"{a}\t{b}\t{score!r}" for a, b, score in items]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, (f"{a}\t{b}\t{score!r}" for a, b, score in items))
 
 
 # ---------------------------------------------------------------------------
@@ -794,28 +784,29 @@ def save_similarity_set(items: Sequence[tuple[str, str, float]], path: str | Pat
 
 
 def write_loss_log(rows: Sequence[dict], components: Sequence[str], path: str | Path) -> None:
-    """CSV with step, epoch, one column per component, and the total."""
-    fieldnames = ["step", "epoch", *components, "total"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k] for k in fieldnames})
+    """CSV with step, epoch, one column per component, and the total; floats
+    as their repr, CRLF line ends (the csv module's dialect)."""
+    columns = ["step", "epoch", *components, "total"]
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
+                              for k in columns))
+    write_lines(path, lines, end="\r\n")
 
 
 def read_loss_log(path: str | Path) -> list[dict]:
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[:2] != ["step", "epoch"]:
-            raise ParseError(f"{path}: not a loss log (missing step/epoch columns)")
-        rows = []
-        for row in reader:
-            try:
-                parsed = {"step": int(row["step"]), "epoch": int(row["epoch"])}
-                for key in reader.fieldnames[2:]:
-                    parsed[key] = float(row[key])
-            except (ValueError, TypeError) as exc:
-                raise ParseError(f"{path}:{reader.line_num}: bad row: {exc}") from exc
-            rows.append(parsed)
+    lines = read_lines(path)
+    _, head = next(lines, ("", ""))
+    columns = head.split(",")
+    if columns[:2] != ["step", "epoch"]:
+        raise ParseError(f"{path}: not a loss log (missing step/epoch columns)")
+    rows = []
+    for where, line in lines:
+        with parse_errors(where):
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise ValueError(f"expected {len(columns)} cells, got {len(cells)}")
+            row = {"step": int(cells[0]), "epoch": int(cells[1])}
+            row.update(zip(columns[2:], map(float, cells[2:])))
+        rows.append(row)
     return rows

@@ -163,30 +163,104 @@ def test_rejects_unknown_config_field(command, world_dir, cmcl_dir, tmp_path, ca
     assert "bogus" in err and type(config).__name__ in err
 
 
+WRONG_TYPED_FIELDS = {
+    "synth": [{"noise": "x"}, {"n_train_pairs": 8.5}, {"seed": True}],
+    "pretrain": [{"epochs": "x"}, {"learning_rate": False}, {"pooling": 1}],
+    "eval": [{"learning_rates": 0.1}, {"learning_rates": ["x"]}, {"batch_size": 16.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "command,fields",
+    [(command, fields) for command, cases in WRONG_TYPED_FIELDS.items() for fields in cases],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_wrong_config_value_type_exit_2(command, fields, world_dir, cmcl_dir, tmp_path,
+                                        capsys):
+    """A --config value must have the type of the field's default."""
+    _, argv, _ = config_command(command, world_dir, cmcl_dir, tmp_path / "out")
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(fields))
+    assert main(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and f".{next(iter(fields))} expects " in err
+
+
+@pytest.mark.parametrize(
+    "cls,fields,expected",
+    [
+        (SynthConfig, {"noise": 0}, SynthConfig(noise=0.0)),
+        (PretrainConfig, {"learning_rate": 1, "pooling": "first"},
+         PretrainConfig(learning_rate=1.0, pooling="first")),
+        (FinetuneConfig, {"learning_rates": [1, 0.5]}, FinetuneConfig(learning_rates=(1.0, 0.5))),
+    ],
+    ids=["synth", "pretrain", "eval"],
+)
+def test_config_takes_int_for_float_and_list_for_tuple(cls, fields, expected, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    assert cli._read_config(cls, SimpleNamespace(config=str(path), seed=None)) == expected
+
+
+@pytest.mark.parametrize("name", ["pairs.tsv", "vocab.txt", "mcqa.jsonl", "runs.jsonl",
+                                  "config.json"])
+def test_non_utf8_input_exit_2_names_path(name, world_dir, cmcl_dir, tiny_pretrain_config,
+                                          tmp_path, capsys):
+    runs_path = tmp_path / "runs.jsonl"
+    save_runs(fabricated_runs(), runs_path)
+    sources = {"pairs.tsv": world_dir / "pairs.tsv", "vocab.txt": world_dir / "vocab.txt",
+               "mcqa.jsonl": world_dir / "mcqa.jsonl", "runs.jsonl": runs_path,
+               "config.json": tiny_pretrain_config}
+    paths = {**sources, name: tmp_path / f"bad-{name}"}
+    original = sources[name].read_bytes()
+    paths[name].write_bytes(original[:10] + b"\xff" + original[11:])
+    if name == "mcqa.jsonl":
+        argv = ["eval", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                "--dataset", str(paths["mcqa.jsonl"]), "--protocol", "low64",
+                "--out", str(tmp_path / "out.jsonl")]
+    elif name == "runs.jsonl":
+        argv = ["report", "--runs", str(paths["runs.jsonl"]), "--out", str(tmp_path / "rep")]
+    else:
+        argv = ["pretrain", "--method", "MLM", "--pairs", str(paths["pairs.tsv"]),
+                "--vocab", str(paths["vocab.txt"]), "--config", str(paths["config.json"]),
+                "--out", str(tmp_path / "pre")]
+    assert main(argv) == 2
+    assert f"{paths[name]}: not UTF-8" in capsys.readouterr().err
+
+
+def two_caption_perturb_argv(world_dir, tmp_path, out):
+    pairs = tmp_path / "two.tsv"
+    pairs.write_text(
+        "img0\tthe red cat runs today\ttrain\n"
+        "img1\tthe blue dog sleeps nearby\ttrain\n"
+    )
+    return [
+        "perturb",
+        "--pairs", str(pairs),
+        "--lexicon", str(world_dir / "lexicon.tsv"),
+        "--tags", str(world_dir / "postags.tsv"),
+        "--oracle", "table",
+        "--oracle-table", str(world_dir / "oracle.tsv"),
+        "--out", str(out),
+        "--seed", "0",
+    ]
+
+
 class TestPerturbCommand:
     def test_two_caption_fixture_bounded(self, world_dir, tmp_path):
-        pairs = tmp_path / "two.tsv"
-        pairs.write_text(
-            "img0\tthe red cat runs today\ttrain\n"
-            "img1\tthe blue dog sleeps nearby\ttrain\n"
-        )
         out = tmp_path / "records.tsv"
-        rc = main(
-            [
-                "perturb",
-                "--pairs", str(pairs),
-                "--lexicon", str(world_dir / "lexicon.tsv"),
-                "--tags", str(world_dir / "postags.tsv"),
-                "--oracle", "table",
-                "--oracle-table", str(world_dir / "oracle.tsv"),
-                "--out", str(out),
-                "--seed", "0",
-            ]
-        )
-        assert rc == 0
+        assert main(two_caption_perturb_argv(world_dir, tmp_path, out)) == 0
         records = load_records(out)
         # 3 positions x 5 candidates per caption is the hard ceiling
         assert 0 < len(records) <= 2 * 15
+
+    def test_config_flag_is_rejected(self, world_dir, tmp_path, capsys):
+        """perturb has no settings, so --config is a usage error."""
+        argv = two_caption_perturb_argv(world_dir, tmp_path, tmp_path / "r.tsv")
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--config", "perturb.json"])
+        assert info.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_skips_non_train_pairs(self, world_dir, tmp_path):
         pairs = tmp_path / "dev_only.tsv"
@@ -586,6 +660,15 @@ def fabricated_runs():
 
 
 class TestReportCommand:
+    def test_config_flag_is_rejected(self, tmp_path, capsys):
+        runs_path = tmp_path / "runs.jsonl"
+        save_runs(fabricated_runs(), runs_path)
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--runs", str(runs_path), "--config", "report.json",
+                  "--out", str(tmp_path / "rep")])
+        assert info.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_two_by_four_grid(self, tmp_path, capsys):
         runs_path = tmp_path / "runs.jsonl"
         save_runs(fabricated_runs(), runs_path)

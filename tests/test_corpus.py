@@ -125,19 +125,19 @@ class TestPairsFile:
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("img0\ta caption\ttrain\nimg1\tno split field\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match=r"pairs\.tsv:2: "):
             load_pairs(path)
 
     def test_empty_caption_names_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("img0\t\ttrain\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=r"pairs\.tsv:1: "):
             load_pairs(path)
 
     def test_bad_split_names_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("img0\ta caption\ttest\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=r"pairs\.tsv:1: "):
             load_pairs(path)
 
     def test_duplicate_image_caption_allowed(self, tmp_path):

@@ -1,6 +1,7 @@
 """Downstream harness tests: datasets, fine-tuning, protocols, report."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestMCQAItem:
         with pytest.raises(ConfigError):
             MCQAItem(question="q", choices=("a", "b"), gold=0, split="eval")
 
+    @pytest.mark.parametrize("choices", ["ab", ("a", 1)])
+    def test_rejects_choices_that_are_not_strings(self, choices):
+        with pytest.raises(ConfigError, match="list of strings"):
+            MCQAItem(question="q", choices=choices, gold=0, split="train")
+
+    @pytest.mark.parametrize("gold", [1.0, True, "1"])
+    def test_rejects_gold_that_is_not_an_int(self, gold):
+        with pytest.raises(ConfigError, match="integer"):
+            MCQAItem(question="q", choices=("a", "b"), gold=gold, split="train")
+
     def test_binary_items_allowed(self):
         item = MCQAItem(question="q", choices=("yes", "no"), gold=1, split="test")
         assert len(item.choices) == 2
@@ -169,6 +180,16 @@ class TestMCQADataset:
             '{"question": "q", "choices": ["a", "b"], "gold": "x", "split": "train"}\n'
         )
         with pytest.raises(ParseError, match=":2:"):
+            load_mcqa(path)
+
+    @pytest.mark.parametrize("gold", ["1.7", "1.0", "true", '"1"', "null", "[1]"])
+    def test_load_rejects_gold_that_is_not_a_json_integer(self, tmp_path, gold):
+        path = tmp_path / "task.jsonl"
+        path.write_text(
+            '{"question": "q", "choices": ["a", "b"], "gold": 0, "split": "train"}\n\n'
+            f'{{"question": "q", "choices": ["a", "b"], "gold": {gold}, "split": "train"}}\n'
+        )
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: ")):
             load_mcqa(path)
 
 
@@ -624,6 +645,20 @@ class TestEvalRun:
         raw["learning_rate"] = "x"
         path.write_text(path.read_text() + json.dumps(raw) + "\n")
         with pytest.raises(ParseError, match=":2:"):
+            load_runs(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("size", None), ("size", 64), ("learning_rate", True), ("learning_rate", "0.1"),
+         ("seeds", [1.9]), ("seeds", [True]), ("accuracies", [True]),
+         ("accuracies", ["0.5"])],
+    )
+    def test_load_rejects_wrongly_typed_field(self, tmp_path, field, value):
+        path = tmp_path / "runs.jsonl"
+        raw = {"dataset": "d", "method": "MLM", "size": "64", "accuracies": [0.5],
+               "seeds": [0], "learning_rate": 0.1, field: value}
+        path.write_text(json.dumps(raw) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:1: ")):
             load_runs(path)
 
 

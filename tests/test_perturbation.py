@@ -83,7 +83,7 @@ class TestLexicon:
     def test_bad_relation_named_with_line(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("dog\tsyn\thound\ncat\tantonym\tdog\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match=r"lex\.tsv:2: "):
             Lexicon.load(path)
 
     def test_filter_matches_exhaustive_walk(self, lexicon):
@@ -300,13 +300,13 @@ class TestRecords:
     def test_malformed_line_reported(self, tmp_path):
         path = tmp_path / "perturb.tsv"
         path.write_text("a girl runs\t1\tgirl\tboy\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=r"perturb\.tsv:1: "):
             load_records(path)
 
     def test_bad_verdict_reported(self, tmp_path):
         path = tmp_path / "perturb.tsv"
         path.write_text("a girl runs\t1\tgirl\tboy\tmaybe\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=r"perturb\.tsv:1: "):
             load_records(path)
 
     def test_identity_replacement_rejected(self):

@@ -1,6 +1,8 @@
 """Synthetic world generator tests: determinism, artifact coherence, and
 the latent-attribute grounding of every emitted file."""
 
+import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -327,6 +329,14 @@ class TestPersistence:
         b = save_world(world, tmp_path / "b")
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes(), key
+
+    @pytest.mark.parametrize("fields", [{"n_train_pairs": 2.6}, {"seed": True}])
+    def test_load_rejects_wrongly_typed_world_config(self, world, tmp_path, fields):
+        paths = save_world(world, tmp_path / "w")
+        config = json.loads(paths["config"].read_text())
+        paths["config"].write_text(json.dumps({**config, **fields}))
+        with pytest.raises(ParseError, match=re.escape(f"{paths['config']}: ")):
+            load_world(tmp_path / "w")
 
     def test_load_rejects_non_world_dir(self, tmp_path):
         with pytest.raises(ParseError, match="not a generated world"):
