@@ -21,6 +21,7 @@ import numpy as np
 from .corpus import Vocab
 from .encoders import TextEncoder, TextEncoderConfig
 from .errors import ParseError, ValidationError
+from .textio import write_bytes
 
 CHECKPOINT_MAGIC = b"CMKTCKPT"
 CHECKPOINT_VERSION = 1
@@ -73,7 +74,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     blob += header_bytes
     for n in names:
         blob += ckpt.params[n].astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_bytes(path, bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -17,6 +17,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -51,7 +52,7 @@ from .perturbation import (
 )
 from .seeding import rng_for
 from .synth import SynthConfig, generate_world, load_oracle_table, save_world
-from .textio import read_config, write_lines
+from .textio import read_config, write_bytes, write_lines
 from .training import (
     METHOD_NAMES,
     PretrainConfig,
@@ -445,8 +446,8 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "report.txt", out / "report.csv"]
-    outputs[0].write_text(result.text, encoding="utf-8")
-    outputs[1].write_text(result.csv, encoding="utf-8")
+    write_bytes(outputs[0], result.text.encode("utf-8"))
+    write_bytes(outputs[1], result.csv.encode("utf-8"))
     if args.plot_data or args.render:
         series = plot_series(runs)
         plot_path = out / "plot.csv"
@@ -472,6 +473,24 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _finite_float(raw: str) -> float:
+    """A float flag's value; NaN and infinities are bad input."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _train_size(raw: str) -> str:
+    """``--train-size``: ``full`` or a positive int, kept as written."""
+    if raw != "full" and not (raw.isdecimal() and int(raw) > 0):
+        raise argparse.ArgumentTypeError(f"expected 'full' or a positive integer, got {raw!r}")
+    return raw
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--mlm-weight", type=float, default=1.0)
-    p.add_argument("--nst-weight", type=float, default=1.0)
+    p.add_argument("--mlm-weight", type=_finite_float, default=1.0)
+    p.add_argument("--nst-weight", type=_finite_float, default=1.0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_distill)
 
@@ -536,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one fine-tune run at a fixed learning rate")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--learning-rate", type=float, required=True)
-    p.add_argument("--train-size", default="full",
+    p.add_argument("--learning-rate", type=_finite_float, required=True)
+    p.add_argument("--train-size", type=_train_size, default="full",
                    help="subset size or 'full' (default full)")
     p.add_argument("--out", required=True, help="output JSON file")
     p.set_defaults(func=cmd_finetune)

@@ -10,10 +10,9 @@ components ``mlm`` and ``nst``, the latter a closure over the frozen
 teacher, so with a zero transfer weight the run is step-for-step
 identical to plain masked-prediction pre-training. The teacher is frozen,
 runs without dropout and sees clean text, so its activations are computed
-once per distinct token sequence before training starts.
-When teacher and student widths differ, a fixed seeded linear adapter
-(purpose ``("nst-adapter", block)``) maps student activations into the
-teacher's width before comparison; the adapter is never trained.
+once per distinct token sequence before training starts. Teacher and
+student must have the same width and block count, since their pooled
+block states are compared position by position.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
 from .encoders import ImageEncoder, TextEncoder
 from .errors import ConfigError
 from .objectives import nst_loss_with_grad
-from .seeding import rng_for
 from .training import (
     MethodSpec,
     PretrainConfig,
@@ -65,9 +63,10 @@ class DistillSpec:
     nst_weight: float = 1.0
 
     def __post_init__(self):
-        if self.mlm_weight < 0 or self.nst_weight < 0:
+        weights = (self.mlm_weight, self.nst_weight)
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
             raise ConfigError(
-                f"weights must be non-negative, got mlm={self.mlm_weight}, "
+                f"weights must be finite and non-negative, got mlm={self.mlm_weight}, "
                 f"nst={self.nst_weight}"
             )
         if self.mlm_weight == 0 and self.nst_weight == 0:
@@ -83,10 +82,7 @@ def train_teacher(
     records, _ = assemble_records(MethodSpec.named("CMCL"), data, config)
     encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
     image_encoder = ImageEncoder.initialized(data.bank, config.dim, config.seed)
-    image_encoder.frozen = False
-    name = f"teacher:{spec.objective}"
     return run_training_loop(
-        name,
         config,
         encoder,
         image_encoder,
@@ -95,31 +91,15 @@ def train_teacher(
         global_pool=[],
         components=(spec.objective,),
         weights=(1.0,),
-        meta_base={"method": name, "seed": config.seed, "objective": spec.objective},
+        meta_base={"method": f"teacher:{spec.objective}", "seed": config.seed,
+                   "objective": spec.objective},
     )
-
-
-def build_adapters(
-    teacher_dim: int, student_dim: int, num_blocks: int, seed: int
-) -> Optional[list[np.ndarray]]:
-    """Fixed per-block linear maps from student width to teacher width;
-    None when the widths already agree."""
-    if teacher_dim == student_dim:
-        return None
-    scale = 1.0 / math.sqrt(student_dim)
-    return [
-        rng_for(seed, "nst-adapter", block).normal(
-            scale=scale, size=(student_dim, teacher_dim)
-        )
-        for block in range(num_blocks)
-    ]
 
 
 def nst_step(
     teacher: TextEncoder,
     student: TextEncoder,
     seqs: Sequence[Sequence[int]],
-    adapters: Optional[list[np.ndarray]] = None,
     teacher_blocks: Optional[list[np.ndarray]] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Activation-matching loss over clean text, averaged across blocks,
@@ -133,12 +113,7 @@ def nst_step(
     values = []
     d_blocks = []
     for b in range(num_blocks):
-        acts = student_blocks[b]
-        if adapters is not None:
-            acts = acts @ adapters[b]
-        value, d_acts = nst_loss_with_grad(teacher_blocks[b], acts)
-        if adapters is not None:
-            d_acts = d_acts @ adapters[b].T
+        value, d_acts = nst_loss_with_grad(teacher_blocks[b], student_blocks[b])
         values.append(value)
         d_blocks.append(d_acts / num_blocks)
     grads = student.backward(cache, d_block_pooled=d_blocks)
@@ -161,11 +136,13 @@ def distill(
             "teacher and corpus vocabularies differ; distillation compares "
             "activations on identical token sequences"
         )
-    if teacher.config.num_blocks != config.num_blocks:
-        raise ConfigError(
-            f"teacher has {teacher.config.num_blocks} blocks, student config "
-            f"asks for {config.num_blocks}; activation transfer matches per block"
-        )
+    for field in ("num_blocks", "dim"):
+        theirs, ours = getattr(teacher.config, field), getattr(config, field)
+        if theirs != ours:
+            raise ConfigError(
+                f"teacher has {field} {theirs}, student config asks for {ours}; "
+                "activation transfer compares each block's states entry by entry"
+            )
     if config.max_len > teacher.config.max_len:
         raise ConfigError(
             f"student max_len {config.max_len} exceeds the teacher's "
@@ -174,9 +151,6 @@ def distill(
 
     records, _ = assemble_records(MethodSpec.named("MLM"), data, config)
     student = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
-    adapters = build_adapters(
-        teacher.config.dim, config.dim, config.num_blocks, config.seed
-    )
 
     row_of = {}  # distinct token sequence -> row of the teacher targets
     for rec in records:
@@ -190,12 +164,11 @@ def distill(
 
     def nst(batch, epoch, step):
         rows = [row_of[r.tokens] for r in batch]
-        loss, grads = nst_step(teacher, student, [list(r.tokens) for r in batch], adapters,
+        loss, grads = nst_step(teacher, student, [list(r.tokens) for r in batch],
                                teacher_blocks=[t[rows] for t in targets])
         return loss, grads, {}
 
     return run_training_loop(
-        "CMKD",
         config,
         student,
         None,

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .objectives import IMAGE, TEXT, EmbeddingBatch, softmax_cross_entropy
 from .seeding import rng_for
-from .textio import parse_errors, read_lines, tab_fields, write_lines
+from .textio import parse_errors, read_lines, tab_fields, write_bytes, write_lines
 
 PAD_ID = 0
 LN_EPS = 1e-5
@@ -423,12 +423,6 @@ class TextEncoder:
         grads[head + "_b"] = d_logits.sum(axis=(0, 1))
         return loss, grads
 
-    def token_states(self, seqs) -> tuple[np.ndarray, np.ndarray]:
-        """Contextual per-token states and the real-token mask, dropout
-        disabled; used for voken assignment."""
-        cache = self.forward(seqs, dropout_seed=None)
-        return cache["hidden"], cache["mask"]
-
     # -------------------------------------------------------- param plumbing
 
     def get_params(self) -> dict[str, np.ndarray]:
@@ -512,7 +506,7 @@ class FeatureBank:
         header = FEATURE_MAGIC + struct.pack(
             "<III", FEATURE_VERSION, len(self), self.dim
         )
-        path.write_bytes(header + self._features.astype("<f4").tobytes())
+        write_bytes(path, header + self._features.astype("<f4").tobytes())
         write_lines(
             str(path) + ".ids", (f"{img_id}\t{row}" for row, img_id in enumerate(self._ids))
         )
@@ -548,8 +542,7 @@ class FeatureBank:
 class ImageEncoder:
     """A frozen feature bank behind a trainable affine projection."""
 
-    def __init__(self, bank: FeatureBank, proj_w: np.ndarray, proj_b: np.ndarray,
-                 frozen: bool = True):
+    def __init__(self, bank: FeatureBank, proj_w: np.ndarray, proj_b: np.ndarray):
         proj_w = np.asarray(proj_w, dtype=np.float64)
         proj_b = np.asarray(proj_b, dtype=np.float64)
         if proj_w.ndim != 2 or proj_w.shape[0] != bank.dim:
@@ -562,7 +555,6 @@ class ImageEncoder:
             )
         self.bank = bank
         self.params = {"proj_w": proj_w, "proj_b": proj_b}
-        self.frozen = frozen
 
     @classmethod
     def identity(cls, bank: FeatureBank) -> "ImageEncoder":

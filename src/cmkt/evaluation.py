@@ -184,8 +184,11 @@ class TaskModel:
         return scores.reshape(len(items), n_choices), cache
 
     def predict(self, items: Sequence[MCQAItem]) -> list[int]:
-        """Argmax choice per item; exact ties resolve to the lowest index."""
+        """Argmax choice per item; exact ties resolve to the lowest index.
+        Non-finite scores mean fine-tuning diverged: TrainingError."""
         scores, _ = self.score_items(items)
+        if not np.isfinite(scores).all():
+            raise TrainingError("non-finite choice scores: the fine-tuned model diverged")
         return [int(i) for i in np.argmax(scores, axis=1)]
 
 
@@ -255,7 +258,8 @@ def finetune(
 
 
 def evaluate(model: TaskModel, items: Sequence[MCQAItem]) -> float:
-    """Fraction of items whose top-scoring choice is the gold one."""
+    """Fraction of items whose top-scoring choice is the gold one; a model
+    with non-finite scores raises :class:`TrainingError`."""
     items = list(items)
     if not items:
         raise ConfigError("cannot evaluate on an empty split")

@@ -561,8 +561,7 @@ def _nst_value_and_grad(teacher: Array, student: Array, with_grad: bool = False)
         raise DomainError("student activation set is empty")
     if teacher.shape[1] != student.shape[1]:
         raise ShapeError(
-            f"activation dims differ ({teacher.shape[1]} vs {student.shape[1]}); "
-            "project one side with an adapter first"
+            f"activation dims differ ({teacher.shape[1]} vs {student.shape[1]})"
         )
     t_hat, _ = _unit_rows("teacher_activations", teacher)
     s_hat, s_norm = _unit_rows("student_activations", student)

@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .textio import parse_errors, read_lines, tab_fields, write_lines
 
 NOUN = "noun"
@@ -192,24 +192,6 @@ class FrequencyOracle:
 
 
 @dataclass(frozen=True)
-class PerturbationConfig:
-    """How many positions to attack and how many suggestions to take."""
-
-    positions_per_caption: int = 3
-    candidates_per_position: int = 5
-
-    def __post_init__(self):
-        if self.positions_per_caption < 1:
-            raise ConfigError(
-                f"positions_per_caption must be >= 1, got {self.positions_per_caption}"
-            )
-        if self.candidates_per_position < 1:
-            raise ConfigError(
-                f"candidates_per_position must be >= 1, got {self.candidates_per_position}"
-            )
-
-
-@dataclass(frozen=True)
 class PerturbationRecord:
     """One single-word substitution and which side of the filter it fell on."""
 
@@ -295,22 +277,20 @@ def perturb_caption(
     oracle: MaskedLMOracle,
     lexicon: Lexicon,
     rng: np.random.Generator,
-    cfg: PerturbationConfig = PerturbationConfig(),
 ) -> list[PerturbationRecord]:
-    """The full perturbation stream for one caption, both verdicts.
+    """The full perturbation stream for one caption, both verdicts: up to 3
+    content positions, up to 5 replacements each.
 
     Every proposed (position, candidate) pair appears exactly once, so
     the negative and positive streams partition the proposals.
     """
     words = _normalize(caption)
     normalized = " ".join(words)
-    positions = select_content_words(normalized, tagger, rng, cfg.positions_per_caption)
+    positions = select_content_words(normalized, tagger, rng)
     records = []
     for position in positions:
         original = words[position]
-        for cand in propose_replacements(
-            normalized, position, oracle, cfg.candidates_per_position
-        ):
+        for cand in propose_replacements(normalized, position, oracle):
             records.append(
                 PerturbationRecord(
                     original_caption=normalized,

@@ -6,13 +6,15 @@ object inside :func:`parse_errors`, so a bad byte, a bad field count or a
 value the object's constructor rejects all surface as one
 :class:`ParseError` that names ``path:line``. This module is the only
 place in the package that reads text from disk; config files, a single
-JSON object each, are read here too.
+JSON object each, are read here too. Every file the package writes, text
+or binary, is written by :func:`write_bytes`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -57,21 +59,30 @@ def parse_errors(where: str | Path, error: type[Exception] = ParseError):
         raise error(f"{where}: {detail}") from exc
 
 
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """The file at ``path``, created or replaced, holding exactly ``data``."""
+    Path(path).write_bytes(data)
+
+
 def write_lines(path: str | Path, lines: Iterable[str], end: str = "\n") -> None:
     """Each line followed by ``end``, UTF-8; no lines make an empty file."""
-    Path(path).write_bytes("".join(line + end for line in lines).encode("utf-8"))
+    write_bytes(path, "".join(line + end for line in lines).encode("utf-8"))
 
 
 def fits(default, value) -> bool:
     """Whether a value can stand in for a field's default: an int for a
     float, a list or tuple for a tuple (each element fitting the first
-    default element), and never a bool for a number."""
+    default element), never a bool for a number, and never NaN or an
+    infinity for a float."""
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(fits(default[0], v) for v in value)
     if isinstance(default, bool) or isinstance(value, bool):
         return type(value) is type(default)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
     return isinstance(value, type(default))
 
 

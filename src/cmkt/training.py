@@ -202,7 +202,6 @@ class TrainRecord:
     index: int
     image_id: str
     tokens: tuple[int, ...]
-    caption_key: str
     voken_targets: Optional[tuple[int, ...]] = None
     negatives: tuple[tuple[int, ...], ...] = ()
 
@@ -249,14 +248,12 @@ def assemble_records(
     records: list[TrainRecord] = []
 
     def add(image_id: str, caption: str) -> None:
-        key = _caption_key(caption)
-        negatives = tuple(ans_by_key.get(key, ())) if method.use_ans else ()
+        negatives = tuple(ans_by_key.get(_caption_key(caption), ())) if method.use_ans else ()
         records.append(
             TrainRecord(
                 index=len(records),
                 image_id=image_id,
                 tokens=tuple(tokenize(caption, data.vocab, config.max_len)),
-                caption_key=key,
                 negatives=negatives,
             )
         )
@@ -329,9 +326,13 @@ def _accumulate(dst: dict, grads: dict, weight: float) -> None:
             dst[name] = weight * g
 
 
-def _sgd(params: dict, grads: dict, lr: float) -> None:
+def _sgd(params: dict, grads: dict, lr: float, step: int) -> None:
+    """One update; a parameter that leaves the finite range means training
+    diverged at this step."""
     for name, g in grads.items():
         params[name] -= lr * g
+        if not np.isfinite(params[name]).all():
+            raise TrainingError(f"non-finite parameter {name} at step {step}", step=step)
 
 
 def _pick_negatives(
@@ -372,18 +373,14 @@ class _ComponentEngine:
         image_encoder: Optional[ImageEncoder],
         vocab: Vocab,
         global_pool: Sequence[tuple[int, ...]],
-        use_ans: bool,
     ):
         self.config = config
         self.encoder = encoder
         self.image_encoder = image_encoder
         self.vocab = vocab
         self.global_pool = global_pool
-        self.m = config.hard_negative_cap if use_ans else 0
-        if self.m > 0 and not global_pool:
-            raise ConfigError(
-                "hard negatives requested but the adversarial pool is empty"
-            )
+        # only ANS methods fill the pool, and their inputs never leave it empty
+        self.m = config.hard_negative_cap if global_pool else 0
         self.fns: dict[str, Callable] = {
             "mlm": self._mlm,
             "tcl": self._tcl,
@@ -518,18 +515,13 @@ def _attach_vokens(
 ) -> list[TrainRecord]:
     out = []
     for rec in records:
-        states, _ = encoder.token_states([list(rec.tokens)])
-        vokens = assign_vokens(
-            list(rec.tokens),
-            bank_matrix,
-            lambda toks: states[0, : len(toks), :],
-        )
+        states = encoder.forward([list(rec.tokens)])["hidden"][0]
+        vokens = assign_vokens(states, bank_matrix)
         out.append(dataclasses.replace(rec, voken_targets=tuple(vokens)))
     return out
 
 
 def run_training_loop(
-    method_name: str,
     config: PretrainConfig,
     encoder: TextEncoder,
     image_encoder: Optional[ImageEncoder],
@@ -539,17 +531,18 @@ def run_training_loop(
     components: tuple[str, ...],
     weights: tuple[float, ...],
     meta_base: dict,
-    use_ans: bool = False,
     extra_components: Optional[dict[str, Callable]] = None,
 ) -> PretrainResult:
     """The epoch/batch/SGD loop of pretrain, the teacher trainer and
     distillation.
 
-    ``extra_components`` maps further component names to closures with the
-    engine's ``(batch, epoch, step) -> (loss, text grads, image grads)``
-    signature. A component of weight 0 is not run and logs 0.0.
+    ``meta_base["method"]`` names the run; hard negatives come from a
+    non-empty ``global_pool``. ``extra_components`` maps further component
+    names to closures with the engine's ``(batch, epoch, step) -> (loss,
+    text grads, image grads)`` signature. A component of weight 0 is not
+    run and logs 0.0. A non-finite loss or parameter raises TrainingError.
     """
-    engine = _ComponentEngine(config, encoder, image_encoder, vocab, global_pool, use_ans)
+    engine = _ComponentEngine(config, encoder, image_encoder, vocab, global_pool)
     engine.fns.update(extra_components or {})
     loss_rows: list[dict] = []
     checkpoints: list[Checkpoint] = []
@@ -582,14 +575,14 @@ def run_training_loop(
                 raise TrainingError(f"non-finite loss {total} at step {step}", step=step)
             row["total"] = total
             loss_rows.append(row)
-            _sgd(encoder.params, text_grads, config.learning_rate)
-            if image_encoder is not None and not image_encoder.frozen:
-                _sgd(image_encoder.params, image_grads, config.learning_rate)
+            _sgd(encoder.params, text_grads, config.learning_rate, step)
+            if image_encoder is not None:
+                _sgd(image_encoder.params, image_grads, config.learning_rate, step)
             step += 1
         checkpoints.append(bundle(epoch, "epoch"))
     final = bundle(config.epochs, "final")
     return PretrainResult(
-        method=method_name,
+        method=meta_base["method"],
         config=config,
         checkpoints=tuple(checkpoints),
         final=final,
@@ -621,11 +614,6 @@ def pretrain(
     image_encoder = None
     if method.needs_images:
         image_encoder = ImageEncoder.initialized(data.bank, config.dim, config.seed)
-        # the projection trains under contrastive objectives; for vokens it
-        # only builds the fixed bank
-        image_encoder.frozen = not any(
-            c in ("cmcl", "hinge") for c in method.components
-        )
 
     if "voken" in method.components:
         bank_matrix = build_voken_bank(data.pairs, image_encoder, config.voken_count)
@@ -638,7 +626,6 @@ def pretrain(
         "weights": list(method.weights),
     }
     return run_training_loop(
-        method.name,
         config,
         encoder,
         image_encoder,
@@ -648,7 +635,6 @@ def pretrain(
         components=method.components,
         weights=method.weights,
         meta_base=meta_base,
-        use_ans=method.use_ans,
     )
 
 
@@ -657,23 +643,17 @@ def pretrain(
 # ---------------------------------------------------------------------------
 
 
-def assign_vokens(
-    tokens: Sequence[int],
-    voken_bank: np.ndarray,
-    text_embedding_fn: Callable[[Sequence[int]], np.ndarray],
-) -> list[int]:
-    """Map each token to its nearest bank row by cosine similarity of the
-    token's contextual embedding; ties go to the lowest row id."""
+def assign_vokens(states: np.ndarray, voken_bank: np.ndarray) -> list[int]:
+    """Map each token, given as its (length, dim) contextual state, to its
+    nearest bank row by cosine similarity; ties go to the lowest row id."""
     bank = np.asarray(voken_bank, dtype=np.float64)
     if bank.ndim != 2 or bank.shape[0] < 1:
         raise ConfigError(f"voken bank must be a nonempty 2-D table, got shape {bank.shape}")
-    if not len(tokens):
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2:
+        raise ShapeError(f"token states must be a 2-D table, got shape {states.shape}")
+    if not len(states):
         return []
-    states = np.asarray(text_embedding_fn(tokens), dtype=np.float64)
-    if states.ndim != 2 or states.shape[0] != len(tokens):
-        raise ShapeError(
-            f"embedding fn returned shape {states.shape} for {len(tokens)} tokens"
-        )
     if states.shape[1] != bank.shape[1]:
         raise ShapeError(
             f"token states have dim {states.shape[1]}, bank has dim {bank.shape[1]}"

@@ -57,7 +57,6 @@ from cmkt.perturbation import (
     EQUIVALENT_POSITIVE,
     Lexicon,
     MockOracle,
-    PerturbationConfig,
     PerturbationRecord,
     PosTagger,
     mini_lexicon_path,
@@ -490,24 +489,23 @@ def test_criterion_4_masking_statistics():
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_records(caption, tagger, oracle, lexicon_path, rng, cfg):
-    """From-scratch replay: pick positions the same way, then walk every
-    proposal in oracle order and classify by the lexicon file walk."""
+def _enumerate_records(caption, tagger, oracle, lexicon_path, rng, n_positions, k):
+    """From-scratch replay: pick ``n_positions`` positions the same way,
+    then walk up to ``k`` proposals each in oracle order and classify them
+    by the lexicon file walk."""
     words = caption.lower().split()
-    positions = select_content_words(
-        caption, tagger, rng, n=cfg.positions_per_caption
-    )
+    positions = select_content_words(caption, tagger, rng, n=n_positions)
     records = []
     for position in positions:
         original = words[position]
         seen = []
-        raw = oracle.top_candidates(words, position, cfg.candidates_per_position + 1)
+        raw = oracle.top_candidates(words, position, k + 1)
         for candidate in raw:
             candidate = candidate.lower()
             if candidate == original or candidate in seen or " " in candidate:
                 continue
             seen.append(candidate)
-            if len(seen) == cfg.candidates_per_position:
+            if len(seen) == k:
                 break
         for replacement in seen:
             equivalent = oracles.lexicon_walk_equivalent(
@@ -526,7 +524,6 @@ def test_criterion_5_perturbation_enumeration():
     with criterion(5, "perturbation matches exhaustive enumeration"):
         lexicon = Lexicon.load(mini_lexicon_path())
         tagger = PosTagger.load(mini_pos_tags_path())
-        cfg = PerturbationConfig(positions_per_caption=3, candidates_per_position=5)
         oracle = MockOracle(
             {
                 "girl": ["woman", "boy", "dog", "cat", "man", "person"],
@@ -546,11 +543,11 @@ def test_criterion_5_perturbation_enumeration():
             for seed in range(20):
                 got = perturb_caption(
                     caption, tagger, oracle, lexicon,
-                    np.random.default_rng(seed), cfg,
+                    np.random.default_rng(seed),
                 )
                 want = _enumerate_records(
                     caption, tagger, oracle, mini_lexicon_path(),
-                    np.random.default_rng(seed), cfg,
+                    np.random.default_rng(seed), 3, 5,
                 )
                 assert got == want, (caption, seed)
                 assert len(got) <= 15

@@ -164,9 +164,11 @@ def test_rejects_unknown_config_field(command, world_dir, cmcl_dir, tmp_path, ca
 
 
 WRONG_TYPED_FIELDS = {
-    "synth": [{"noise": "x"}, {"n_train_pairs": 8.5}, {"seed": True}],
-    "pretrain": [{"epochs": "x"}, {"learning_rate": False}, {"pooling": 1}],
-    "eval": [{"learning_rates": 0.1}, {"learning_rates": ["x"]}, {"batch_size": 16.0}],
+    "synth": [{"noise": "x"}, {"n_train_pairs": 8.5}, {"seed": True}, {"noise": float("nan")}],
+    "pretrain": [{"epochs": "x"}, {"learning_rate": False}, {"pooling": 1},
+                 {"learning_rate": float("inf")}],
+    "eval": [{"learning_rates": 0.1}, {"learning_rates": ["x"]}, {"batch_size": 16.0},
+             {"learning_rates": [0.1, float("inf")]}],
 }
 
 
@@ -177,13 +179,43 @@ WRONG_TYPED_FIELDS = {
 )
 def test_wrong_config_value_type_exit_2(command, fields, world_dir, cmcl_dir, tmp_path,
                                         capsys):
-    """A --config value must have the type of the field's default."""
+    """A --config value must have the type of the field's default; a float
+    must also be finite."""
     _, argv, _ = config_command(command, world_dir, cmcl_dir, tmp_path / "out")
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(fields))
     assert main(argv + ["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{path}: " in err and f".{next(iter(fields))} expects " in err
+
+
+def finite_flag_argv(flag, value, world_dir, cmcl_dir, tiny_pretrain_config,
+                     tiny_eval_config, out):
+    if flag == "--learning-rate":
+        return ["finetune", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                "--dataset", str(world_dir / "mcqa.jsonl"), f"{flag}={value}",
+                "--train-size", "32", "--config", str(tiny_eval_config), "--out", str(out)]
+    return ["distill", "--teacher", str(cmcl_dir / "checkpoint-final.ckpt"),
+            "--pairs", str(world_dir / "pairs.tsv"), "--vocab", str(world_dir / "vocab.txt"),
+            "--config", str(tiny_pretrain_config), f"{flag}={value}", "--out", str(out)]
+
+
+@pytest.mark.parametrize("flag,value", [("--learning-rate", "inf"), ("--learning-rate", "nan"),
+                                        ("--mlm-weight", "inf"), ("--nst-weight", "nan"),
+                                        ("--nst-weight", "-inf")])
+def test_non_finite_float_flag_exit_2(flag, value, world_dir, cmcl_dir, tiny_pretrain_config,
+                                      tiny_eval_config, tmp_path, capsys):
+    """Float flags refuse NaN and infinities at parse time, before any
+    training step can turn them into a non-finite loss."""
+    out = tmp_path / "out"
+    argv = finite_flag_argv(flag, value, world_dir, cmcl_dir, tiny_pretrain_config,
+                            tiny_eval_config, out)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -467,6 +499,24 @@ class TestTeacherDistillCommands:
         assert rc == 0
         assert (student_out / "checkpoint-final.ckpt").exists()
 
+    def test_width_mismatch_exit_2_names_both_widths(self, world_dir, tiny_pretrain_config,
+                                                     tmp_path, capsys):
+        """A dim-16 student cannot match a dim-32 teacher's block states."""
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"batch_size": 16, "max_len": 16, "epochs": 1,
+                                    "dim": 32, "ffn_dim": 32, "num_blocks": 1}))
+        data = ["--pairs", str(world_dir / "pairs.tsv"), "--vocab", str(world_dir / "vocab.txt")]
+        assert main(["teacher", *data, "--bank", str(world_dir / "features.npz"),
+                     "--config", str(wide), "--out", str(tmp_path / "teacher")]) == 0
+        capsys.readouterr()
+        student = tmp_path / "student"
+        rc = main(["distill", "--teacher", str(tmp_path / "teacher" / "checkpoint-final.ckpt"),
+                   *data, "--config", str(tiny_pretrain_config), "--out", str(student)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dim 32" in err and "asks for 16" in err
+        assert not student.exists()
+
     def test_missing_teacher_exit_2(self, world_dir, tmp_path, capsys):
         rc = main(
             [
@@ -537,6 +587,34 @@ class TestFinetuneCommand:
         assert rc == 3
         assert "non-finite fine-tuning loss" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_diverged_step_exit_3_without_accuracy(self, world_dir, cmcl_dir, tmp_path,
+                                                       capsys):
+        """One step at 1e300 has a finite loss but leaves every score NaN,
+        where argmax would report the share of test items whose gold is 0."""
+        cfg = tmp_path / "one-step.json"
+        cfg.write_text(json.dumps({"max_epochs_low_resource": 1, "batch_size": 16}))
+        out = tmp_path / "r.json"
+        rc = main(["finetune", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                   "--dataset", str(world_dir / "mcqa.jsonl"), "--learning-rate", "1e300",
+                   "--train-size", "16", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3
+        assert "non-finite choice scores" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["abc", "-5", "0", "1.5"])
+    def test_bad_train_size_exit_2(self, world_dir, cmcl_dir, tiny_eval_config, size,
+                                   tmp_path, capsys):
+        """--train-size is 'full' or a positive int, checked at parse time."""
+        with pytest.raises(SystemExit) as info:
+            main(["finetune", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                  "--dataset", str(world_dir / "mcqa.jsonl"), "--learning-rate", "0.1",
+                  "--train-size", size, "--config", str(tiny_eval_config),
+                  "--out", str(tmp_path / "r.json")])
+        assert info.value.code == 2
+        assert "--train-size" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -10,7 +10,6 @@ from cmkt import (
     PretrainConfig,
     TeacherSpec,
     TrainingData,
-    build_adapters,
     distill,
     nst_step,
     pretrain,
@@ -68,6 +67,14 @@ class TestSpecs:
     def test_distill_weights_must_be_nonnegative(self):
         with pytest.raises(ConfigError, match="non-negative"):
             DistillSpec(mlm_weight=-1.0)
+
+    @pytest.mark.parametrize("weights", [{"mlm_weight": float("nan")},
+                                         {"nst_weight": float("inf")},
+                                         {"mlm_weight": float("-inf")}],
+                             ids=["mlm-nan", "nst-inf", "mlm-minus-inf"])
+    def test_distill_weights_must_be_finite(self, weights):
+        with pytest.raises(ConfigError, match="finite"):
+            DistillSpec(**weights)
 
     def test_distill_weights_not_both_zero(self):
         with pytest.raises(ConfigError, match="at least one"):
@@ -147,27 +154,6 @@ class TestNstAlignment:
         value, grads = nst_step(teacher, twin, seqs)
         assert value < 1e-12
         assert grads
-
-    def test_adapters_none_when_widths_match(self):
-        assert build_adapters(6, 6, 2, seed=0) is None
-
-    def test_adapters_shape_and_determinism(self):
-        a1 = build_adapters(8, 6, 2, seed=5)
-        a2 = build_adapters(8, 6, 2, seed=5)
-        assert len(a1) == 2
-        assert a1[0].shape == (6, 8)
-        np.testing.assert_array_equal(a1[0], a2[0])
-        np.testing.assert_array_equal(a1[1], a2[1])
-        assert not np.array_equal(a1[0], a1[1])
-
-    def test_width_mismatch_distills_through_adapter(self):
-        data = make_data()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, small_config(dim=8, ffn_dim=10))
-        result = distill(
-            teacher.final, data, DistillSpec(), small_config(dim=6, epochs=1)
-        )
-        assert all(np.isfinite(row["nst"]) for row in result.loss_rows)
-        assert all(row["nst"] >= 0 for row in result.loss_rows)
 
     def test_transfer_only_training_reduces_alignment_loss(self):
         data = make_data()
@@ -264,8 +250,7 @@ class TestDistillRun:
         real = distillation.nst_step
         monkeypatch.setattr(  # drop the cached targets: the teacher runs on every batch
             distillation, "nst_step",
-            lambda teacher, student, seqs, adapters, teacher_blocks: real(
-                teacher, student, seqs, adapters),
+            lambda teacher, student, seqs, teacher_blocks: real(teacher, student, seqs),
         )
         per_batch = distill(teacher.final, data, DistillSpec(), config)
         assert len(cached.loss_rows) == len(per_batch.loss_rows)

@@ -368,6 +368,15 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(_FixedScoreModel([[1.0, 0.0]]), [])
 
+    def test_non_finite_scores_raise_training_error(self):
+        """A diverged model scores NaN everywhere, where argmax would pick
+        choice 0 for every item and report the share of gold-0 items."""
+        ds = make_dataset()
+        model = build_task_model(make_checkpoint(), seed=0)
+        model.head_w = np.full_like(model.head_w, np.nan)
+        with pytest.raises(TrainingError, match="non-finite"):
+            evaluate(model, ds.split("test"))
+
     def test_untrained_model_near_chance_on_five_choices(self):
         rng = np.random.default_rng(11)
         words = ["red", "blue", "green", "cat", "dog", "bird", "big", "small"]
@@ -651,7 +660,8 @@ class TestEvalRun:
         "field,value",
         [("size", None), ("size", 64), ("learning_rate", True), ("learning_rate", "0.1"),
          ("seeds", [1.9]), ("seeds", [True]), ("accuracies", [True]),
-         ("accuracies", ["0.5"])],
+         ("accuracies", ["0.5"]), ("learning_rate", float("nan")),
+         ("learning_rate", float("inf"))],
     )
     def test_load_rejects_wrongly_typed_field(self, tmp_path, field, value):
         path = tmp_path / "runs.jsonl"

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from cmkt import ConfigError, ParseError, ValidationError
+from cmkt import ParseError, ValidationError
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
     EQUIVALENT_POSITIVE,
     FrequencyOracle,
     Lexicon,
     MockOracle,
-    PerturbationConfig,
     PerturbationRecord,
     PosTagger,
     filter_candidate,
@@ -193,9 +192,6 @@ class TestOracles:
 
 
 class TestPerturbCaption:
-    def cfg(self):
-        return PerturbationConfig(positions_per_caption=3, candidates_per_position=5)
-
     def full_oracle(self):
         return MockOracle(
             {
@@ -209,7 +205,7 @@ class TestPerturbCaption:
     def test_partition_invariant(self, tagger, lexicon):
         records = perturb_caption(
             FIG_CAPTION, tagger, self.full_oracle(), lexicon,
-            np.random.default_rng(42), self.cfg(),
+            np.random.default_rng(42),
         )
         keys = [(r.position, r.replacement) for r in records]
         assert len(keys) == len(set(keys))
@@ -221,7 +217,7 @@ class TestPerturbCaption:
     def test_single_edit_invariant(self, tagger, lexicon):
         records = perturb_caption(
             FIG_CAPTION, tagger, self.full_oracle(), lexicon,
-            np.random.default_rng(42), self.cfg(),
+            np.random.default_rng(42),
         )
         original = FIG_CAPTION.lower().split()
         for r in records:
@@ -234,7 +230,7 @@ class TestPerturbCaption:
         (negative); puts->places is a synonym (positive)."""
         records = perturb_caption(
             FIG_CAPTION, tagger, self.full_oracle(), lexicon,
-            np.random.default_rng(42), self.cfg(),
+            np.random.default_rng(42),
         )
         verdicts = {(r.original, r.replacement): r.verdict for r in records}
         if ("girl", "woman") in verdicts:
@@ -255,7 +251,7 @@ class TestPerturbCaption:
             }
         )
         records = perturb_caption("a girl puts an apple", tagger, oracle, lexicon,
-                                  np.random.default_rng(42), self.cfg())
+                                  np.random.default_rng(42))
         verdicts = [r.verdict for r in records]
         assert verdicts.count(ADVERSARIAL_NEGATIVE) == 15
         assert verdicts.count(EQUIVALENT_POSITIVE) == 0
@@ -263,13 +259,13 @@ class TestPerturbCaption:
     def test_all_filtered_gives_empty_ans(self, tagger, lexicon):
         oracle = MockOracle({"girl": ["woman", "female", "person"]})
         records = perturb_caption("a girl sits", tagger, oracle, lexicon,
-                                  np.random.default_rng(42), self.cfg())
+                                  np.random.default_rng(42))
         assert [r for r in records if r.verdict == ADVERSARIAL_NEGATIVE] == []
 
     def test_deterministic_end_to_end(self, tagger, lexicon):
         runs = [
             perturb_caption(FIG_CAPTION, tagger, self.full_oracle(), lexicon,
-                            np.random.default_rng(7), self.cfg())
+                            np.random.default_rng(7))
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -277,7 +273,7 @@ class TestPerturbCaption:
     def test_count_bounded(self, tagger, lexicon):
         records = perturb_caption(
             FIG_CAPTION, tagger, self.full_oracle(), lexicon,
-            np.random.default_rng(42), self.cfg(),
+            np.random.default_rng(42),
         )
         assert len(records) <= 3 * 5
 
@@ -316,9 +312,3 @@ class TestRecords:
     def test_perturbed_caption(self):
         r = PerturbationRecord("a girl runs", 1, "girl", "boy", ADVERSARIAL_NEGATIVE)
         assert r.perturbed_caption() == "a boy runs"
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            PerturbationConfig(positions_per_caption=0)
-        with pytest.raises(ConfigError):
-            PerturbationConfig(candidates_per_position=0)

@@ -330,7 +330,8 @@ class TestPersistence:
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes(), key
 
-    @pytest.mark.parametrize("fields", [{"n_train_pairs": 2.6}, {"seed": True}])
+    @pytest.mark.parametrize("fields", [{"n_train_pairs": 2.6}, {"seed": True},
+                                        {"noise": float("nan")}, {"noise": float("inf")}])
     def test_load_rejects_wrongly_typed_world_config(self, world, tmp_path, fields):
         paths = save_world(world, tmp_path / "w")
         config = json.loads(paths["config"].read_text())

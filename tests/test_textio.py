@@ -1,5 +1,6 @@
-"""The line-record reader and writer, the loaders built on them, and a scan
-that keeps every other module of the package from reading text itself."""
+"""The line-record reader and writer, the loaders built on them, and two
+scans that keep every other module of the package from reading text or
+writing files itself."""
 
 import ast
 import re
@@ -21,12 +22,13 @@ from cmkt.textio import (
     read_lines,
     read_text,
     tab_fields,
+    write_bytes,
     write_lines,
 )
 from cmkt.training import load_similarity_set, read_loss_log
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cmkt"
-READER_MODULE = "textio"
+READER_MODULE = "textio"  # also the only writer
 
 
 class TestReadConfig:
@@ -36,7 +38,9 @@ class TestReadConfig:
          ('{"n_train_pairs": 2.6}', "SynthConfig.n_train_pairs expects int"),
          ('{"seed": true}', "SynthConfig.seed expects int"),
          ('{"noise": "x"}', "SynthConfig.noise expects float"),
-         ('{"n_train_pairs": 0}', "n_train_pairs")],
+         ('{"n_train_pairs": 0}', "n_train_pairs"),
+         ('{"noise": NaN}', "SynthConfig.noise expects float, got nan"),
+         ('{"noise": -Infinity}', "SynthConfig.noise expects float, got -inf")],
     )
     def test_bad_config_is_config_error_naming_path(self, tmp_path, text, message):
         path = tmp_path / "c.json"
@@ -109,6 +113,19 @@ class TestParseErrors:
             with parse_errors("f.tsv:3"):
                 raise exc
         assert info.value is exc
+
+
+class TestWriteBytes:
+    def test_writes_exactly_the_bytes(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_bytes(path, b"\x00\xff\r\n")
+        assert path.read_bytes() == b"\x00\xff\r\n"
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"a longer earlier content")
+        write_bytes(path, b"short")
+        assert path.read_bytes() == b"short"
 
 
 class TestWriteLines:
@@ -274,4 +291,63 @@ def test_scan_finds_text_reads():
     )
     assert text_reads(source, "m") == [
         "m.py:10: open", "m.py:3: read_text", "m.py:4: open", "m.py:7: open", "m.py:8: open",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# only the writer module writes files
+# ---------------------------------------------------------------------------
+
+
+def _writes(call: ast.Call) -> bool:
+    mode = _open_mode(call)
+    if mode is None:
+        return False  # the default mode is "r"
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # a computed mode may well write
+    return bool(set("wax+") & set(mode.value))
+
+
+def file_writes(source: str, module: str) -> list[str]:
+    """Calls that write a file: ``.write_bytes(``, ``.write_text(``, and
+    ``open`` with a mode that writes, appends, creates or updates."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_bytes", "write_text") and isinstance(func, ast.Attribute):
+            found.append(f"{module}.py:{node.lineno}: {name}")
+        elif name == "open" and _writes(node):
+            found.append(f"{module}.py:{node.lineno}: open")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != READER_MODULE],
+    ids=lambda p: p.stem,
+)
+def test_no_module_writes_files_but_the_writer(path):
+    assert file_writes(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_scan_finds_file_writes():
+    source = (
+        "import io\n"
+        "from pathlib import Path\n"
+        "Path('x').write_bytes(b'')\n"
+        "Path('x').write_text('')\n"
+        "a = open('x')\n"
+        "b = open('x', 'wb')\n"
+        "c = io.open('x', mode='a', encoding='utf-8')\n"
+        "d = Path('x').open('x')\n"
+        "e = open('x', 'r+b')\n"
+        "f = Path('x').open('rb')\n"
+        "write_bytes('x', b'')\n"
+    )
+    assert file_writes(source, "m") == [
+        "m.py:3: write_bytes", "m.py:4: write_text", "m.py:6: open", "m.py:7: open",
+        "m.py:8: open", "m.py:9: open",
     ]

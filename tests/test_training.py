@@ -305,6 +305,15 @@ class TestLoopBookkeeping:
             pretrain("MLM", make_data(), small_config())
         assert err.value.step == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_raise_training_error(self):
+        """One step at an infinite rate: the loss of that step is finite,
+        the parameters it leaves are not, and no checkpoint holds them."""
+        config = small_config(learning_rate=math.inf, epochs=1, batch_size=10)
+        with pytest.raises(TrainingError, match="non-finite parameter .* at step 0") as err:
+            pretrain("MLM", make_data(), config)
+        assert err.value.step == 0
+
     def test_empty_mask_selection_contributes_zero(self):
         data = make_data()
         encoder = TextEncoder(small_config().encoder_config(len(data.vocab)), seed=0)
@@ -450,21 +459,21 @@ class TestAssignVokens:
     def test_single_row_bank_maps_everything_to_zero(self):
         rng = np.random.default_rng(0)
         states = rng.normal(size=(5, 4))
-        assert assign_vokens([1, 2, 3, 4, 5], rng.normal(size=(1, 4)), lambda t: states) == [0] * 5
+        assert assign_vokens(states, rng.normal(size=(1, 4))) == [0] * 5
 
     def test_exact_bank_row_match_wins(self):
         rng = np.random.default_rng(1)
         bank = rng.normal(size=(4, 6))
         states = rng.normal(size=(3, 6))
         states[1] = bank[3]
-        got = assign_vokens([7, 8, 9], bank, lambda t: states)
+        got = assign_vokens(states, bank)
         assert got[1] == 3
 
     def test_matches_exhaustive_nearest_neighbor_scan(self):
         rng = np.random.default_rng(5)
         bank = rng.normal(size=(4, 6))
         states = rng.normal(size=(5, 6))
-        got = assign_vokens([1, 2, 3, 4, 5], bank, lambda t: states)
+        got = assign_vokens(states, bank)
         for t in range(5):
             best, best_sim = 0, -2.0
             for k in range(4):
@@ -476,22 +485,22 @@ class TestAssignVokens:
     def test_tie_breaks_to_lowest_id(self):
         bank = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # rows 0,1 parallel
         states = np.array([[3.0, 0.0]])
-        assert assign_vokens([4], bank, lambda t: states) == [0]
+        assert assign_vokens(states, bank) == [0]
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ConfigError, match="bank"):
-            assign_vokens([1], np.zeros((0, 3)), lambda t: np.ones((1, 3)))
+            assign_vokens(np.ones((1, 3)), np.zeros((0, 3)))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            assign_vokens([1], np.ones((2, 3)), lambda t: np.ones((1, 4)))
+            assign_vokens(np.ones((1, 4)), np.ones((2, 3)))
 
     def test_zero_norm_state_rejected(self):
         with pytest.raises(DomainError):
-            assign_vokens([1], np.ones((2, 3)), lambda t: np.zeros((1, 3)))
+            assign_vokens(np.zeros((1, 3)), np.ones((2, 3)))
 
     def test_no_tokens_no_assignments(self):
-        assert assign_vokens([], np.ones((2, 3)), lambda t: np.ones((0, 3))) == []
+        assert assign_vokens(np.ones((0, 3)), np.ones((2, 3))) == []
 
 
 class TestBuildVokenBank:
