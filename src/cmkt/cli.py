@@ -245,28 +245,35 @@ def _load_training_data(args) -> tuple[TrainingData, dict[str, Path]]:
     return data, inputs
 
 
-def _write_pretrain_outputs(result, out: Path) -> list[Path]:
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for index, ckpt in enumerate(result.checkpoints, start=1):
-        path = out / f"checkpoint-epoch-{index:03d}.ckpt"
+def _epoch_writer(out: Path, outputs: list[Path]):
+    """The training sink of pretrain, teacher and distill: writes each
+    epoch's checkpoint as soon as the epoch ends, creating ``out`` on the
+    first one, and lists the file in ``outputs``."""
+
+    def write(ckpt) -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / f"checkpoint-epoch-{ckpt.meta['epoch']:03d}.ckpt"
         save_checkpoint(ckpt, path)
         outputs.append(path)
+
+    return write
+
+
+def _write_final_outputs(result, out: Path, outputs: list[Path]) -> None:
     final_path = out / "checkpoint-final.ckpt"
     save_checkpoint(result.final, final_path)
-    outputs.append(final_path)
     loss_path = out / "loss.csv"
     write_loss_log(result.loss_rows, result.components, loss_path)
-    outputs.append(loss_path)
-    return outputs
+    outputs += [final_path, loss_path]
 
 
 def cmd_pretrain(args) -> int:
     config = _read_config(PretrainConfig, args)
     data, inputs = _load_training_data(args)
-    result = pretrain(args.method, data, config)
     out = Path(args.out)
-    outputs = _write_pretrain_outputs(result, out)
+    outputs: list[Path] = []
+    result = pretrain(args.method, data, config, on_epoch=_epoch_writer(out, outputs))
+    _write_final_outputs(result, out, outputs)
     snapshot = {**dataclasses.asdict(config), "method": args.method}
     _write_manifest(out / "manifest.json", "pretrain", snapshot, inputs, outputs, config.seed)
     final_total = result.loss_rows[-1]["total"] if result.loss_rows else float("nan")
@@ -277,9 +284,11 @@ def cmd_pretrain(args) -> int:
 def cmd_teacher(args) -> int:
     config = _read_config(PretrainConfig, args)
     data, inputs = _load_training_data(args)
-    result = train_teacher(TeacherSpec(objective=args.objective), data, config)
     out = Path(args.out)
-    outputs = _write_pretrain_outputs(result, out)
+    outputs: list[Path] = []
+    result = train_teacher(TeacherSpec(objective=args.objective), data, config,
+                           on_epoch=_epoch_writer(out, outputs))
+    _write_final_outputs(result, out, outputs)
     snapshot = {**dataclasses.asdict(config), "objective": args.objective}
     _write_manifest(out / "manifest.json", "teacher", snapshot, inputs, outputs, config.seed)
     print(f"teacher:{args.objective} trained -> {out}")
@@ -293,9 +302,10 @@ def cmd_distill(args) -> int:
     inputs["teacher"] = teacher_path
     teacher = load_checkpoint(teacher_path)
     spec = DistillSpec(mlm_weight=args.mlm_weight, nst_weight=args.nst_weight)
-    result = distill(teacher, data, spec, config)
     out = Path(args.out)
-    outputs = _write_pretrain_outputs(result, out)
+    outputs: list[Path] = []
+    result = distill(teacher, data, spec, config, on_epoch=_epoch_writer(out, outputs))
+    _write_final_outputs(result, out, outputs)
     snapshot = {**dataclasses.asdict(config), **dataclasses.asdict(spec)}
     _write_manifest(out / "manifest.json", "distill", snapshot, inputs, outputs, config.seed)
     print(f"distilled student -> {out}")
@@ -589,7 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _keep_freed_heap()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or bad usage (2), printed by argparse
+        return exc.code
     try:
         return args.func(args)
     except TrainingError as exc:

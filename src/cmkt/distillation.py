@@ -30,6 +30,7 @@ from .encoders import ImageEncoder, TextEncoder
 from .errors import ConfigError
 from .objectives import nst_loss_with_grad
 from .training import (
+    EpochSink,
     MethodSpec,
     PretrainConfig,
     PretrainResult,
@@ -74,9 +75,13 @@ class DistillSpec:
 
 
 def train_teacher(
-    spec: TeacherSpec, data: TrainingData, config: PretrainConfig
+    spec: TeacherSpec,
+    data: TrainingData,
+    config: PretrainConfig,
+    on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
-    """Pre-train the fusion teacher on image/caption pairs."""
+    """Pre-train the fusion teacher on image/caption pairs; each epoch's
+    checkpoint goes to ``on_epoch``."""
     if data.bank is None:
         raise ConfigError("teacher training needs an image feature bank")
     records, _ = assemble_records(MethodSpec.named("CMCL"), data, config)
@@ -93,6 +98,7 @@ def train_teacher(
         weights=(1.0,),
         meta_base={"method": f"teacher:{spec.objective}", "seed": config.seed,
                    "objective": spec.objective},
+        on_epoch=on_epoch,
     )
 
 
@@ -125,9 +131,11 @@ def distill(
     data: TrainingData,
     spec: DistillSpec,
     config: PretrainConfig,
+    on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
     """Train a text-only student against the teacher over the caption
-    corpus; returns the usual checkpoint series and loss log."""
+    corpus; hands each epoch's checkpoint to ``on_epoch`` and returns the
+    final checkpoint and the loss log."""
     teacher, teacher_vocab = restore_text_encoder(teacher_checkpoint)
     corpus_words = [data.vocab.word_of(i) for i in range(len(data.vocab))]
     teacher_words = [teacher_vocab.word_of(i) for i in range(len(teacher_vocab))]
@@ -185,4 +193,5 @@ def distill(
             "nst_weight": spec.nst_weight,
         },
         extra_components={"nst": nst},
+        on_epoch=on_epoch,
     )

@@ -195,24 +195,35 @@ class TextEncoder:
         return tokens, real.astype(np.float64)
 
     def _dropout(self, x, site, dropout_seed, cache):
+        """Dropout at ``site``; its scale (None when off) goes to ``cache``
+        unless that is None."""
         p = self.config.dropout
-        if dropout_seed is None or p == 0.0:
-            cache["drop." + site] = None
-            return x
-        keep = rng_for(dropout_seed, "dropout", site).random(x.shape) >= p
-        scale = keep * (1.0 / (1.0 - p))
-        cache["drop." + site] = scale
-        return x * scale
+        scale = None
+        if dropout_seed is not None and p != 0.0:
+            keep = rng_for(dropout_seed, "dropout", site).random(x.shape) >= p
+            scale = keep * (1.0 / (1.0 - p))
+        if cache is not None:
+            cache["drop." + site] = scale
+        return x if scale is None else x * scale
 
     # -------------------------------------------------------------- forward
 
-    def forward(self, seqs: Sequence[Sequence[int]], dropout_seed: Optional[int] = None) -> dict:
+    def forward(
+        self,
+        seqs: Sequence[Sequence[int]],
+        dropout_seed: Optional[int] = None,
+        *,
+        record: bool = True,
+    ) -> dict:
         """Run the encoder; returns a cache holding pooled output, hidden
-        states, per-block pooled activations, and every intermediate the
-        backward pass needs."""
+        states, per-block pooled activations and, when ``record`` is true,
+        every intermediate the backward pass needs. Inference passes
+        ``record=False``: each block's intermediates are then freed as the
+        next block starts, and the cache cannot go to :meth:`backward`."""
         tokens, mask = self.prepare_batch(seqs)
         P = self.params
         cache: dict = {"tokens": tokens, "mask": mask}
+        saved = cache if record else None  # where dropout scales go
         n, length = tokens.shape
         d = self.config.dim
 
@@ -220,7 +231,7 @@ class TextEncoder:
         # one GEMM; attention works on (n, length, .) views of them. Biases,
         # residuals and the ReLU are applied in place on fresh GEMM outputs.
         emb = (P["tok_emb"][tokens] + P["pos_emb"][:length]).reshape(n * length, d)
-        x = self._dropout(emb, "emb", dropout_seed, cache)
+        x = self._dropout(emb, "emb", dropout_seed, saved)
         cache["block_pooled"] = []
         scale = 1.0 / np.sqrt(d)
         col_bias = (1.0 - mask)[:, None, :] * MASK_BIAS
@@ -240,7 +251,7 @@ class TextEncoder:
             ctx = (attn @ v).reshape(n * length, d)
             proj = ctx @ P[p + "wo"]
             proj += P[p + "bo"]
-            r1 = self._dropout(proj, p + "attn", dropout_seed, cache)
+            r1 = self._dropout(proj, p + "attn", dropout_seed, saved)
             r1 += x
             y, ln1 = _ln_forward(r1, P[p + "ln1_g"], P[p + "ln1_b"])
             h = y @ P[p + "w1"]
@@ -248,11 +259,13 @@ class TextEncoder:
             np.maximum(h, 0.0, out=h)
             ffn = h @ P[p + "w2"]
             ffn += P[p + "b2"]
-            r2 = self._dropout(ffn, p + "ffn", dropout_seed, cache)
+            r2 = self._dropout(ffn, p + "ffn", dropout_seed, saved)
             r2 += y
-            cache[f"blk{i}"] = dict(x_in=x, w_qkv=w_qkv, qkv=qkv, attn=attn, ctx=ctx,
-                                    h=h, y=y, ln1=ln1)
-            x, cache[f"blk{i}"]["ln2"] = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
+            x_in = x
+            x, ln2 = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
+            if record:
+                cache[f"blk{i}"] = dict(x_in=x_in, w_qkv=w_qkv, qkv=qkv, attn=attn,
+                                        ctx=ctx, h=h, y=y, ln1=ln1, ln2=ln2)
             cache["block_pooled"].append(self._pool(x.reshape(n, length, d), mask))
 
         cache["hidden"] = x.reshape(n, length, d)
@@ -357,13 +370,13 @@ class TextEncoder:
         dropout_seed: Optional[int] = None,
         batch_ids: Optional[Sequence] = None,
     ) -> EmbeddingBatch:
-        cache = self.forward(seqs, dropout_seed)
+        cache = self.forward(seqs, dropout_seed, record=False)
         ids = tuple(batch_ids) if batch_ids is not None else tuple(range(len(seqs)))
         return EmbeddingBatch(cache["pooled"], TEXT, ids)
 
     def block_activations(self, seqs: Sequence[Sequence[int]]) -> list[np.ndarray]:
         """Per-block mean-pooled hidden states, dropout disabled."""
-        return self.forward(seqs, dropout_seed=None)["block_pooled"]
+        return self.forward(seqs, dropout_seed=None, record=False)["block_pooled"]
 
     def masked_forward(self, seqs, dropout_seed: Optional[int] = None):
         """Per-position distributions over the vocabulary, plus the cache."""

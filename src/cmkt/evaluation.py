@@ -171,22 +171,27 @@ class TaskModel:
         return out
 
     def score_items(
-        self, items: Sequence[MCQAItem], dropout_seed: Optional[int] = None
+        self,
+        items: Sequence[MCQAItem],
+        dropout_seed: Optional[int] = None,
+        *,
+        record: bool = True,
     ) -> tuple[np.ndarray, dict]:
         """(n_items, n_choices) head scores and the encoder cache they came
-        from; dropout only when a seed is given (training)."""
+        from; dropout only when a seed is given (training), and the cache
+        keeps what backward needs only when ``record`` is true."""
         if not items:
             raise ConfigError("no items to score")
         n_choices = len(items[0].choices)
         seqs = [toks for item in items for toks in self._choice_tokens(item)]
-        cache = self.encoder.forward(seqs, dropout_seed)
+        cache = self.encoder.forward(seqs, dropout_seed, record=record)
         scores = cache["pooled"] @ self.head_w + self.head_b
         return scores.reshape(len(items), n_choices), cache
 
     def predict(self, items: Sequence[MCQAItem]) -> list[int]:
         """Argmax choice per item; exact ties resolve to the lowest index.
         Non-finite scores mean fine-tuning diverged: TrainingError."""
-        scores, _ = self.score_items(items)
+        scores, _ = self.score_items(items, record=False)
         if not np.isfinite(scores).all():
             raise TrainingError("non-finite choice scores: the fine-tuned model diverged")
         return [int(i) for i in np.argmax(scores, axis=1)]

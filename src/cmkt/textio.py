@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -60,8 +61,22 @@ def parse_errors(where: str | Path, error: type[Exception] = ParseError):
 
 
 def write_bytes(path: str | Path, data: bytes) -> None:
-    """The file at ``path``, created or replaced, holding exactly ``data``."""
-    Path(path).write_bytes(data)
+    """The file at ``path``, created or replaced, holding exactly ``data``.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it
+    in one rename, so a run killed or failing mid-write leaves the previous
+    file (or none), never a truncated one; a failed write removes the
+    temporary file. Nothing is synced to disk, so this guards against a
+    dying process, not against a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_lines(path: str | Path, lines: Iterable[str], end: str = "\n") -> None:

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
 from .corpus import (
@@ -206,11 +205,14 @@ class TrainRecord:
     negatives: tuple[tuple[int, ...], ...] = ()
 
 
+# receives each epoch's checkpoint as soon as it is bundled
+EpochSink = Callable[[Checkpoint], None]
+
+
 @dataclass
 class PretrainResult:
     method: str
     config: PretrainConfig
-    checkpoints: tuple[Checkpoint, ...]
     final: Checkpoint
     loss_rows: tuple[dict, ...]
     components: tuple[str, ...]
@@ -515,7 +517,7 @@ def _attach_vokens(
 ) -> list[TrainRecord]:
     out = []
     for rec in records:
-        states = encoder.forward([list(rec.tokens)])["hidden"][0]
+        states = encoder.forward([list(rec.tokens)], record=False)["hidden"][0]
         vokens = assign_vokens(states, bank_matrix)
         out.append(dataclasses.replace(rec, voken_targets=tuple(vokens)))
     return out
@@ -532,6 +534,7 @@ def run_training_loop(
     weights: tuple[float, ...],
     meta_base: dict,
     extra_components: Optional[dict[str, Callable]] = None,
+    on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
     """The epoch/batch/SGD loop of pretrain, the teacher trainer and
     distillation.
@@ -541,11 +544,12 @@ def run_training_loop(
     names to closures with the engine's ``(batch, epoch, step) -> (loss,
     text grads, image grads)`` signature. A component of weight 0 is not
     run and logs 0.0. A non-finite loss or parameter raises TrainingError.
+    Each epoch's checkpoint goes to ``on_epoch`` when the epoch ends and is
+    not kept, so a run holds one checkpoint at a time whatever its length.
     """
     engine = _ComponentEngine(config, encoder, image_encoder, vocab, global_pool)
     engine.fns.update(extra_components or {})
     loss_rows: list[dict] = []
-    checkpoints: list[Checkpoint] = []
     step = 0
 
     def bundle(epoch: int, kind: str) -> Checkpoint:
@@ -579,12 +583,12 @@ def run_training_loop(
             if image_encoder is not None:
                 _sgd(image_encoder.params, image_grads, config.learning_rate, step)
             step += 1
-        checkpoints.append(bundle(epoch, "epoch"))
+        if on_epoch is not None:
+            on_epoch(bundle(epoch, "epoch"))
     final = bundle(config.epochs, "final")
     return PretrainResult(
         method=meta_base["method"],
         config=config,
-        checkpoints=tuple(checkpoints),
         final=final,
         loss_rows=tuple(loss_rows),
         components=components,
@@ -592,10 +596,14 @@ def run_training_loop(
 
 
 def pretrain(
-    method: MethodSpec | str, data: TrainingData, config: PretrainConfig
+    method: MethodSpec | str,
+    data: TrainingData,
+    config: PretrainConfig,
+    on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
-    """Run one named method over the corpus; returns per-epoch checkpoints,
-    a final checkpoint, and the per-step loss log."""
+    """Run one named method over the corpus; hands each epoch's checkpoint
+    to ``on_epoch`` and returns the final checkpoint and the per-step loss
+    log."""
     if isinstance(method, str):
         method = MethodSpec.named(method)
     if method.name == "CMKD":
@@ -635,6 +643,7 @@ def pretrain(
         components=method.components,
         weights=method.weights,
         meta_base=meta_base,
+        on_epoch=on_epoch,
     )
 
 
@@ -690,6 +699,17 @@ def build_voken_bank(
 # ---------------------------------------------------------------------------
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Rank correlation with average ranks on ties."""
     xa = np.asarray(x, dtype=np.float64)
@@ -700,11 +720,11 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise ShapeError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
     if xa.shape[0] < 2:
         raise ShapeError(f"need at least 2 points, got {xa.shape[0]}")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise DomainError("rank correlation undefined for NaN or infinite values")
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise DomainError("rank correlation undefined for a constant input")
-    rx = rankdata(xa)
-    ry = rankdata(ya)
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return float(np.corrcoef(_average_ranks(xa), _average_ranks(ya))[0, 1])
 
 
 @dataclass(frozen=True)
@@ -750,7 +770,10 @@ def load_similarity_set(path: str | Path) -> list[tuple[str, str, float]]:
     for where, line in read_lines(path):
         with parse_errors(where):
             a, b, score = tab_fields(line, 3)
-            items.append((a, b, float(score)))
+            value = float(score)
+            if not np.isfinite(value):
+                raise ValueError(f"score {score!r} is not finite")
+            items.append((a, b, value))
     return items
 
 

@@ -210,12 +210,15 @@ def test_non_finite_float_flag_exit_2(flag, value, world_dir, cmcl_dir, tiny_pre
     out = tmp_path / "out"
     argv = finite_flag_argv(flag, value, world_dir, cmcl_dir, tiny_pretrain_config,
                             tiny_eval_config, out)
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert flag in err and "finite" in err
     assert not out.exists()
+
+
+def test_help_prints_usage_and_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cmkt")
 
 
 @pytest.mark.parametrize(
@@ -289,9 +292,7 @@ class TestPerturbCommand:
     def test_config_flag_is_rejected(self, world_dir, tmp_path, capsys):
         """perturb has no settings, so --config is a usage error."""
         argv = two_caption_perturb_argv(world_dir, tmp_path, tmp_path / "r.tsv")
-        with pytest.raises(SystemExit) as info:
-            main(argv + ["--config", "perturb.json"])
-        assert info.value.code == 2
+        assert main(argv + ["--config", "perturb.json"]) == 2
         assert "--config" in capsys.readouterr().err
 
     def test_skips_non_train_pairs(self, world_dir, tmp_path):
@@ -370,17 +371,16 @@ class TestPretrainCommand:
         assert (cmcl_dir / "checkpoint-epoch-002.ckpt").exists()
 
     def test_unknown_method_exit_2_lists_valid(self, world_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "pretrain",
-                    "--method", "WAT",
-                    "--pairs", str(world_dir / "pairs.tsv"),
-                    "--vocab", str(world_dir / "vocab.txt"),
-                    "--out", str(tmp_path / "o"),
-                ]
-            )
-        assert excinfo.value.code == 2
+        code = main(
+            [
+                "pretrain",
+                "--method", "WAT",
+                "--pairs", str(world_dir / "pairs.tsv"),
+                "--vocab", str(world_dir / "vocab.txt"),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
         err = capsys.readouterr().err
         assert "CMCL" in err and "MLM" in err and "CMKD" in err
 
@@ -462,6 +462,36 @@ class TestPretrainCommand:
         )
         assert rc == 3
         assert re.search(r"non-finite .* at step \d+", capsys.readouterr().err)
+
+    def test_divergence_in_epoch_2_keeps_epoch_1_and_writes_no_manifest(
+        self, world_dir, tiny_pretrain_config, tmp_path, monkeypatch, capsys
+    ):
+        """Epoch checkpoints are on disk as soon as their epoch ends, so a run
+        that fails later keeps them; without a manifest it reads as unfinished."""
+        from cmkt import training
+        from cmkt.checkpoint import load_checkpoint
+        from cmkt.corpus import load_pairs
+        from cmkt.errors import TrainingError
+
+        train = [p for p in load_pairs(world_dir / "pairs.tsv") if p.split == "train"]
+        first_step_of_epoch_2 = -(-len(train) // 16)  # batch_size 16
+        real_sgd = training._sgd
+
+        def diverge(params, grads, lr, step):
+            if step == first_step_of_epoch_2:
+                raise TrainingError(f"non-finite parameter tok_emb at step {step}", step=step)
+            real_sgd(params, grads, lr, step)
+
+        monkeypatch.setattr(training, "_sgd", diverge)
+        out = tmp_path / "o"
+        rc = main(["pretrain", "--method", "MLM",
+                   "--pairs", str(world_dir / "pairs.tsv"),
+                   "--vocab", str(world_dir / "vocab.txt"),
+                   "--config", str(tiny_pretrain_config), "--out", str(out)])
+        assert rc == 3
+        assert f"at step {first_step_of_epoch_2}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint-epoch-001.ckpt"]
+        assert load_checkpoint(out / "checkpoint-epoch-001.ckpt").meta["epoch"] == 1
 
     def test_manifest_hashes_inputs(self, cmcl_dir):
         manifest = json.loads((cmcl_dir / "manifest.json").read_text())
@@ -608,12 +638,11 @@ class TestFinetuneCommand:
     def test_bad_train_size_exit_2(self, world_dir, cmcl_dir, tiny_eval_config, size,
                                    tmp_path, capsys):
         """--train-size is 'full' or a positive int, checked at parse time."""
-        with pytest.raises(SystemExit) as info:
-            main(["finetune", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
-                  "--dataset", str(world_dir / "mcqa.jsonl"), "--learning-rate", "0.1",
-                  "--train-size", size, "--config", str(tiny_eval_config),
-                  "--out", str(tmp_path / "r.json")])
-        assert info.value.code == 2
+        code = main(["finetune", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                     "--dataset", str(world_dir / "mcqa.jsonl"), "--learning-rate", "0.1",
+                     "--train-size", size, "--config", str(tiny_eval_config),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
         assert "--train-size" in capsys.readouterr().err
 
 
@@ -741,10 +770,8 @@ class TestReportCommand:
     def test_config_flag_is_rejected(self, tmp_path, capsys):
         runs_path = tmp_path / "runs.jsonl"
         save_runs(fabricated_runs(), runs_path)
-        with pytest.raises(SystemExit) as info:
-            main(["report", "--runs", str(runs_path), "--config", "report.json",
-                  "--out", str(tmp_path / "rep")])
-        assert info.value.code == 2
+        assert main(["report", "--runs", str(runs_path), "--config", "report.json",
+                     "--out", str(tmp_path / "rep")]) == 2
         assert "--config" in capsys.readouterr().err
 
     def test_two_by_four_grid(self, tmp_path, capsys):

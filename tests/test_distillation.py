@@ -205,10 +205,11 @@ class TestDistillRun:
         data = make_data()
         config = small_config()
         teacher = train_teacher(TeacherSpec("cmcl"), data, config)
-        result = distill(teacher.final, data, DistillSpec(), config)
+        series = []
+        result = distill(teacher.final, data, DistillSpec(), config, on_epoch=series.append)
         assert result.method == "CMKD"
         assert result.components == ("mlm", "nst")
-        assert len(result.checkpoints) == config.epochs
+        assert len(series) == config.epochs
         assert result.final.meta["teacher"] == "teacher:cmcl"
         row = result.loss_rows[0]
         assert set(row) == {"step", "epoch", "mlm", "nst", "total"}

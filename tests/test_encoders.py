@@ -95,6 +95,35 @@ class TestForwardBehaviour:
         cache = enc.forward(SEQS)
         np.testing.assert_array_equal(cache["pooled"], cache["hidden"][:, 0, :])
 
+    @pytest.mark.parametrize("pooling", ["mean", "first"])
+    def test_inference_forward_matches_recording_forward(self, pooling):
+        """record=False gives the same outputs and keeps no backward cache."""
+        enc = TextEncoder(tiny_config(pooling=pooling, dropout=0.2), seed=42)
+        full = enc.forward(SEQS)
+        lean = enc.forward(SEQS, record=False)
+        np.testing.assert_array_equal(lean["pooled"], full["pooled"])
+        np.testing.assert_array_equal(lean["hidden"], full["hidden"])
+        for a, b in zip(lean["block_pooled"], full["block_pooled"], strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert set(lean) == {"tokens", "mask", "block_pooled", "hidden", "pooled"}
+        assert {"blk0", "blk1", "drop.emb"} <= set(full)
+
+    def test_inference_entry_points_keep_no_backward_cache(self, monkeypatch):
+        caches = []
+        real = TextEncoder.forward
+
+        def spy(self, *args, **kwargs):
+            caches.append(real(self, *args, **kwargs))
+            return caches[-1]
+
+        monkeypatch.setattr(TextEncoder, "forward", spy)
+        enc = TextEncoder(tiny_config(), seed=42)
+        enc.encode(SEQS)
+        enc.encode(SEQS, dropout_seed=3)
+        enc.block_activations(SEQS)
+        assert len(caches) == 3
+        assert not any(key.startswith(("blk", "drop.")) for c in caches for key in c)
+
     def test_block_activations_count_and_shape(self):
         enc = TextEncoder(tiny_config(num_blocks=2), seed=42)
         acts = enc.block_activations(SEQS)

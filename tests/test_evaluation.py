@@ -244,6 +244,20 @@ class TestFinetune:
         assert model.predict(one) == [one[0].gold]
         assert model.loss_rows[-1]["loss"] < 0.1
 
+    def test_predict_keeps_no_backward_cache(self, monkeypatch):
+        ds = make_dataset()
+        model = build_task_model(make_checkpoint(), seed=0)
+        caches = []
+        real = TextEncoder.forward
+
+        def spy(self, *args, **kwargs):
+            caches.append(real(self, *args, **kwargs))
+            return caches[-1]
+
+        monkeypatch.setattr(TextEncoder, "forward", spy)
+        model.predict(ds.split("test"))
+        assert len(caches) == 1 and "blk0" not in caches[0]
+
     def test_non_finite_loss_raises_training_error_with_step(self):
         ds = make_dataset()
         sub = ds.split("train")[:6]

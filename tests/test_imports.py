@@ -1,8 +1,11 @@
 """Lint check without a linter: every import in ``src/cmkt``, at the top level
 or inside a function, is used, and no function imports again from a module the
-file already imports at the top level."""
+file already imports at the top level. Also: what importing the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,12 @@ def test_scan_covers_function_bodies():
     )
     assert unused_imports(source, "m") == ["m.py:6: json"]
     assert local_reimports(source, "m") == ["m.py:7: .a"]
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command starts by importing the CLI; scipy alone would add
+    about 70 MB and most of a second to each of them."""
+    code = "import sys, cmkt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"

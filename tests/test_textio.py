@@ -127,6 +127,24 @@ class TestWriteBytes:
         write_bytes(path, b"short")
         assert path.read_bytes() == b"short"
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        """A write that dies halfway (a full disk, a kill) leaves the old
+        bytes in place and no temporary file behind."""
+        path = tmp_path / "f.ckpt"
+        path.write_bytes(b"previous checkpoint")
+
+        def half_then_fail(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            write_bytes(path, b"a new checkpoint of some length")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"previous checkpoint"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.ckpt"]
+
 
 class TestWriteLines:
     def test_each_line_ends_with_a_newline(self, tmp_path):

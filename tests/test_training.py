@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,13 +282,36 @@ class TestLoopBookkeeping:
             assert abs(row["total"] - recombined) < 1e-10
 
     def test_one_checkpoint_per_epoch_plus_final(self):
-        result = pretrain("MLM", make_data(), small_config(epochs=3))
-        assert len(result.checkpoints) == 3
-        assert [c.meta["epoch"] for c in result.checkpoints] == [1, 2, 3]
-        assert all(c.meta["kind"] == "epoch" for c in result.checkpoints)
+        series = []
+        result = pretrain("MLM", make_data(), small_config(epochs=3), on_epoch=series.append)
+        assert len(series) == 3
+        assert [c.meta["epoch"] for c in series] == [1, 2, 3]
+        assert all(c.meta["kind"] == "epoch" for c in series)
         assert result.final.meta["kind"] == "final"
         for name, value in result.final.params.items():
-            np.testing.assert_array_equal(value, result.checkpoints[-1].params[name])
+            np.testing.assert_array_equal(value, series[-1].params[name])
+
+    def test_peak_memory_does_not_grow_with_epochs(self):
+        """Epoch checkpoints go to the sink and are not kept, so eight epochs
+        with a discarding sink peak within one checkpoint's size of two."""
+        data = make_data()
+
+        def peak(epochs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = pretrain("MLM", data, small_config(epochs=epochs, dim=32, ffn_dim=64),
+                              on_epoch=lambda ckpt: None)
+            return tracemalloc.get_traced_memory()[1] - start, result
+
+        tracemalloc.start()
+        try:
+            peak(1)  # first-use allocations land outside the measured runs
+            two, result = peak(2)
+            eight, _ = peak(8)
+        finally:
+            tracemalloc.stop()
+        checkpoint_bytes = sum(v.nbytes for v in result.final.params.values())
+        assert eight - two < checkpoint_bytes
 
     def test_checkpoints_restore_to_working_encoders(self):
         result = pretrain("MLM", make_data(), small_config(epochs=1))
@@ -418,15 +442,17 @@ class TestDeterminism:
 
 class TestImageProjectionTraining:
     def test_contrastive_training_moves_the_projection(self):
-        result = pretrain("CMCL", make_data(), small_config())
-        first = result.checkpoints[0].image_params()["proj_w"]
-        last = result.checkpoints[-1].image_params()["proj_w"]
+        series = []
+        pretrain("CMCL", make_data(), small_config(), on_epoch=series.append)
+        first = series[0].image_params()["proj_w"]
+        last = series[-1].image_params()["proj_w"]
         assert not np.array_equal(first, last)
 
     def test_voken_method_keeps_projection_fixed(self):
-        result = pretrain("VOKEN+MLM", make_data(), small_config())
-        first = result.checkpoints[0].image_params()["proj_w"]
-        last = result.checkpoints[-1].image_params()["proj_w"]
+        series = []
+        pretrain("VOKEN+MLM", make_data(), small_config(), on_epoch=series.append)
+        first = series[0].image_params()["proj_w"]
+        last = series[-1].image_params()["proj_w"]
         np.testing.assert_array_equal(first, last)
 
     def test_text_only_method_stores_no_image_params(self):
@@ -566,6 +592,24 @@ class TestSpearman:
         with pytest.raises(DomainError):
             spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_input_rejected(self, bad, side):
+        """NaN would otherwise get a rank of its own and inf the top rank."""
+        values = [1.0, bad, 3.0, 2.0]
+        x, y = (values, [1.0, 2.0, 3.0, 4.0]) if side == "x" else ([1.0, 2.0, 3.0, 4.0], values)
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            spearman(x, y)
+
+    def test_average_ranks_equal_loop_ranks(self):
+        rng = np.random.default_rng(29)
+        for size in (1, 2, 7, 40):
+            for _ in range(20):
+                values = rng.integers(0, 5, size=size).astype(float)
+                np.testing.assert_array_equal(
+                    training_module._average_ranks(values), oracles.average_ranks(list(values))
+                )
+
 
 class TestSelectCheckpoint:
     def make_bundle(self, seed, vocab):
@@ -648,6 +692,13 @@ class TestSimilaritySetIO:
         path = tmp_path / "sims.tsv"
         path.write_text("a\tb\tnot-a-number\n")
         with pytest.raises(ParseError, match=":1"):
+            load_similarity_set(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_reports_line(self, tmp_path, score):
+        path = tmp_path / "sims.tsv"
+        path.write_text(f"a\tb\t0.5\nc\td\t{score}\n")
+        with pytest.raises(ParseError, match=":2: .*not finite"):
             load_similarity_set(path)
 
 
