@@ -1,4 +1,4 @@
-"""Caption ingestion, word-level tokenization, and dynamic masking plans.
+"""Caption ingestion, word-level tokenization, and dynamic masking.
 
 The reference tokenizer is deliberately simple: lowercase, split on
 whitespace, map unknown words to ``[unk]``. Subword tokenizers can be
@@ -31,9 +31,6 @@ MASK_ACTION = "mask"
 KEEP_ACTION = "keep"
 RANDOM_ACTION = "random"
 ACTIONS = (MASK_ACTION, KEEP_ACTION, RANDOM_ACTION)
-
-NO_REPLACEMENT = -1
-
 
 class Vocab:
     """A fixed word-to-id table with the four special tokens up front."""
@@ -158,101 +155,42 @@ def save_pairs(pairs: Iterable[CaptionPair], path: str | Path) -> None:
     write_lines(path, (f"{p.image_id}\t{p.caption}\t{p.split}" for p in pairs))
 
 
-@dataclass(frozen=True)
-class MaskingPlan:
-    """Which positions to corrupt, how, and what the model should recover.
-
-    Parallel tuples: ``positions`` (strictly increasing), ``actions``
-    (mask / keep / random), ``replacements`` (a token id for random
-    actions, NO_REPLACEMENT otherwise), ``targets`` (the original ids).
-    """
-
-    positions: tuple[int, ...]
-    actions: tuple[str, ...]
-    replacements: tuple[int, ...]
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.positions)
-        if not (len(self.actions) == len(self.replacements) == len(self.targets) == n):
-            raise ValidationError("masking plan fields have mismatched lengths")
-        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
-            raise ValidationError(
-                f"plan positions must be strictly increasing, got {self.positions}"
-            )
-        for action, repl in zip(self.actions, self.replacements):
-            if action not in ACTIONS:
-                raise ValidationError(f"unknown masking action {action!r}")
-            if (action == RANDOM_ACTION) != (repl != NO_REPLACEMENT):
-                raise ValidationError(
-                    "replacement tokens go with random actions and nothing else"
-                )
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
 def plan_dynamic_masking(
-    tokens: Sequence[int],
+    tokens: np.ndarray,
     vocab: Vocab,
     rng: np.random.Generator,
     rate: float = 0.15,
     splits: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> MaskingPlan:
-    """Draw a fresh corruption plan for one sequence.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw a fresh corruption plan for a padded batch of token ids.
 
     Every non-special token is selected independently with probability
     ``rate``; each selected token is masked, kept, or replaced by a random
-    ordinary word, with probabilities given by ``splits``. Plans are meant
-    to be redrawn every epoch from an epoch-derived generator.
+    ordinary word, with probabilities given by ``splits``. The generator
+    is read in three draws: one uniform per batch cell for the selection,
+    one per selected cell for the action, one content-word index per
+    random action. Returns ``(masked, selected, actions)``: the corrupted
+    copy of ``tokens``, the boolean selection of the same shape, and the
+    index into ``ACTIONS`` of each selected cell in row-major order.
+    Plans are meant to be redrawn every step from a step-derived
+    generator.
     """
     if not 0.0 < rate < 1.0:
         raise ConfigError(f"masking rate must lie in (0, 1), got {rate}")
     if len(splits) != 3 or any(s < 0 for s in splits) or abs(sum(splits) - 1.0) > 1e-9:
         raise ConfigError(f"action splits must be 3 non-negative numbers summing to 1, got {splits}")
 
+    tokens = np.asarray(tokens)
+    selected = rng.random(tokens.shape) < rate
+    selected &= tokens >= len(SPECIALS)  # the specials hold the first ids
+    u = rng.random(np.count_nonzero(selected))
+    actions = (u >= splits[0]).astype(np.int64)
+    actions += u >= splits[0] + splits[1]
+    masked = tokens.copy()
+    picked = masked[selected]
+    picked[actions == 0] = vocab.mask_id  # action codes index ACTIONS
+    is_random = actions == 2
     content = vocab.content_ids()
-    positions, actions, replacements, targets = [], [], [], []
-    for pos, token in enumerate(tokens):
-        if token in vocab.special_ids:
-            continue
-        if rng.random() >= rate:
-            continue
-        u = rng.random()
-        if u < splits[0]:
-            action, repl = MASK_ACTION, NO_REPLACEMENT
-        elif u < splits[0] + splits[1]:
-            action, repl = KEEP_ACTION, NO_REPLACEMENT
-        else:
-            if content.size == 0:
-                raise ConfigError("vocabulary has no ordinary words to replace with")
-            action, repl = RANDOM_ACTION, int(content[rng.integers(content.size)])
-        positions.append(pos)
-        actions.append(action)
-        replacements.append(repl)
-        targets.append(int(token))
-    return MaskingPlan(
-        positions=tuple(positions),
-        actions=tuple(actions),
-        replacements=tuple(replacements),
-        targets=tuple(targets),
-    )
-
-
-def apply_masking_plan(tokens: Sequence[int], plan: MaskingPlan, vocab: Vocab) -> list[int]:
-    """Corrupt a token sequence per the plan; the original is untouched."""
-    out = list(tokens)
-    for pos, action, repl, target in zip(
-        plan.positions, plan.actions, plan.replacements, plan.targets
-    ):
-        if not 0 <= pos < len(out):
-            raise ValidationError(f"plan position {pos} outside sequence of length {len(out)}")
-        if out[pos] != target:
-            raise ValidationError(
-                f"plan target {target} does not match token {out[pos]} at position {pos}"
-            )
-        if action == MASK_ACTION:
-            out[pos] = vocab.mask_id
-        elif action == RANDOM_ACTION:
-            out[pos] = repl
-    return out
+    picked[is_random] = content[rng.integers(content.size, size=np.count_nonzero(is_random))]
+    masked[selected] = picked
+    return masked, selected, actions

@@ -74,10 +74,12 @@ class TextEncoderConfig:
 
 
 def _ln_forward(x, gamma, beta):
-    """Layer norm over the rows of a 2-D array. The row mean stays a
+    """Layer norm over the rows of a 2-D array. ``x`` is overwritten with
+    the normalized rows, which the cache keeps. The row mean stays a
     reduction: a GEMV mean rounds differently, enough to push the
     first-token-pooling finite-difference test just past its bound."""
-    x_hat = x - x.mean(axis=-1, keepdims=True)
+    x_hat = x
+    x_hat -= x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((x_hat * x_hat) @ np.full(x.shape[1], 1.0 / x.shape[1]) + LN_EPS)
     x_hat *= inv[:, None]
     out = x_hat * gamma
@@ -99,9 +101,11 @@ def _ln_backward(d_out, cache, ones):
 
 
 def _softmax_last(x):
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, computed in place in ``x``."""
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _wgrad(a, b):
@@ -123,12 +127,29 @@ def _undrop(d_out, scale):
     return d_out if scale is None else d_out * scale
 
 
+def _drop(x, site, rng, p, saved):
+    """Dropout at ``site``, in place on ``x``: the keep-mask is the next
+    ``x.shape`` uniforms of ``rng`` (None when dropout is off). The scale
+    goes to ``saved`` unless that is None."""
+    scale = None
+    if rng is not None:
+        scale = rng.random(x.shape) >= p
+        scale = scale * (1.0 / (1.0 - p))
+        x *= scale
+    if saved is not None:
+        saved["drop." + site] = scale
+    return x
+
+
 class TextEncoder:
     """A pure-numpy transformer encoder over token-id sequences.
 
     Every forward pass is a deterministic function of (parameters, input,
     dropout seed); passing ``dropout_seed=None`` disables dropout
-    entirely, which is the evaluation mode.
+    entirely, which is the evaluation mode. A training forward derives
+    one generator, ``rng_for(dropout_seed, "dropout")``, and its dropout
+    sites draw their keep-masks from it in a fixed order: ``emb``, then
+    ``blk<i>.attn`` and ``blk<i>.ffn`` for each block in turn.
     """
 
     def __init__(self, config: TextEncoderConfig, seed: int = 0):
@@ -194,18 +215,6 @@ class TextEncoder:
             )
         return tokens, real.astype(np.float64)
 
-    def _dropout(self, x, site, dropout_seed, cache):
-        """Dropout at ``site``; its scale (None when off) goes to ``cache``
-        unless that is None."""
-        p = self.config.dropout
-        scale = None
-        if dropout_seed is not None and p != 0.0:
-            keep = rng_for(dropout_seed, "dropout", site).random(x.shape) >= p
-            scale = keep * (1.0 / (1.0 - p))
-        if cache is not None:
-            cache["drop." + site] = scale
-        return x if scale is None else x * scale
-
     # -------------------------------------------------------------- forward
 
     def forward(
@@ -226,12 +235,19 @@ class TextEncoder:
         saved = cache if record else None  # where dropout scales go
         n, length = tokens.shape
         d = self.config.dim
+        p_drop = self.config.dropout
+        rng = None
+        if dropout_seed is not None and p_drop != 0.0:
+            rng = rng_for(dropout_seed, "dropout")
 
         # hidden states are (n * length, d) matrices, so every projection is
         # one GEMM; attention works on (n, length, .) views of them. Biases,
-        # residuals and the ReLU are applied in place on fresh GEMM outputs.
+        # dropout masks, residuals and the ReLU are applied in place on fresh
+        # GEMM outputs; softmax overwrites the scores and layer norm the
+        # residual sum.
         emb = (P["tok_emb"][tokens] + P["pos_emb"][:length]).reshape(n * length, d)
-        x = self._dropout(emb, "emb", dropout_seed, saved)
+        x = _drop(emb, "emb", rng, p_drop, saved)
+        pool_weights = self._pool_weights(mask)
         cache["block_pooled"] = []
         scale = 1.0 / np.sqrt(d)
         col_bias = (1.0 - mask)[:, None, :] * MASK_BIAS
@@ -251,7 +267,7 @@ class TextEncoder:
             ctx = (attn @ v).reshape(n * length, d)
             proj = ctx @ P[p + "wo"]
             proj += P[p + "bo"]
-            r1 = self._dropout(proj, p + "attn", dropout_seed, saved)
+            r1 = _drop(proj, p + "attn", rng, p_drop, saved)
             r1 += x
             y, ln1 = _ln_forward(r1, P[p + "ln1_g"], P[p + "ln1_b"])
             h = y @ P[p + "w1"]
@@ -259,32 +275,36 @@ class TextEncoder:
             np.maximum(h, 0.0, out=h)
             ffn = h @ P[p + "w2"]
             ffn += P[p + "b2"]
-            r2 = self._dropout(ffn, p + "ffn", dropout_seed, saved)
+            r2 = _drop(ffn, p + "ffn", rng, p_drop, saved)
             r2 += y
             x_in = x
             x, ln2 = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
             if record:
                 cache[f"blk{i}"] = dict(x_in=x_in, w_qkv=w_qkv, qkv=qkv, attn=attn,
                                         ctx=ctx, h=h, y=y, ln1=ln1, ln2=ln2)
-            cache["block_pooled"].append(self._pool(x.reshape(n, length, d), mask))
+            cache["block_pooled"].append(self._pool(x.reshape(n, length, d), pool_weights))
 
         cache["hidden"] = x.reshape(n, length, d)
         cache["pooled"] = cache["block_pooled"][-1].copy()
         return cache
 
-    def _pool(self, hidden, mask):
+    def _pool_weights(self, mask):
+        """Per-position pooling weights: 1 at the first position, or each
+        real token's share of the mean."""
         if self.config.pooling == FIRST_POOL:
-            return hidden[:, 0, :].copy()
-        counts = mask.sum(axis=1, keepdims=True)
-        return (hidden * mask[:, :, None]).sum(axis=1) / counts
+            weights = np.zeros_like(mask)
+            weights[:, 0] = 1.0
+            return weights
+        return mask / mask.sum(axis=1, keepdims=True)
 
-    def _pool_backward(self, d_pooled, mask):
-        if self.config.pooling == FIRST_POOL:
-            d_hidden = np.zeros(mask.shape + (self.config.dim,))
-            d_hidden[:, 0, :] = d_pooled
-            return d_hidden
-        counts = mask.sum(axis=1)
-        return d_pooled[:, None, :] * mask[:, :, None] / counts[:, None, None]
+    @staticmethod
+    def _pool(hidden, weights):
+        """Pooled ``(n, d)`` output of ``(n, length, d)`` hidden states."""
+        return (weights[:, None, :] @ hidden)[:, 0, :]
+
+    @staticmethod
+    def _pool_backward(d_pooled, weights):
+        return weights[:, :, None] * d_pooled[:, None, :]
 
     # ------------------------------------------------------------- backward
 
@@ -299,7 +319,7 @@ class TextEncoder:
         final pooled vector, on per-position hidden states, and on each
         block's pooled activation (used by activation matching)."""
         P = self.params
-        mask = cache["mask"]
+        pool_weights = self._pool_weights(cache["mask"])
         tokens = cache["tokens"]
         n, length = tokens.shape
         d = self.config.dim
@@ -314,11 +334,11 @@ class TextEncoder:
         if d_hidden is not None:
             d_x += d_hidden.reshape(n * length, d)
         if d_pooled is not None:
-            d_x += self._pool_backward(d_pooled, mask).reshape(n * length, d)
+            d_x += self._pool_backward(d_pooled, pool_weights).reshape(n * length, d)
 
         for i in reversed(range(self.config.num_blocks)):
             if d_block_pooled is not None and d_block_pooled[i] is not None:
-                d_x += self._pool_backward(d_block_pooled[i], mask).reshape(n * length, d)
+                d_x += self._pool_backward(d_block_pooled[i], pool_weights).reshape(n * length, d)
             p = f"blk{i}."
             blk = cache[f"blk{i}"]
 
@@ -389,18 +409,17 @@ class TextEncoder:
     def mlm_step(self, seqs, selections, dropout_seed: Optional[int] = None):
         """Fused masked-token loss and gradients.
 
-        ``selections`` is a list of (batch index, position, target id)
-        triples; the loss is the mean cross-entropy over them.
-        Returns (loss, gradient dict covering trunk and head).
+        ``selections`` holds (batch index, position, target id) triples,
+        as a list or a ``(k, 3)`` array; the loss is the mean
+        cross-entropy over them. Returns (loss, gradient dict covering
+        trunk and head).
         """
-        if not selections:
+        if len(selections) == 0:
             return 0.0, {}
         cache = self.forward(seqs, dropout_seed)
-        rows = np.array([s[0] for s in selections])
-        cols = np.array([s[1] for s in selections])
-        targets = np.array([s[2] for s in selections])
-        length = cache["tokens"].shape[1]
-        if np.any(cols >= length) or np.any(cols < 0):
+        rows, cols, targets = np.asarray(selections, dtype=np.int64).reshape(-1, 3).T
+        n, length = cache["tokens"].shape
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= length)):
             raise ValidationError("masked position outside the padded batch")
         return self._head_step(cache, "mlm", rows, cols, targets)
 
@@ -425,15 +444,21 @@ class TextEncoder:
 
     def _head_step(self, cache, head, rows, cols, targets):
         """Cross-entropy of a token head (``mlm`` or ``voken``) at the
-        selected positions, with gradients for the trunk and the head."""
+        selected positions, with gradients for the trunk and the head.
+        Only the selected hidden states are scored."""
         w = self.params[head + "_w"]
-        logits = cache["hidden"] @ w + self.params[head + "_b"]
-        loss, d_sel = softmax_cross_entropy(logits[rows, cols], targets)
-        d_logits = np.zeros_like(logits)
-        np.add.at(d_logits, (rows, cols), d_sel)
-        grads = self.backward(cache, d_hidden=d_logits @ w.T)
-        grads[head + "_w"] = _wgrad(cache["hidden"], d_logits)
-        grads[head + "_b"] = d_logits.sum(axis=(0, 1))
+        hidden = cache["hidden"]
+        n, length, d = hidden.shape
+        picked = hidden[rows, cols]
+        logits = picked @ w
+        logits += self.params[head + "_b"]
+        loss, d_logits = softmax_cross_entropy(logits, targets)
+        # a position selected twice gets both gradients: the scatter-add
+        # of the embedding gradient, over flat batch positions
+        d_hidden = _embedding_grad(rows * length + cols, d_logits @ w.T, n * length)
+        grads = self.backward(cache, d_hidden=d_hidden.reshape(n, length, d))
+        grads[head + "_w"] = picked.T @ d_logits
+        grads[head + "_b"] = np.ones(len(targets)) @ d_logits
         return loss, grads
 
     # -------------------------------------------------------- param plumbing

@@ -15,7 +15,7 @@ Every random draw flows from the config seed through derive_seed with a
 documented purpose:
 
     ("order", epoch)               batch order permutation
-    ("mask", epoch, record)        masking plan for one record
+    ("mask", epoch, step)          masking plan for the padded batch
     ("mlm-dropout", epoch, step)   dropout for the masked forward
     ("tcl-a" / "tcl-b", epoch, step)   the two dropout views
     ("tcl-neg", epoch, step)       dropout for tcl hard negatives
@@ -40,13 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
-from .corpus import (
-    CaptionPair,
-    Vocab,
-    apply_masking_plan,
-    plan_dynamic_masking,
-    tokenize,
-)
+from .corpus import CaptionPair, Vocab, plan_dynamic_masking, tokenize
 from .encoders import FeatureBank, ImageEncoder, TextEncoder, TextEncoderConfig
 from .errors import ConfigError, DomainError, ParseError, ShapeError, TrainingError
 from .objectives import (
@@ -301,31 +295,30 @@ def mlm_batch_step(
     encoder: TextEncoder,
     vocab: Vocab,
     batch_tokens: Sequence[Sequence[int]],
-    record_ids: Sequence[int],
     seed: int,
     epoch: int,
     step: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """One masked-prediction step: per-record dynamic plans, one fused
-    forward/backward."""
-    masked = []
-    selections = []
-    for b, (rid, toks) in enumerate(zip(record_ids, batch_tokens)):
-        plan = plan_dynamic_masking(list(toks), vocab, rng_for(seed, "mask", epoch, rid))
-        masked.append(apply_masking_plan(list(toks), plan, vocab))
-        selections.extend((b, pos, tgt) for pos, tgt in zip(plan.positions, plan.targets))
-    if not selections:
+    """One masked-prediction step: one dynamic plan over the padded batch,
+    one fused forward/backward."""
+    tokens, _ = encoder.prepare_batch(batch_tokens)
+    masked, selected, _ = plan_dynamic_masking(tokens, vocab, rng_for(seed, "mask", epoch, step))
+    if not selected.any():
         return 0.0, {}
+    rows, cols = np.nonzero(selected)
+    seqs = [row[: len(toks)] for row, toks in zip(masked.tolist(), batch_tokens)]
     dropout_seed = derive_seed(seed, "mlm-dropout", epoch, step)
-    return encoder.mlm_step(masked, selections, dropout_seed)
+    return encoder.mlm_step(seqs, np.stack([rows, cols, tokens[rows, cols]], axis=1), dropout_seed)
 
 
 def _accumulate(dst: dict, grads: dict, weight: float) -> None:
+    """Add ``weight * grads`` into ``dst``; never writes into an array of
+    ``grads``, so a weight-1 gradient is taken without a copy."""
     for name, g in grads.items():
         if name in dst:
             dst[name] = dst[name] + weight * g
         else:
-            dst[name] = weight * g
+            dst[name] = g if weight == 1.0 else weight * g
 
 
 def _sgd(params: dict, grads: dict, lr: float, step: int) -> None:
@@ -418,13 +411,7 @@ class _ComponentEngine:
 
     def _mlm(self, batch, epoch, step):
         loss, grads = mlm_batch_step(
-            self.encoder,
-            self.vocab,
-            [rec.tokens for rec in batch],
-            [rec.index for rec in batch],
-            self.config.seed,
-            epoch,
-            step,
+            self.encoder, self.vocab, [rec.tokens for rec in batch], self.config.seed, epoch, step
         )
         return loss, grads, {}
 
@@ -575,6 +562,7 @@ def run_training_loop(
                 total += weight * loss
                 _accumulate(text_grads, tg, weight)
                 _accumulate(image_grads, ig, weight)
+                del tg, ig  # kept, they would sit under the next step's peak memory
             if not np.isfinite(total):
                 raise TrainingError(f"non-finite loss {total} at step {step}", step=step)
             row["total"] = total

@@ -26,7 +26,7 @@ import pytest
 import oracles
 from cmkt.checkpoint import bundle_text_encoder, restore_text_encoder
 from cmkt.cli import main as cli_main
-from cmkt.corpus import Vocab, plan_dynamic_masking, tokenize
+from cmkt.corpus import ACTIONS, Vocab, plan_dynamic_masking, tokenize
 from cmkt.distillation import DistillSpec, TeacherSpec, distill, train_teacher
 from cmkt.encoders import ImageEncoder, TextEncoder
 from cmkt.evaluation import (
@@ -467,20 +467,12 @@ def test_criterion_4_masking_statistics():
         vocab = Vocab.from_texts([words])
         content = vocab.content_ids()
         total = 100_000
-        tokens = [int(content[i % len(content)]) for i in range(total)]
-        rng = rng_for(0, "mask-stats")
-        selected = 0
-        actions = {"mask": 0, "keep": 0, "random": 0}
-        chunk = 1000
-        for offset in range(0, total, chunk):
-            plan = plan_dynamic_masking(tokens[offset:offset + chunk], vocab, rng)
-            selected += len(plan.positions)
-            for action in plan.actions:
-                actions[action] += 1
-        rate = selected / total
+        tokens = content[np.arange(total) % len(content)].reshape(100, 1000)
+        _, selected, actions = plan_dynamic_masking(tokens, vocab, rng_for(0, "mask-stats"))
+        rate = selected.sum() / total
         assert abs(rate - 0.15) <= 0.005, f"selection rate {rate:.4f}"
-        for action, share in (("mask", 0.8), ("keep", 0.1), ("random", 0.1)):
-            got = actions[action] / selected
+        shares = np.bincount(actions, minlength=3) / len(actions)
+        for action, share, got in zip(ACTIONS, (0.8, 0.1, 0.1), shares, strict=True):
             assert abs(got - share) <= 0.01, f"{action} share {got:.4f}"
 
 

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from cmkt import ConfigError, ParseError, TokenizationError, ValidationError
 from cmkt.corpus import (
+    ACTIONS,
     KEEP_ACTION,
     MASK_ACTION,
     RANDOM_ACTION,
     CaptionPair,
-    MaskingPlan,
     Vocab,
-    apply_masking_plan,
     detokenize,
     load_pairs,
     plan_dynamic_masking,
@@ -150,118 +149,147 @@ class TestPairsFile:
             CaptionPair("img0", "   ")
 
 
+def pad(seqs):
+    """A left-aligned, pad-0 batch of token-id sequences."""
+    batch = np.zeros((len(seqs), max(map(len, seqs))), dtype=np.int64)
+    for row, seq in enumerate(seqs):
+        batch[row, : len(seq)] = seq
+    return batch
+
+
+def plan(tokens, vocab, seed, **kwargs):
+    return plan_dynamic_masking(tokens, vocab, np.random.default_rng(seed), **kwargs)
+
+
 class TestMaskingPlan:
     def test_same_seed_same_plan(self, vocab):
-        tokens = tokenize("a girl puts an apple in her bag", vocab)
-        p1 = plan_dynamic_masking(tokens, vocab, np.random.default_rng(42))
-        p2 = plan_dynamic_masking(tokens, vocab, np.random.default_rng(42))
-        assert p1 == p2
+        tokens = pad([tokenize("a girl puts an apple in her bag", vocab)] * 3)
+        for a, b in zip(plan(tokens, vocab, 42), plan(tokens, vocab, 42), strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_different_epoch_seeds_differ(self, vocab):
         """Dynamic masking redraws the plan whenever the derived seed
         changes; over many records at a 0.15 rate collisions are
         practically impossible."""
-        tokens = tokenize("the dog runs across the green field", vocab) * 3
-        plans = {
-            plan_dynamic_masking(tokens, vocab, np.random.default_rng(seed)).positions
-            for seed in range(25)
-        }
+        tokens = pad([tokenize("the dog runs across the green field", vocab) * 3])
+        plans = {plan(tokens, vocab, seed)[1].tobytes() for seed in range(25)}
         assert len(plans) > 1
 
     def test_selection_rate_statistics(self, vocab):
         """Over 10^5 eligible tokens the selected fraction stays within
         [0.145, 0.155] of the 0.15 Bernoulli rate."""
-        tokens = [vocab.id_of("apple")] * 100_000
-        plan = plan_dynamic_masking(tokens, vocab, np.random.default_rng(42))
-        frac = len(plan) / len(tokens)
+        tokens = np.full((1000, 100), vocab.id_of("apple"))
+        _, selected, _ = plan(tokens, vocab, 42)
+        frac = selected.sum() / tokens.size
         assert 0.145 <= frac <= 0.155
 
     def test_action_split_statistics(self, vocab):
         """Among roughly 10^5 selections the mask/keep/random fractions
         land within 0.01 of 0.8, 0.1 and 0.1."""
-        tokens = [vocab.id_of("apple")] * 700_000
-        plan = plan_dynamic_masking(tokens, vocab, np.random.default_rng(7))
-        n = len(plan)
+        tokens = np.full((7000, 100), vocab.id_of("apple"))
+        _, _, actions = plan(tokens, vocab, 7)
+        n = len(actions)
         assert n > 90_000
-        fracs = {a: sum(1 for x in plan.actions if x == a) / n for a in set(plan.actions)}
+        fracs = dict(zip(ACTIONS, np.bincount(actions, minlength=3) / n))
         assert abs(fracs[MASK_ACTION] - 0.8) < 0.01
         assert abs(fracs[KEEP_ACTION] - 0.1) < 0.01
         assert abs(fracs[RANDOM_ACTION] - 0.1) < 0.01
 
     def test_specials_never_selected(self, vocab):
-        tokens = [vocab.pad_id, vocab.mask_id, vocab.sep_id] * 1000
-        plan = plan_dynamic_masking(tokens, vocab, np.random.default_rng(0))
-        assert len(plan) == 0
+        tokens = np.array([[vocab.pad_id, vocab.mask_id, vocab.sep_id] * 1000])
+        masked, selected, actions = plan(tokens, vocab, 0)
+        assert not selected.any() and len(actions) == 0
+        np.testing.assert_array_equal(masked, tokens)
 
     def test_positions_strictly_increasing_and_in_bounds(self, vocab):
-        tokens = tokenize("a girl puts an apple in her bag", vocab) * 4
-        plan = plan_dynamic_masking(tokens, vocab, np.random.default_rng(5))
-        assert list(plan.positions) == sorted(set(plan.positions))
-        assert all(0 <= p < len(tokens) for p in plan.positions)
+        """The selection has the batch's shape and never lands on padding;
+        actions follow the selected cells in row-major order."""
+        short = tokenize("a man rides", vocab)
+        tokens = pad([short, tokenize("a girl puts an apple in her bag", vocab) * 4, short])
+        masked, selected, actions = plan(tokens, vocab, 5, rate=0.5)
+        assert selected.shape == tokens.shape
+        assert not selected[tokens == vocab.pad_id].any()
+        assert len(actions) == selected.sum()
+        is_masked = masked[selected] == vocab.mask_id
+        np.testing.assert_array_equal(is_masked, actions == ACTIONS.index(MASK_ACTION))
 
     def test_random_replacements_are_ordinary_words(self, vocab):
-        tokens = [vocab.id_of("apple")] * 5000
-        plan = plan_dynamic_masking(tokens, vocab, np.random.default_rng(3))
-        repls = [r for a, r in zip(plan.actions, plan.replacements) if a == RANDOM_ACTION]
-        assert repls, "expected at least one random replacement at this size"
-        assert all(r >= 4 for r in repls)
+        tokens = np.full((50, 100), vocab.id_of("apple"))
+        masked, selected, actions = plan(tokens, vocab, 3)
+        repls = masked[selected][actions == ACTIONS.index(RANDOM_ACTION)]
+        assert repls.size, "expected at least one random replacement at this size"
+        assert np.all(repls >= 4)
 
     def test_bad_rate_rejected(self, vocab):
         for rate in (0.0, 1.0, -0.1):
             with pytest.raises(ConfigError):
-                plan_dynamic_masking([4], vocab, np.random.default_rng(0), rate=rate)
+                plan(pad([[4]]), vocab, 0, rate=rate)
 
     def test_bad_splits_rejected(self, vocab):
         with pytest.raises(ConfigError):
-            plan_dynamic_masking(
-                [4], vocab, np.random.default_rng(0), splits=(0.7, 0.2, 0.2)
-            )
+            plan(pad([[4]]), vocab, 0, splits=(0.7, 0.2, 0.2))
 
-    def test_unsorted_plan_rejected(self):
-        with pytest.raises(ValidationError):
-            MaskingPlan((3, 1), (MASK_ACTION, MASK_ACTION), (-1, -1), (5, 6))
+    def test_replacement_only_with_random_action(self, vocab):
+        """Only random actions put an ordinary word other than the original
+        in a selected cell; only mask actions put the mask id there."""
+        tokens = pad([tokenize("a girl puts an apple in her bag", vocab) * 50])
+        masked, selected, actions = plan(tokens, vocab, 11, rate=0.5)
+        picked, original = masked[selected], tokens[selected]
+        changed_word = (picked != original) & (picked != vocab.mask_id)
+        assert changed_word.any()
+        assert np.all(actions[changed_word] == ACTIONS.index(RANDOM_ACTION))
+        assert np.all(actions[picked == vocab.mask_id] == ACTIONS.index(MASK_ACTION))
 
-    def test_replacement_only_with_random_action(self):
-        with pytest.raises(ValidationError):
-            MaskingPlan((0,), (MASK_ACTION,), (9,), (5,))
+
+    def test_matches_cell_by_cell_reference(self, vocab):
+        """The planner equals a cell-by-cell loop over the same three draws:
+        selection uniforms for every cell, then one action uniform per
+        selected cell in row-major order, then the random content ids."""
+        tokens = pad([tokenize("a girl puts an apple in her bag", vocab),
+                      tokenize("a man rides", vocab) + [vocab.sep_id, vocab.unk_id]] * 20)
+        masked, selected, actions = plan(tokens, vocab, 8, rate=0.3)
+
+        rng = np.random.default_rng(8)
+        u_select = rng.random(tokens.shape)
+        cells = [(i, j) for i in range(tokens.shape[0]) for j in range(tokens.shape[1])
+                 if tokens[i, j] not in vocab.special_ids and u_select[i, j] < 0.3]
+        codes = [0 if u < 0.8 else 1 if u < 0.8 + 0.1 else 2 for u in rng.random(len(cells))]
+        random_ids = iter(vocab.content_ids()[rng.integers(len(vocab.content_ids()),
+                                                           size=codes.count(2))])
+        want = tokens.copy()
+        for (i, j), code in zip(cells, codes):
+            if code == 0:
+                want[i, j] = vocab.mask_id
+            elif code == 2:
+                want[i, j] = next(random_ids)
+        np.testing.assert_array_equal(masked, want)
+        np.testing.assert_array_equal(np.argwhere(selected), cells)
+        np.testing.assert_array_equal(actions, codes)
 
 
 class TestApplyMaskingPlan:
+    """The masked copy the planner returns."""
+
     def test_actions_take_effect(self, vocab):
-        tokens = tokenize("a girl puts an apple", vocab)
-        plan = MaskingPlan(
-            positions=(1, 2, 4),
-            actions=(MASK_ACTION, KEEP_ACTION, RANDOM_ACTION),
-            replacements=(-1, -1, vocab.id_of("dog")),
-            targets=(tokens[1], tokens[2], tokens[4]),
-        )
-        masked = apply_masking_plan(tokens, plan, vocab)
-        assert masked[1] == vocab.mask_id
-        assert masked[2] == tokens[2]
-        assert masked[4] == vocab.id_of("dog")
-        assert masked[0] == tokens[0] and masked[3] == tokens[3]
+        tokens = pad([tokenize("a girl puts an apple", vocab) * 20])
+        masked, selected, actions = plan(tokens, vocab, 4, rate=0.5)
+        picked, original = masked[selected], tokens[selected]
+        by_action = dict(zip(ACTIONS, range(3)))
+        assert np.all(picked[actions == by_action[MASK_ACTION]] == vocab.mask_id)
+        np.testing.assert_array_equal(picked[actions == by_action[KEEP_ACTION]],
+                                      original[actions == by_action[KEEP_ACTION]])
+        assert np.all(picked[actions == by_action[RANDOM_ACTION]] >= 4)
+        np.testing.assert_array_equal(masked[~selected], tokens[~selected])
 
     def test_restoring_targets_recovers_original(self, vocab):
-        tokens = tokenize("the dog runs across the green field", vocab)
-        plan = plan_dynamic_masking(tokens, vocab, np.random.default_rng(1), rate=0.5)
-        masked = apply_masking_plan(tokens, plan, vocab)
-        for pos, target in zip(plan.positions, plan.targets):
-            masked[pos] = target
-        assert masked == tokens
+        tokens = pad([tokenize("the dog runs across the green field", vocab),
+                      tokenize("a man rides", vocab)])
+        masked, selected, _ = plan(tokens, vocab, 1, rate=0.5)
+        masked[selected] = tokens[selected]
+        np.testing.assert_array_equal(masked, tokens)
 
     def test_original_untouched(self, vocab):
-        tokens = tokenize("a girl puts an apple", vocab)
-        snapshot = list(tokens)
-        plan = plan_dynamic_masking(tokens, vocab, np.random.default_rng(2), rate=0.9)
-        apply_masking_plan(tokens, plan, vocab)
-        assert tokens == snapshot
-
-    def test_target_mismatch_rejected(self, vocab):
-        plan = MaskingPlan((0,), (MASK_ACTION,), (-1,), (999,))
-        with pytest.raises(ValidationError):
-            apply_masking_plan([4, 5], plan, vocab)
-
-    def test_out_of_bounds_position_rejected(self, vocab):
-        plan = MaskingPlan((5,), (MASK_ACTION,), (-1,), (4,))
-        with pytest.raises(ValidationError):
-            apply_masking_plan([4, 5], plan, vocab)
+        tokens = pad([tokenize("a girl puts an apple", vocab)])
+        snapshot = tokens.copy()
+        plan(tokens, vocab, 2, rate=0.9)
+        np.testing.assert_array_equal(tokens, snapshot)

@@ -70,6 +70,20 @@ class TestForwardBehaviour:
         b = enc.encode(SEQS, dropout_seed=2).vectors
         np.testing.assert_array_equal(a, b)
 
+    def test_dropout_forward_builds_one_generator(self, monkeypatch):
+        enc = TextEncoder(tiny_config(dropout=0.1), seed=42)
+        built, rng_for = [], encoders.rng_for
+
+        def counting_rng_for(*parts):
+            built.append(parts)
+            return rng_for(*parts)
+
+        monkeypatch.setattr(encoders, "rng_for", counting_rng_for)
+        enc.forward(SEQS, dropout_seed=7)
+        assert built == [(7, "dropout")]
+        enc.forward(SEQS)
+        assert built == [(7, "dropout")]
+
     def test_eval_mode_matches_no_dropout_config(self):
         cfg_drop = tiny_config(dropout=0.3)
         enc = TextEncoder(cfg_drop, seed=42)
@@ -461,7 +475,7 @@ class TestKernelsMatchReference:
         x = rng.normal(loc=0.5, scale=2.0, size=(200, dim))
         gamma, beta = rng.normal(size=dim), rng.normal(size=dim)
         d_out = rng.normal(size=(200, dim))
-        out, cache = encoders._ln_forward(x, gamma, beta)
+        out, cache = encoders._ln_forward(x.copy(), gamma, beta)  # normalizes in place
         ref_out, ref_cache = self.reference_ln_forward(x, gamma, beta)
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
         got = encoders._ln_backward(d_out, cache, np.ones(len(x)))
@@ -469,15 +483,20 @@ class TestKernelsMatchReference:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
-    def test_dropout_scale_equals_old_formula(self):
+    def test_dropout_scales_follow_site_order(self):
+        """One generator, rng_for(seed, "dropout"), per forward: each site's
+        keep-mask is the next (n * length, dim) block of its uniforms, in
+        the order emb, blk0.attn, blk0.ffn, blk1.attn, blk1.ffn."""
         enc = TextEncoder(tiny_config(dropout=0.3), seed=0)
-        x = np.random.default_rng(0).normal(size=(7, 5, 4))
-        cache = {}
-        out = enc._dropout(x, "site", 9, cache)
-        keep = encoders.rng_for(9, "dropout", "site").random(x.shape) >= 0.3
-        scale = keep.astype(np.float64) / (1.0 - 0.3)
-        np.testing.assert_array_equal(cache["drop.site"], scale)
-        np.testing.assert_array_equal(out, x * scale)
+        cache = enc.forward(SEQS, dropout_seed=9)
+        rng = encoders.rng_for(9, "dropout")
+        scales = {}
+        for site in ("emb", "blk0.attn", "blk0.ffn", "blk1.attn", "blk1.ffn"):
+            keep = rng.random((len(SEQS) * 5, 4)) >= 0.3
+            scales[site] = keep.astype(np.float64) / (1.0 - 0.3)
+            np.testing.assert_array_equal(cache["drop." + site], scales[site])
+        emb = enc.params["tok_emb"][cache["tokens"]] + enc.params["pos_emb"][:5]
+        np.testing.assert_array_equal(cache["blk0"]["x_in"], emb.reshape(-1, 4) * scales["emb"])
 
     def test_embedding_grad_equals_per_column_bincount(self):
         rng = np.random.default_rng(5)

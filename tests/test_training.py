@@ -37,13 +37,14 @@ from cmkt import (
 )
 from cmkt import training as training_module
 from cmkt.cli import _read_config
-from cmkt.corpus import CaptionPair, Vocab
+from cmkt.corpus import CaptionPair, Vocab, plan_dynamic_masking
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
     EQUIVALENT_POSITIVE,
     PerturbationRecord,
 )
+from cmkt.seeding import rng_for
 from cmkt.training import (
     assemble_records,
     epoch_order,
@@ -338,12 +339,27 @@ class TestLoopBookkeeping:
             pretrain("MLM", make_data(), config)
         assert err.value.step == 0
 
+    @pytest.mark.parametrize("batch_size", [1, 16, 64])
+    def test_one_mask_generator_per_step(self, batch_size, monkeypatch):
+        data = make_data()
+        encoder = TextEncoder(small_config().encoder_config(len(data.vocab)), seed=0)
+        built, rng_for_ = [], training_module.rng_for
+
+        def counting_rng_for(*parts):
+            built.append(parts)
+            return rng_for_(*parts)
+
+        monkeypatch.setattr(training_module, "rng_for", counting_rng_for)
+        seqs = [[4 + i % 20, 5, 6, 7] for i in range(batch_size)]
+        mlm_batch_step(encoder, data.vocab, seqs, 3, 2, 5)
+        assert built == [(3, "mask", 2, 5)]
+
     def test_empty_mask_selection_contributes_zero(self):
         data = make_data()
         encoder = TextEncoder(small_config().encoder_config(len(data.vocab)), seed=0)
         # find a seed whose plan selects nothing for a one-token caption
         for seed in range(200):
-            loss, grads = mlm_batch_step(encoder, data.vocab, [[4]], [0], seed, 1, 0)
+            loss, grads = mlm_batch_step(encoder, data.vocab, [[4]], seed, 1, 0)
             if not grads:
                 assert loss == 0.0
                 return
@@ -370,12 +386,51 @@ class TestStepZeroHonesty:
         view_a = encoder.encode(seqs, derive_seed(config.seed, "tcl-a", 1, 0), ids)
         view_b = encoder.encode(seqs, derive_seed(config.seed, "tcl-b", 1, 0), ids)
         tcl = tcl_loss(view_a, view_b, config.temperature).total / len(batch)
-        mlm, _ = mlm_batch_step(
-            encoder, data.vocab, seqs, [r.index for r in batch], config.seed, 1, 0
-        )
+        mlm, _ = mlm_batch_step(encoder, data.vocab, seqs, config.seed, 1, 0)
         assert abs(row["tcl"] - tcl) < 1e-10
         assert abs(row["mlm"] - mlm) < 1e-10
         assert abs(row["total"] - (tcl + mlm)) < 1e-10
+
+    def test_mlm_step_zero_replayed_from_mask_contract(self):
+        """The masked batch and MLM loss of step 0, rebuilt from the
+        ("mask", epoch, step) generator: selection uniforms over the padded
+        batch, then one action uniform per selection, then the random
+        content ids."""
+        data = make_data()
+        config = small_config(batch_size=10)  # the whole train split
+        result = pretrain("MLM", data, config)
+
+        records, _ = assemble_records(MethodSpec.named("MLM"), data, config)
+        order = epoch_order(config.seed, 1, len(records))
+        batch = [records[int(i)].tokens for i in order[: config.batch_size]]
+        tokens = np.zeros((len(batch), max(map(len, batch))), dtype=np.int64)
+        for b, toks in enumerate(batch):
+            tokens[b, : len(toks)] = toks
+
+        rng = rng_for(config.seed, "mask", 1, 0)
+        rows, cols = np.nonzero((rng.random(tokens.shape) < 0.15) & (tokens >= 4))
+        u = rng.random(rows.size)
+        masked = tokens.copy()
+        masked[rows[u < 0.8], cols[u < 0.8]] = data.vocab.mask_id
+        content = data.vocab.content_ids()
+        random_at = u >= 0.8 + 0.1
+        masked[rows[random_at], cols[random_at]] = content[
+            rng.integers(content.size, size=np.count_nonzero(random_at))
+        ]
+        assert rows.size > 0 and np.any(masked != tokens)
+        planned, selected, _ = plan_dynamic_masking(
+            tokens, data.vocab, rng_for(config.seed, "mask", 1, 0)
+        )
+        np.testing.assert_array_equal(planned, masked)
+        np.testing.assert_array_equal(np.argwhere(selected), np.stack([rows, cols], axis=1))
+
+        encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
+        dists, _ = encoder.masked_forward(
+            [masked[b, : len(toks)].tolist() for b, toks in enumerate(batch)],
+            derive_seed(config.seed, "mlm-dropout", 1, 0),
+        )
+        loss = -np.mean(np.log(dists[rows, cols, tokens[rows, cols]]))
+        assert abs(result.loss_rows[0]["mlm"] - loss) < 1e-10
 
     def test_composite_step_zero_matches_single_component_runs(self):
         data = make_data()
