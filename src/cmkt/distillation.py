@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -103,18 +103,17 @@ def train_teacher(
 
 
 def nst_step(
-    teacher: TextEncoder,
     student: TextEncoder,
-    seqs: Sequence[Sequence[int]],
-    teacher_blocks: Optional[list[np.ndarray]] = None,
+    tokens: np.ndarray,
+    mask: np.ndarray,
+    teacher_blocks: list[np.ndarray],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Activation-matching loss over clean text, averaged across blocks,
-    with gradients for the student. ``teacher_blocks`` are the teacher's
-    per-block activations on ``seqs`` when already computed."""
-    cache = student.forward(seqs, dropout_seed=None)
+    """Activation-matching loss over a padded batch of clean text,
+    averaged across blocks, with gradients for the student.
+    ``teacher_blocks`` are the teacher's per-block activations on the
+    same captions."""
+    cache = student.forward(tokens, mask, dropout_seed=None)
     student_blocks = cache["block_pooled"]
-    if teacher_blocks is None:
-        teacher_blocks = teacher.block_activations(seqs)
     num_blocks = len(student_blocks)
     values = []
     d_blocks = []
@@ -163,17 +162,16 @@ def distill(
     row_of = {}  # distinct token sequence -> row of the teacher targets
     for rec in records:
         row_of.setdefault(rec.tokens, len(row_of))
-    distinct = [list(tokens) for tokens in row_of]
+    distinct = list(row_of)
     chunks = [
         teacher.block_activations(distinct[start : start + config.batch_size])
         for start in range(0, len(distinct), config.batch_size)
     ]
     targets = [np.concatenate(blocks) for blocks in zip(*chunks)]
 
-    def nst(batch, epoch, step):
+    def nst(batch, padded, epoch, step):
         rows = [row_of[r.tokens] for r in batch]
-        loss, grads = nst_step(teacher, student, [list(r.tokens) for r in batch],
-                               teacher_blocks=[t[rows] for t in targets])
+        loss, grads = nst_step(student, *padded, [t[rows] for t in targets])
         return loss, grads, {}
 
     return run_training_loop(

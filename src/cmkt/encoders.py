@@ -219,17 +219,21 @@ class TextEncoder:
 
     def forward(
         self,
-        seqs: Sequence[Sequence[int]],
+        tokens: np.ndarray,
+        mask: np.ndarray,
         dropout_seed: Optional[int] = None,
         *,
         record: bool = True,
     ) -> dict:
-        """Run the encoder; returns a cache holding pooled output, hidden
-        states, per-block pooled activations and, when ``record`` is true,
-        every intermediate the backward pass needs. Inference passes
-        ``record=False``: each block's intermediates are then freed as the
-        next block starts, and the cache cannot go to :meth:`backward`."""
-        tokens, mask = self.prepare_batch(seqs)
+        """Run the encoder on the ``(tokens, mask)`` pair that
+        :meth:`prepare_batch` builds: ``(n, length)`` ids, each row
+        left-aligned and padded with id 0, and a mask of 1.0 on real tokens.
+        Neither array is written, so one pair can serve several forwards.
+        Returns a cache holding pooled output, hidden states, per-block
+        pooled activations and, when ``record`` is true, every intermediate
+        the backward pass needs. Inference passes ``record=False``: each
+        block's intermediates are then freed as the next block starts, and
+        the cache cannot go to :meth:`backward`."""
         P = self.params
         cache: dict = {"tokens": tokens, "mask": mask}
         saved = cache if record else None  # where dropout scales go
@@ -384,30 +388,25 @@ class TextEncoder:
 
     # ---------------------------------------------------------- public API
 
-    def encode(
-        self,
-        seqs: Sequence[Sequence[int]],
-        dropout_seed: Optional[int] = None,
-        batch_ids: Optional[Sequence] = None,
-    ) -> EmbeddingBatch:
-        cache = self.forward(seqs, dropout_seed, record=False)
-        ids = tuple(batch_ids) if batch_ids is not None else tuple(range(len(seqs)))
-        return EmbeddingBatch(cache["pooled"], TEXT, ids)
+    def encode(self, seqs: Sequence[Sequence[int]]) -> EmbeddingBatch:
+        """Pooled vectors of token sequences, dropout disabled."""
+        cache = self.forward(*self.prepare_batch(seqs), record=False)
+        return EmbeddingBatch(cache["pooled"], TEXT, tuple(range(len(seqs))))
 
     def block_activations(self, seqs: Sequence[Sequence[int]]) -> list[np.ndarray]:
         """Per-block mean-pooled hidden states, dropout disabled."""
-        return self.forward(seqs, dropout_seed=None, record=False)["block_pooled"]
+        return self.forward(*self.prepare_batch(seqs), record=False)["block_pooled"]
 
-    def masked_forward(self, seqs, dropout_seed: Optional[int] = None):
+    def masked_forward(self, tokens, mask, dropout_seed: Optional[int] = None):
         """Per-position distributions over the vocabulary, plus the cache."""
-        cache = self.forward(seqs, dropout_seed)
+        cache = self.forward(tokens, mask, dropout_seed)
         logits = cache["hidden"] @ self.params["mlm_w"] + self.params["mlm_b"]
         dists = _softmax_last(logits)
         cache["mlm_dists"] = dists
         return dists, cache
 
-    def mlm_step(self, seqs, selections, dropout_seed: Optional[int] = None):
-        """Fused masked-token loss and gradients.
+    def mlm_step(self, tokens, mask, selections, dropout_seed: Optional[int] = None):
+        """Fused masked-token loss and gradients on a padded batch.
 
         ``selections`` holds (batch index, position, target id) triples,
         as a list or a ``(k, 3)`` array; the loss is the mean
@@ -416,30 +415,30 @@ class TextEncoder:
         """
         if len(selections) == 0:
             return 0.0, {}
-        cache = self.forward(seqs, dropout_seed)
+        cache = self.forward(tokens, mask, dropout_seed)
         rows, cols, targets = np.asarray(selections, dtype=np.int64).reshape(-1, 3).T
-        n, length = cache["tokens"].shape
+        n, length = tokens.shape
         if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= length)):
             raise ValidationError("masked position outside the padded batch")
         return self._head_step(cache, "mlm", rows, cols, targets)
 
-    def voken_step(self, seqs, voken_targets, dropout_seed: Optional[int] = None):
-        """Fused voken-classification loss and gradients.
+    def voken_step(self, tokens, mask, voken_targets, dropout_seed: Optional[int] = None):
+        """Fused voken-classification loss and gradients on a padded batch.
 
-        ``voken_targets`` is a (B, L) array aligned to the padded batch;
-        entries of -1 mark positions without a voken and are excluded.
+        ``voken_targets`` is an array of the shape of ``tokens``; entries
+        of -1 mark positions without a voken and are excluded.
         """
         if self.config.voken_count == 0:
             raise ConfigError("encoder was built without a voken head")
-        cache = self.forward(seqs, dropout_seed)
         targets = np.asarray(voken_targets, dtype=np.int64)
-        if targets.shape != cache["tokens"].shape:
+        if targets.shape != tokens.shape:
             raise ShapeError(
-                f"voken targets shape {targets.shape} does not match batch {cache['tokens'].shape}"
+                f"voken targets shape {targets.shape} does not match batch {tokens.shape}"
             )
         rows, cols = np.nonzero(targets >= 0)
         if rows.size == 0:
             return 0.0, {}
+        cache = self.forward(tokens, mask, dropout_seed)
         return self._head_step(cache, "voken", rows, cols, targets[rows, cols])
 
     def _head_step(self, cache, head, rows, cols, targets):

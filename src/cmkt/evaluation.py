@@ -184,7 +184,8 @@ class TaskModel:
             raise ConfigError("no items to score")
         n_choices = len(items[0].choices)
         seqs = [toks for item in items for toks in self._choice_tokens(item)]
-        cache = self.encoder.forward(seqs, dropout_seed, record=record)
+        padded = self.encoder.prepare_batch(seqs)
+        cache = self.encoder.forward(*padded, dropout_seed, record=record)
         scores = cache["pooled"] @ self.head_w + self.head_b
         return scores.reshape(len(items), n_choices), cache
 
@@ -656,7 +657,7 @@ def retrieval_recall_at_1(
         raise ShapeError(
             f"need one image row per caption: {images.shape} vs {len(caption_seqs)}"
         )
-    texts = encoder.encode(list(caption_seqs)).vectors
+    texts = encoder.encode(caption_seqs).vectors
     img_unit = images / np.linalg.norm(images, axis=1, keepdims=True)
     txt_unit = texts / np.linalg.norm(texts, axis=1, keepdims=True)
     sims = txt_unit @ img_unit.T

@@ -294,21 +294,22 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 def mlm_batch_step(
     encoder: TextEncoder,
     vocab: Vocab,
-    batch_tokens: Sequence[Sequence[int]],
+    padded: tuple[np.ndarray, np.ndarray],
     seed: int,
     epoch: int,
     step: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """One masked-prediction step: one dynamic plan over the padded batch,
-    one fused forward/backward."""
-    tokens, _ = encoder.prepare_batch(batch_tokens)
+    """One masked-prediction step on a ``(tokens, mask)`` batch from
+    ``prepare_batch``: one dynamic plan, one fused forward/backward. The
+    plan never selects padding, so the mask holds for the masked tokens."""
+    tokens, mask = padded
     masked, selected, _ = plan_dynamic_masking(tokens, vocab, rng_for(seed, "mask", epoch, step))
     if not selected.any():
         return 0.0, {}
     rows, cols = np.nonzero(selected)
-    seqs = [row[: len(toks)] for row, toks in zip(masked.tolist(), batch_tokens)]
     dropout_seed = derive_seed(seed, "mlm-dropout", epoch, step)
-    return encoder.mlm_step(seqs, np.stack([rows, cols, tokens[rows, cols]], axis=1), dropout_seed)
+    return encoder.mlm_step(masked, mask, np.stack([rows, cols, tokens[rows, cols]], axis=1),
+                            dropout_seed)
 
 
 def _accumulate(dst: dict, grads: dict, weight: float) -> None:
@@ -359,7 +360,8 @@ def _check_finite(vectors: np.ndarray, what: str, step: int) -> np.ndarray:
 
 class _ComponentEngine:
     """Per-method closures computing (loss, text grads, image grads) for
-    one batch at the current parameters."""
+    one batch at the current parameters. Each takes the batch's records
+    and their captions padded once by ``prepare_batch``."""
 
     def __init__(
         self,
@@ -384,13 +386,13 @@ class _ComponentEngine:
             "hinge": self._hinge,
         }
 
-    def run(self, component: str, batch, epoch: int, step: int):
-        return self.fns[component](batch, epoch, step)
+    def run(self, component: str, batch, padded, epoch: int, step: int):
+        return self.fns[component](batch, padded, epoch, step)
 
-    def _encode(self, seqs, purpose, epoch, step):
+    def _encode(self, padded, purpose, epoch, step):
         """Text forward under the dropout draw of ``purpose``; a
         non-finite pooled output means training diverged."""
-        cache = self.encoder.forward(seqs, derive_seed(self.config.seed, purpose, epoch, step))
+        cache = self.encoder.forward(*padded, derive_seed(self.config.seed, purpose, epoch, step))
         _check_finite(cache["pooled"], "text", step)
         return cache
 
@@ -405,21 +407,19 @@ class _ComponentEngine:
         rows = _pick_negatives(
             batch, self.global_pool, self.m, self.config.seed, epoch, step
         )
-        cache = self._encode([list(toks) for row in rows for toks in row], purpose, epoch, step)
+        negatives = self.encoder.prepare_batch([toks for row in rows for toks in row])
+        cache = self._encode(negatives, purpose, epoch, step)
         tensor = cache["pooled"].reshape(len(batch), self.m, -1)
         return tensor, cache
 
-    def _mlm(self, batch, epoch, step):
-        loss, grads = mlm_batch_step(
-            self.encoder, self.vocab, [rec.tokens for rec in batch], self.config.seed, epoch, step
-        )
+    def _mlm(self, batch, padded, epoch, step):
+        loss, grads = mlm_batch_step(self.encoder, self.vocab, padded, self.config.seed, epoch, step)
         return loss, grads, {}
 
-    def _tcl(self, batch, epoch, step):
-        seqs = [list(rec.tokens) for rec in batch]
+    def _tcl(self, batch, padded, epoch, step):
         ids = tuple(rec.index for rec in batch)
-        cache_a = self._encode(seqs, "tcl-a", epoch, step)
-        cache_b = self._encode(seqs, "tcl-b", epoch, step)
+        cache_a = self._encode(padded, "tcl-a", epoch, step)
+        cache_b = self._encode(padded, "tcl-b", epoch, step)
         reps = EmbeddingBatch(cache_a["pooled"], TEXT, ids)
         positives = EmbeddingBatch(cache_b["pooled"], TEXT, ids)
         negs, cache_n = self._embed_negatives(batch, epoch, step, "tcl-neg")
@@ -440,11 +440,10 @@ class _ComponentEngine:
             _accumulate(grads, self.encoder.backward(cache_n, d_pooled=d_negs), 1.0)
         return result.total / n, grads, {}
 
-    def _cmcl(self, batch, epoch, step):
-        seqs = [list(rec.tokens) for rec in batch]
+    def _cmcl(self, batch, padded, epoch, step):
         ids = tuple(rec.index for rec in batch)
         image_ids = [rec.image_id for rec in batch]
-        cache_t = self._encode(seqs, "cmcl-text", epoch, step)
+        cache_t = self._encode(padded, "cmcl-text", epoch, step)
         text_batch = EmbeddingBatch(cache_t["pooled"], TEXT, ids)
         image_batch = EmbeddingBatch(self._images(image_ids, step), IMAGE, ids)
         negs, cache_n = self._embed_negatives(batch, epoch, step, "cmcl-neg")
@@ -459,21 +458,18 @@ class _ComponentEngine:
         image_grads = self.image_encoder.backward(image_ids, result.gradients["image"])
         return result.total, grads, image_grads
 
-    def _voken(self, batch, epoch, step):
-        seqs = [list(rec.tokens) for rec in batch]
-        length = max(len(s) for s in seqs)
-        targets = np.full((len(batch), length), -1, dtype=np.int64)
+    def _voken(self, batch, padded, epoch, step):
+        targets = np.full(padded[0].shape, -1, dtype=np.int64)
         for b, rec in enumerate(batch):
             targets[b, : len(rec.tokens)] = rec.voken_targets
         dropout_seed = derive_seed(self.config.seed, "voken-dropout", epoch, step)
-        loss, grads = self.encoder.voken_step(seqs, targets, dropout_seed)
+        loss, grads = self.encoder.voken_step(*padded, targets, dropout_seed)
         return loss, grads, {}
 
-    def _hinge(self, batch, epoch, step):
-        seqs = [list(rec.tokens) for rec in batch]
+    def _hinge(self, batch, padded, epoch, step):
         ids = tuple(rec.index for rec in batch)
         image_ids = [rec.image_id for rec in batch]
-        cache_t = self._encode(seqs, "hinge-text", epoch, step)
+        cache_t = self._encode(padded, "hinge-text", epoch, step)
         text_batch = EmbeddingBatch(cache_t["pooled"], TEXT, ids)
         image_vectors = self._images(image_ids, step)
         image_batch = EmbeddingBatch(image_vectors, IMAGE, ids)
@@ -504,7 +500,7 @@ def _attach_vokens(
 ) -> list[TrainRecord]:
     out = []
     for rec in records:
-        states = encoder.forward([list(rec.tokens)], record=False)["hidden"][0]
+        states = encoder.forward(*encoder.prepare_batch([rec.tokens]), record=False)["hidden"][0]
         vokens = assign_vokens(states, bank_matrix)
         out.append(dataclasses.replace(rec, voken_targets=tuple(vokens)))
     return out
@@ -527,12 +523,14 @@ def run_training_loop(
     distillation.
 
     ``meta_base["method"]`` names the run; hard negatives come from a
-    non-empty ``global_pool``. ``extra_components`` maps further component
-    names to closures with the engine's ``(batch, epoch, step) -> (loss,
-    text grads, image grads)`` signature. A component of weight 0 is not
-    run and logs 0.0. A non-finite loss or parameter raises TrainingError.
-    Each epoch's checkpoint goes to ``on_epoch`` when the epoch ends and is
-    not kept, so a run holds one checkpoint at a time whatever its length.
+    non-empty ``global_pool``. Each step pads its captions once and hands
+    the ``(tokens, mask)`` pair to every component. ``extra_components``
+    maps further component names to closures with the engine's ``(batch,
+    padded, epoch, step) -> (loss, text grads, image grads)`` signature.
+    A component of weight 0 is not run and logs 0.0. A non-finite loss or
+    parameter raises TrainingError. Each epoch's checkpoint goes to
+    ``on_epoch`` when the epoch ends and is not kept, so a run holds one
+    checkpoint at a time whatever its length.
     """
     engine = _ComponentEngine(config, encoder, image_encoder, vocab, global_pool)
     engine.fns.update(extra_components or {})
@@ -549,6 +547,7 @@ def run_training_loop(
         order = epoch_order(config.seed, epoch, len(records))
         for start in range(0, len(records), config.batch_size):
             batch = [records[int(i)] for i in order[start : start + config.batch_size]]
+            padded = encoder.prepare_batch([rec.tokens for rec in batch])
             text_grads: dict[str, np.ndarray] = {}
             image_grads: dict[str, np.ndarray] = {}
             row = {"step": step, "epoch": epoch}
@@ -557,7 +556,7 @@ def run_training_loop(
                 if weight == 0:
                     row[component] = 0.0
                     continue
-                loss, tg, ig = engine.run(component, batch, epoch, step)
+                loss, tg, ig = engine.run(component, batch, padded, epoch, step)
                 row[component] = loss
                 total += weight * loss
                 _accumulate(text_grads, tg, weight)

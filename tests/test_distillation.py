@@ -151,7 +151,7 @@ class TestNstAlignment:
         teacher, _ = restore_text_encoder(teacher_run.final)
         twin, _ = restore_text_encoder(teacher_run.final)
         seqs = [[4, 5, 6], [7, 8]]
-        value, grads = nst_step(teacher, twin, seqs)
+        value, grads = nst_step(twin, *twin.prepare_batch(seqs), teacher.block_activations(seqs))
         assert value < 1e-12
         assert grads
 
@@ -249,10 +249,14 @@ class TestDistillRun:
         teacher = train_teacher(TeacherSpec("cmcl"), data, config)
         cached = distill(teacher.final, data, DistillSpec(), config)
         real = distillation.nst_step
-        monkeypatch.setattr(  # drop the cached targets: the teacher runs on every batch
-            distillation, "nst_step",
-            lambda teacher, student, seqs, teacher_blocks: real(teacher, student, seqs),
-        )
+        frozen, _ = restore_text_encoder(teacher.final)
+
+        def per_batch_teacher(student, tokens, mask, teacher_blocks):
+            # drop the cached targets: the teacher runs on every batch
+            seqs = [row[: int(n)] for row, n in zip(tokens, mask.sum(axis=1))]
+            return real(student, tokens, mask, frozen.block_activations(seqs))
+
+        monkeypatch.setattr(distillation, "nst_step", per_batch_teacher)
         per_batch = distill(teacher.final, data, DistillSpec(), config)
         assert len(cached.loss_rows) == len(per_batch.loss_rows)
         for a, b in zip(cached.loss_rows, per_batch.loss_rows):

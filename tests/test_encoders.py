@@ -54,20 +54,20 @@ def fd_check_params(encoder, value_fn, grads, step=STEP, rel_tol=REL_TOL):
 class TestForwardBehaviour:
     def test_same_seed_identical(self):
         enc = TextEncoder(tiny_config(dropout=0.1), seed=42)
-        a = enc.encode(SEQS, dropout_seed=7).vectors
-        b = enc.encode(SEQS, dropout_seed=7).vectors
+        a = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=7)["pooled"]
+        b = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=7)["pooled"]
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         enc = TextEncoder(tiny_config(dropout=0.1), seed=42)
-        a = enc.encode(SEQS, dropout_seed=1).vectors
-        b = enc.encode(SEQS, dropout_seed=2).vectors
+        a = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=1)["pooled"]
+        b = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=2)["pooled"]
         assert not np.array_equal(a, b)
 
     def test_zero_dropout_ignores_seed(self):
         enc = TextEncoder(tiny_config(dropout=0.0), seed=42)
-        a = enc.encode(SEQS, dropout_seed=1).vectors
-        b = enc.encode(SEQS, dropout_seed=2).vectors
+        a = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=1)["pooled"]
+        b = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=2)["pooled"]
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_forward_builds_one_generator(self, monkeypatch):
@@ -79,15 +79,15 @@ class TestForwardBehaviour:
             return rng_for(*parts)
 
         monkeypatch.setattr(encoders, "rng_for", counting_rng_for)
-        enc.forward(SEQS, dropout_seed=7)
+        enc.forward(*enc.prepare_batch(SEQS), dropout_seed=7)
         assert built == [(7, "dropout")]
-        enc.forward(SEQS)
+        enc.forward(*enc.prepare_batch(SEQS))
         assert built == [(7, "dropout")]
 
     def test_eval_mode_matches_no_dropout_config(self):
         cfg_drop = tiny_config(dropout=0.3)
         enc = TextEncoder(cfg_drop, seed=42)
-        out_eval = enc.encode(SEQS, dropout_seed=None).vectors
+        out_eval = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=None)["pooled"]
         twin = TextEncoder(tiny_config(dropout=0.0), seed=42)
         np.testing.assert_allclose(out_eval, twin.encode(SEQS).vectors)
 
@@ -106,15 +106,15 @@ class TestForwardBehaviour:
 
     def test_first_token_pooling(self):
         enc = TextEncoder(tiny_config(pooling="first"), seed=42)
-        cache = enc.forward(SEQS)
+        cache = enc.forward(*enc.prepare_batch(SEQS))
         np.testing.assert_array_equal(cache["pooled"], cache["hidden"][:, 0, :])
 
     @pytest.mark.parametrize("pooling", ["mean", "first"])
     def test_inference_forward_matches_recording_forward(self, pooling):
         """record=False gives the same outputs and keeps no backward cache."""
         enc = TextEncoder(tiny_config(pooling=pooling, dropout=0.2), seed=42)
-        full = enc.forward(SEQS)
-        lean = enc.forward(SEQS, record=False)
+        full = enc.forward(*enc.prepare_batch(SEQS))
+        lean = enc.forward(*enc.prepare_batch(SEQS), record=False)
         np.testing.assert_array_equal(lean["pooled"], full["pooled"])
         np.testing.assert_array_equal(lean["hidden"], full["hidden"])
         for a, b in zip(lean["block_pooled"], full["block_pooled"], strict=True):
@@ -133,9 +133,8 @@ class TestForwardBehaviour:
         monkeypatch.setattr(TextEncoder, "forward", spy)
         enc = TextEncoder(tiny_config(), seed=42)
         enc.encode(SEQS)
-        enc.encode(SEQS, dropout_seed=3)
         enc.block_activations(SEQS)
-        assert len(caches) == 3
+        assert len(caches) == 2
         assert not any(key.startswith(("blk", "drop.")) for c in caches for key in c)
 
     def test_block_activations_count_and_shape(self):
@@ -239,21 +238,21 @@ class TestPrepareBatch:
 class TestMaskedLmHead:
     def test_distributions_normalized(self):
         enc = TextEncoder(tiny_config(), seed=42)
-        dists, _ = enc.masked_forward(SEQS)
+        dists, _ = enc.masked_forward(*enc.prepare_batch(SEQS))
         np.testing.assert_allclose(dists.sum(axis=-1), np.ones(dists.shape[:2]), atol=1e-6)
 
     def test_fresh_head_near_log_vocab(self):
         """Small-scale random init keeps logits near zero, so the loss
         starts near the uniform baseline log V."""
         enc = TextEncoder(tiny_config(), seed=42)
-        loss, _ = enc.mlm_step(SEQS, [(0, 1, 5), (1, 2, 4), (2, 0, 7)])
+        loss, _ = enc.mlm_step(*enc.prepare_batch(SEQS), [(0, 1, 5), (1, 2, 4), (2, 0, 7)])
         assert abs(loss - np.log(8.0)) < 0.05
 
     def test_loss_matches_direct_recomputation(self):
         enc = TextEncoder(tiny_config(), seed=42)
         selections = [(0, 0, 6), (1, 3, 5), (2, 1, 4)]
-        loss, _ = enc.mlm_step(SEQS, selections)
-        dists, _ = enc.masked_forward(SEQS)
+        loss, _ = enc.mlm_step(*enc.prepare_batch(SEQS), selections)
+        dists, _ = enc.masked_forward(*enc.prepare_batch(SEQS))
         expected = np.mean([-np.log(dists[b, p, t]) for b, p, t in selections])
         np.testing.assert_allclose(loss, expected)
 
@@ -264,21 +263,21 @@ class TestMaskedLmHead:
         enc = TextEncoder(tiny_config(voken_count=3), seed=42)
         enc.params["mlm_w"] *= 1e5
         enc.params["voken_w"] *= 1e5
-        cache = enc.forward(SEQS)
+        cache = enc.forward(*enc.prepare_batch(SEQS))
         logits = cache["hidden"] @ enc.params["mlm_w"]
         wrong = int(np.argmin(logits[0, 0]))
-        loss, grads = enc.mlm_step(SEQS, [(0, 0, wrong)])
+        loss, grads = enc.mlm_step(*enc.prepare_batch(SEQS), [(0, 0, wrong)])
         assert np.isfinite(loss) and loss > 100.0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         v_logits = cache["hidden"] @ enc.params["voken_w"]
         targets = np.full((3, 5), -1, dtype=np.int64)
         targets[0, 0] = int(np.argmin(v_logits[0, 0]))
-        v_loss, _ = enc.voken_step(SEQS, targets)
+        v_loss, _ = enc.voken_step(*enc.prepare_batch(SEQS), targets)
         assert np.isfinite(v_loss) and v_loss > 100.0
 
     def test_no_selections_is_zero(self):
         enc = TextEncoder(tiny_config(), seed=42)
-        loss, grads = enc.mlm_step(SEQS, [])
+        loss, grads = enc.mlm_step(*enc.prepare_batch(SEQS), [])
         assert loss == 0.0 and grads == {}
 
     def test_overfits_single_caption(self):
@@ -289,7 +288,7 @@ class TestMaskedLmHead:
         selections = [(0, 1, 5), (0, 3, 7)]
         loss = None
         for _ in range(300):
-            loss, grads = enc.mlm_step(seqs, selections)
+            loss, grads = enc.mlm_step(*enc.prepare_batch(seqs), selections)
             for name, g in grads.items():
                 enc.params[name] -= 0.5 * g
         assert loss < 0.1
@@ -302,18 +301,18 @@ class TestVokenHead:
         padded = np.full((3, 5), -1, dtype=np.int64)
         for b, row in enumerate(targets):
             padded[b, : len(row)] = row
-        loss, grads = enc.voken_step(SEQS, padded)
+        loss, grads = enc.voken_step(*enc.prepare_batch(SEQS), padded)
         assert loss > 0.0
         assert "voken_w" in grads
 
     def test_without_head_rejected(self):
         enc = TextEncoder(tiny_config(voken_count=0), seed=42)
         with pytest.raises(ConfigError):
-            enc.voken_step(SEQS, np.zeros((3, 5), dtype=np.int64))
+            enc.voken_step(*enc.prepare_batch(SEQS), np.zeros((3, 5), dtype=np.int64))
 
     def test_all_unassigned_is_zero(self):
         enc = TextEncoder(tiny_config(voken_count=3), seed=42)
-        loss, grads = enc.voken_step(SEQS, np.full((3, 5), -1, dtype=np.int64))
+        loss, grads = enc.voken_step(*enc.prepare_batch(SEQS), np.full((3, 5), -1, dtype=np.int64))
         assert loss == 0.0 and grads == {}
 
 
@@ -324,9 +323,9 @@ class TestTextEncoderGradients:
         upstream = rng.normal(size=(3, 4))
 
         def value():
-            return float(np.sum(enc.forward(SEQS)["pooled"] * upstream))
+            return float(np.sum(enc.forward(*enc.prepare_batch(SEQS))["pooled"] * upstream))
 
-        cache = enc.forward(SEQS)
+        cache = enc.forward(*enc.prepare_batch(SEQS))
         grads = enc.backward(cache, d_pooled=upstream)
         fd_check_params(enc, value, grads)
 
@@ -336,9 +335,9 @@ class TestTextEncoderGradients:
         upstream = rng.normal(size=(3, 4))
 
         def value():
-            return float(np.sum(enc.forward(SEQS)["pooled"] * upstream))
+            return float(np.sum(enc.forward(*enc.prepare_batch(SEQS))["pooled"] * upstream))
 
-        grads = enc.backward(enc.forward(SEQS), d_pooled=upstream)
+        grads = enc.backward(enc.forward(*enc.prepare_batch(SEQS)), d_pooled=upstream)
         fd_check_params(enc, value, grads)
 
     def test_gradient_with_fixed_dropout_masks(self):
@@ -348,10 +347,12 @@ class TestTextEncoderGradients:
         rng = np.random.default_rng(2)
         upstream = rng.normal(size=(3, 4))
 
-        def value():
-            return float(np.sum(enc.forward(SEQS, dropout_seed=11)["pooled"] * upstream))
+        batch = enc.prepare_batch(SEQS)
 
-        grads = enc.backward(enc.forward(SEQS, dropout_seed=11), d_pooled=upstream)
+        def value():
+            return float(np.sum(enc.forward(*batch, dropout_seed=11)["pooled"] * upstream))
+
+        grads = enc.backward(enc.forward(*batch, dropout_seed=11), d_pooled=upstream)
         fd_check_params(enc, value, grads)
 
     def test_block_pooled_gradients(self):
@@ -360,10 +361,10 @@ class TestTextEncoderGradients:
         ups = [rng.normal(size=(3, 4)) for _ in range(2)]
 
         def value():
-            acts = enc.forward(SEQS)["block_pooled"]
+            acts = enc.forward(*enc.prepare_batch(SEQS))["block_pooled"]
             return float(sum(np.sum(a * u) for a, u in zip(acts, ups)))
 
-        grads = enc.backward(enc.forward(SEQS), d_block_pooled=ups)
+        grads = enc.backward(enc.forward(*enc.prepare_batch(SEQS)), d_block_pooled=ups)
         fd_check_params(enc, value, grads)
 
     def test_mlm_step_gradients(self):
@@ -371,10 +372,10 @@ class TestTextEncoderGradients:
         selections = [(0, 0, 6), (1, 3, 5), (2, 1, 4)]
 
         def value():
-            dists, _ = enc.masked_forward(SEQS)
+            dists, _ = enc.masked_forward(*enc.prepare_batch(SEQS))
             return float(np.mean([-np.log(dists[b, p, t]) for b, p, t in selections]))
 
-        _, grads = enc.mlm_step(SEQS, selections)
+        _, grads = enc.mlm_step(*enc.prepare_batch(SEQS), selections)
         fd_check_params(enc, value, grads)
 
     def test_voken_step_gradients(self):
@@ -385,7 +386,7 @@ class TestTextEncoderGradients:
         targets[2, 1] = 2
 
         def value():
-            cache = enc.forward(SEQS)
+            cache = enc.forward(*enc.prepare_batch(SEQS))
             logits = cache["hidden"] @ enc.params["voken_w"] + enc.params["voken_b"]
             shifted = logits - logits.max(axis=-1, keepdims=True)
             dists = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
@@ -394,7 +395,7 @@ class TestTextEncoderGradients:
                 np.mean([-np.log(dists[b, p, targets[b, p]]) for b, p in zip(rows, cols)])
             )
 
-        _, grads = enc.voken_step(SEQS, targets)
+        _, grads = enc.voken_step(*enc.prepare_batch(SEQS), targets)
         fd_check_params(enc, value, grads)
 
 
@@ -430,12 +431,14 @@ class TestGemmGradientsMatchReference:
         voken[0, :4] = [0, 2, 2, 1]
         voken[2, 3] = 1
 
+        batch = enc.prepare_batch(seqs)
+
         def run():
-            cache = enc.forward(seqs, dropout_seed=5)
+            cache = enc.forward(*batch, dropout_seed=5)
             return [
                 enc.backward(cache, d_pooled=upstream, d_block_pooled=ups),
-                enc.mlm_step(seqs, [(0, 1, 5), (2, 4, 6), (2, 4, 6)], dropout_seed=6)[1],
-                enc.voken_step(seqs, voken, dropout_seed=8)[1],
+                enc.mlm_step(*batch, [(0, 1, 5), (2, 4, 6), (2, 4, 6)], dropout_seed=6)[1],
+                enc.voken_step(*batch, voken, dropout_seed=8)[1],
             ]
 
         fast, slow = self.both(monkeypatch, run)
@@ -488,7 +491,7 @@ class TestKernelsMatchReference:
         keep-mask is the next (n * length, dim) block of its uniforms, in
         the order emb, blk0.attn, blk0.ffn, blk1.attn, blk1.ffn."""
         enc = TextEncoder(tiny_config(dropout=0.3), seed=0)
-        cache = enc.forward(SEQS, dropout_seed=9)
+        cache = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=9)
         rng = encoders.rng_for(9, "dropout")
         scales = {}
         for site in ("emb", "blk0.attn", "blk0.ffn", "blk1.attn", "blk1.ffn"):

@@ -308,7 +308,8 @@ class TestFinetune:
             for item in batch
             for choice in item.choices
         ]
-        cache = fresh.encoder.forward(seqs, derive_seed(9, "ft-dropout", 1, 0))
+        cache = fresh.encoder.forward(*fresh.encoder.prepare_batch(seqs),
+                                      derive_seed(9, "ft-dropout", 1, 0))
         scores = (cache["pooled"] @ fresh.head_w + fresh.head_b).reshape(4, 4)
         expected = 0.0
         for row, item in zip(scores, batch):

@@ -13,17 +13,21 @@ import pytest
 import oracles
 from cmkt import (
     ConfigError,
+    DistillSpec,
     DomainError,
+    EmbeddingBatch,
     MethodSpec,
     ParseError,
     PretrainConfig,
     ShapeError,
+    TeacherSpec,
     TrainingData,
     TrainingError,
     assign_vokens,
     build_voken_bank,
     bundle_text_encoder,
     derive_seed,
+    distill,
     load_similarity_set,
     pretrain,
     read_loss_log,
@@ -33,12 +37,14 @@ from cmkt import (
     select_checkpoint,
     spearman,
     tcl_loss,
+    train_teacher,
     write_loss_log,
 )
 from cmkt import training as training_module
 from cmkt.cli import _read_config
 from cmkt.corpus import CaptionPair, Vocab, plan_dynamic_masking
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder
+from cmkt.objectives import TEXT
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
     EQUIVALENT_POSITIVE,
@@ -324,7 +330,7 @@ class TestLoopBookkeeping:
         monkeypatch.setattr(
             training_module._ComponentEngine,
             "_mlm",
-            lambda self, batch, epoch, step: (float("nan"), {}, {}),
+            lambda self, batch, padded, epoch, step: (float("nan"), {}, {}),
         )
         with pytest.raises(TrainingError) as err:
             pretrain("MLM", make_data(), small_config())
@@ -351,7 +357,7 @@ class TestLoopBookkeeping:
 
         monkeypatch.setattr(training_module, "rng_for", counting_rng_for)
         seqs = [[4 + i % 20, 5, 6, 7] for i in range(batch_size)]
-        mlm_batch_step(encoder, data.vocab, seqs, 3, 2, 5)
+        mlm_batch_step(encoder, data.vocab, encoder.prepare_batch(seqs), 3, 2, 5)
         assert built == [(3, "mask", 2, 5)]
 
     def test_empty_mask_selection_contributes_zero(self):
@@ -359,7 +365,8 @@ class TestLoopBookkeeping:
         encoder = TextEncoder(small_config().encoder_config(len(data.vocab)), seed=0)
         # find a seed whose plan selects nothing for a one-token caption
         for seed in range(200):
-            loss, grads = mlm_batch_step(encoder, data.vocab, [[4]], seed, 1, 0)
+            loss, grads = mlm_batch_step(encoder, data.vocab, encoder.prepare_batch([[4]]),
+                                         seed, 1, 0)
             if not grads:
                 assert loss == 0.0
                 return
@@ -379,14 +386,17 @@ class TestStepZeroHonesty:
         records, _ = assemble_records(MethodSpec.named("TCL+MLM"), data, config)
         order = epoch_order(config.seed, 1, len(records))
         batch = [records[int(i)] for i in order[: config.batch_size]]
-        seqs = [list(r.tokens) for r in batch]
         ids = tuple(r.index for r in batch)
 
         encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
-        view_a = encoder.encode(seqs, derive_seed(config.seed, "tcl-a", 1, 0), ids)
-        view_b = encoder.encode(seqs, derive_seed(config.seed, "tcl-b", 1, 0), ids)
+        padded = encoder.prepare_batch([r.tokens for r in batch])
+        view_a, view_b = (
+            EmbeddingBatch(encoder.forward(*padded, derive_seed(config.seed, view, 1, 0))["pooled"],
+                           TEXT, ids)
+            for view in ("tcl-a", "tcl-b")
+        )
         tcl = tcl_loss(view_a, view_b, config.temperature).total / len(batch)
-        mlm, _ = mlm_batch_step(encoder, data.vocab, seqs, config.seed, 1, 0)
+        mlm, _ = mlm_batch_step(encoder, data.vocab, padded, config.seed, 1, 0)
         assert abs(row["tcl"] - tcl) < 1e-10
         assert abs(row["mlm"] - mlm) < 1e-10
         assert abs(row["total"] - (tcl + mlm)) < 1e-10
@@ -426,8 +436,7 @@ class TestStepZeroHonesty:
 
         encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
         dists, _ = encoder.masked_forward(
-            [masked[b, : len(toks)].tolist() for b, toks in enumerate(batch)],
-            derive_seed(config.seed, "mlm-dropout", 1, 0),
+            masked, (tokens != 0).astype(np.float64), derive_seed(config.seed, "mlm-dropout", 1, 0)
         )
         loss = -np.mean(np.log(dists[rows, cols, tokens[rows, cols]]))
         assert abs(result.loss_rows[0]["mlm"] - loss) < 1e-10
@@ -450,6 +459,43 @@ class TestStepZeroHonesty:
         order = epoch_order(config.seed, 1, 10)
         assert len(order) == 10  # one batch holds the whole corpus
         assert np.isfinite(full)
+
+
+class TestOnePaddingPerStep:
+    @pytest.mark.parametrize("method, pads_per_step", [
+        ("MLM", 1), ("TCL+MLM", 1), ("CMCL+ANS", 2), ("CMKD", 1),
+    ])
+    def test_prepare_batch_calls_per_step(self, method, pads_per_step, monkeypatch):
+        """Every component of a step shares one padded batch of its
+        captions; ANS pads the hard negatives once more. Distillation's
+        teacher targets are padded inside ``block_activations`` before
+        training and are not counted."""
+        data = make_data()
+        config = small_config(epochs=1)
+        teacher = train_teacher(TeacherSpec(), data, config) if method == "CMKD" else None
+        calls, in_teacher = [], []
+        prepare_batch, block_activations = TextEncoder.prepare_batch, TextEncoder.block_activations
+
+        def counting_prepare_batch(self, seqs):
+            if not in_teacher:
+                calls.append(len(seqs))
+            return prepare_batch(self, seqs)
+
+        def teacher_block_activations(self, seqs):
+            in_teacher.append(seqs)
+            try:
+                return block_activations(self, seqs)
+            finally:
+                in_teacher.pop()
+
+        monkeypatch.setattr(TextEncoder, "prepare_batch", counting_prepare_batch)
+        monkeypatch.setattr(TextEncoder, "block_activations", teacher_block_activations)
+        if teacher is None:
+            result = pretrain(method, data, config)
+        else:
+            result = distill(teacher.final, data, DistillSpec(), config)
+        assert len(result.loss_rows) == 3  # 10 train captions in batches of 4
+        assert len(calls) == pads_per_step * len(result.loss_rows)
 
 
 class TestHardNegativeEffects:
