@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import Vocab
 from .encoders import TextEncoder, TextEncoderConfig
 from .errors import ParseError, ValidationError
-from .textio import write_bytes
+from .textio import parse_errors, write_bytes
 
 CHECKPOINT_MAGIC = b"CMKTCKPT"
 CHECKPOINT_VERSION = 1
@@ -97,7 +97,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ParseError(f"{path}: header has no metadata object")
     params: dict[str, np.ndarray] = {}
     offset = 12 + header_len
-    for name, shape in _tensor_index(header, path):
+    for name, shape in _tensor_index(header, path).items():
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
             raise ParseError(f"{path}: tensor {name!r} runs past end of file")
@@ -110,22 +110,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(params=params, meta=header["meta"])
 
 
-def _tensor_index(header: dict, path: Path) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each tensor the header lists, in file order."""
+def _tensor_index(header: dict, path: Path) -> dict[str, tuple[int, ...]]:
+    """The shape of each tensor the header lists, by name in file order."""
     tensors = header.get("tensors")
     if not isinstance(tensors, list):
         raise ParseError(f"{path}: header has no tensor list")
-    index = []
+    index = {}
     for position, entry in enumerate(tensors):
         name = entry.get("name") if isinstance(entry, dict) else None
         if not isinstance(name, str):
             raise ParseError(f"{path}: tensor entry {position} has no name")
+        if name in index:
+            raise ParseError(f"{path}: tensor {name!r} listed twice")
         shape = entry.get("shape")
         if not isinstance(shape, list) or not all(
             type(n) is int and n >= 0 for n in shape
         ):
             raise ParseError(f"{path}: tensor {name!r} has a bad shape {shape!r}")
-        index.append((name, tuple(shape)))
+        index[name] = tuple(shape)
     return index
 
 
@@ -150,7 +152,9 @@ def restore_text_encoder(ckpt: Checkpoint) -> tuple[TextEncoder, Vocab]:
     """Rebuild the encoder and vocabulary a bundle describes."""
     if "encoder_config" not in ckpt.meta or "vocab" not in ckpt.meta:
         raise ValidationError("checkpoint does not carry an encoder bundle")
-    config = TextEncoderConfig(**ckpt.meta["encoder_config"])
-    encoder = TextEncoder(config, seed=0)
+    with parse_errors("checkpoint encoder_config", ValidationError):
+        encoder = TextEncoder(TextEncoderConfig(**ckpt.meta["encoder_config"]), seed=0)
+    with parse_errors("checkpoint vocab", ValidationError):
+        vocab = Vocab(ckpt.meta["vocab"])
     encoder.set_params(ckpt.text_params())
-    return encoder, Vocab(ckpt.meta["vocab"])
+    return encoder, vocab

@@ -245,35 +245,35 @@ def _load_training_data(args) -> tuple[TrainingData, dict[str, Path]]:
     return data, inputs
 
 
-def _epoch_writer(out: Path, outputs: list[Path]):
-    """The training sink of pretrain, teacher and distill: writes each
-    epoch's checkpoint as soon as the epoch ends, creating ``out`` on the
-    first one, and lists the file in ``outputs``."""
+def _epoch_writer(out: Path):
+    """The training sink of pretrain, teacher and distill: replaces
+    ``out/checkpoint-last.ckpt`` with each epoch's checkpoint as soon as
+    the epoch ends, creating ``out`` on the first one. A failed run keeps
+    the checkpoint of its last completed epoch."""
 
     def write(ckpt) -> None:
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"checkpoint-epoch-{ckpt.meta['epoch']:03d}.ckpt"
-        save_checkpoint(ckpt, path)
-        outputs.append(path)
+        save_checkpoint(ckpt, out / "checkpoint-last.ckpt")
 
     return write
 
 
-def _write_final_outputs(result, out: Path, outputs: list[Path]) -> None:
+def _write_final_outputs(result, out: Path) -> list[Path]:
+    """Writes the final checkpoint and the loss log; returns every file the
+    run wrote."""
     final_path = out / "checkpoint-final.ckpt"
     save_checkpoint(result.final, final_path)
     loss_path = out / "loss.csv"
     write_loss_log(result.loss_rows, result.components, loss_path)
-    outputs += [final_path, loss_path]
+    return [out / "checkpoint-last.ckpt", final_path, loss_path]
 
 
 def cmd_pretrain(args) -> int:
     config = _read_config(PretrainConfig, args)
     data, inputs = _load_training_data(args)
     out = Path(args.out)
-    outputs: list[Path] = []
-    result = pretrain(args.method, data, config, on_epoch=_epoch_writer(out, outputs))
-    _write_final_outputs(result, out, outputs)
+    result = pretrain(args.method, data, config, on_epoch=_epoch_writer(out))
+    outputs = _write_final_outputs(result, out)
     snapshot = {**dataclasses.asdict(config), "method": args.method}
     _write_manifest(out / "manifest.json", "pretrain", snapshot, inputs, outputs, config.seed)
     final_total = result.loss_rows[-1]["total"] if result.loss_rows else float("nan")
@@ -285,10 +285,9 @@ def cmd_teacher(args) -> int:
     config = _read_config(PretrainConfig, args)
     data, inputs = _load_training_data(args)
     out = Path(args.out)
-    outputs: list[Path] = []
     result = train_teacher(TeacherSpec(objective=args.objective), data, config,
-                           on_epoch=_epoch_writer(out, outputs))
-    _write_final_outputs(result, out, outputs)
+                           on_epoch=_epoch_writer(out))
+    outputs = _write_final_outputs(result, out)
     snapshot = {**dataclasses.asdict(config), "objective": args.objective}
     _write_manifest(out / "manifest.json", "teacher", snapshot, inputs, outputs, config.seed)
     print(f"teacher:{args.objective} trained -> {out}")
@@ -303,9 +302,8 @@ def cmd_distill(args) -> int:
     teacher = load_checkpoint(teacher_path)
     spec = DistillSpec(mlm_weight=args.mlm_weight, nst_weight=args.nst_weight)
     out = Path(args.out)
-    outputs: list[Path] = []
-    result = distill(teacher, data, spec, config, on_epoch=_epoch_writer(out, outputs))
-    _write_final_outputs(result, out, outputs)
+    result = distill(teacher, data, spec, config, on_epoch=_epoch_writer(out))
+    outputs = _write_final_outputs(result, out)
     snapshot = {**dataclasses.asdict(config), **dataclasses.asdict(spec)}
     _write_manifest(out / "manifest.json", "distill", snapshot, inputs, outputs, config.seed)
     print(f"distilled student -> {out}")

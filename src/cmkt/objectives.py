@@ -123,21 +123,6 @@ def _check_aligned(a: EmbeddingBatch, b: EmbeddingBatch) -> None:
         )
 
 
-def cosine_similarity(u: Array, v: Array) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ShapeError(f"vector dims differ: {u.shape[0]} vs {v.shape[0]}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0:
-        raise DomainError("first argument has zero norm")
-    if nv == 0:
-        raise DomainError("second argument has zero norm")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 # ---------------------------------------------------------------------------
 # shared contrastive engine
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .objectives import (
     EmbeddingBatch,
     ans_loss,
     cmcl_total,
-    cosine_similarity,
     hinge_loss,
     tcl_loss,
 )
@@ -682,73 +681,8 @@ def build_voken_bank(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint selection
+# held-out similarity set
 # ---------------------------------------------------------------------------
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(values)]
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Rank correlation with average ranks on ties."""
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.ndim != 1 or ya.ndim != 1:
-        raise ShapeError("spearman expects 1-D inputs")
-    if xa.shape != ya.shape:
-        raise ShapeError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
-    if xa.shape[0] < 2:
-        raise ShapeError(f"need at least 2 points, got {xa.shape[0]}")
-    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
-        raise DomainError("rank correlation undefined for NaN or infinite values")
-    if np.all(xa == xa[0]) or np.all(ya == ya[0]):
-        raise DomainError("rank correlation undefined for a constant input")
-    return float(np.corrcoef(_average_ranks(xa), _average_ranks(ya))[0, 1])
-
-
-@dataclass(frozen=True)
-class CheckpointSelection:
-    index: int
-    checkpoint: Checkpoint
-    correlations: tuple[float, ...]
-
-
-def select_checkpoint(
-    series: Sequence[Checkpoint],
-    heldout: Sequence[tuple[str, str, float]],
-) -> CheckpointSelection:
-    """Pick the checkpoint whose encoder best rank-orders a held-out
-    sentence-pair similarity set; ties go to the earliest checkpoint."""
-    series = list(series)
-    if not series:
-        raise ConfigError("empty checkpoint series")
-    heldout = list(heldout)
-    if not heldout:
-        raise ConfigError("held-out similarity set is empty")
-    gold = [float(score) for _, _, score in heldout]
-    correlations = []
-    for ckpt in series:
-        encoder, vocab = restore_text_encoder(ckpt)
-        max_len = encoder.config.max_len
-        seqs_a = [tokenize(a, vocab, max_len) for a, _, _ in heldout]
-        seqs_b = [tokenize(b, vocab, max_len) for _, b, _ in heldout]
-        va = encoder.encode(seqs_a).vectors
-        vb = encoder.encode(seqs_b).vectors
-        sims = [cosine_similarity(va[i], vb[i]) for i in range(len(heldout))]
-        correlations.append(spearman(sims, gold))
-    best = 0
-    for i, rho in enumerate(correlations):
-        if rho > correlations[best]:
-            best = i
-    return CheckpointSelection(best, series[best], tuple(correlations))
 
 
 def load_similarity_set(path: str | Path) -> list[tuple[str, str, float]]:

@@ -98,35 +98,6 @@ def mmd2_poly2(teacher, student):
     return kmean(t, t) + kmean(s, s) - 2.0 * kmean(t, s)
 
 
-def average_ranks(vals):
-    """1-based ranks, each tie group at the mean of the ranks it spans."""
-    order = sorted(range(len(vals)), key=lambda i: vals[i])
-    r = [0.0] * len(vals)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            r[order[k]] = avg
-        i = j + 1
-    return r
-
-
-def spearman(xs, ys):
-    """Spearman rank correlation with average ranks for ties."""
-    rx = average_ranks(xs)
-    ry = average_ranks(ys)
-    n = len(xs)
-    mx = sum(rx) / n
-    my = sum(ry) / n
-    sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    sxx = sum((a - mx) ** 2 for a in rx)
-    syy = sum((b - my) ** 2 for b in ry)
-    return sxy / math.sqrt(sxx * syy)
-
-
 def lexicon_walk_equivalent(path, original, candidate):
     """Exhaustive file-based check: candidate is a symmetric-synonym
     neighbor of original, or reachable along hypernym edges."""

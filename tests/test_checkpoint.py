@@ -142,12 +142,14 @@ class TestCorruptionDetection:
             (b'{"meta":{},"tensors":[{"name":"a","shape":"2"}],"version":1}', "bad shape"),
             (b'{"meta":{},"tensors":[{"name":"a","shape":[-2]}],"version":1}', "bad shape"),
             (b'{"meta":{},"tensors":[{"name":"a","shape":[1.5]}],"version":1}', "bad shape"),
+            (b'{"meta":{},"tensors":[{"name":"a","shape":[1]},{"name":"a","shape":[1]}],'
+             b'"version":1}', "'a' listed twice"),
             (b'{"tensors":[],"version":1}', "metadata"),
             (b'[1]', "JSON object"),
         ],
         ids=["no-tensors", "tensors-not-list", "entry-no-name", "entry-not-object",
              "entry-no-shape", "shape-not-list", "negative-dim", "float-dim",
-             "no-meta", "header-not-object"],
+             "repeated-name", "no-meta", "header-not-object"],
     )
     def test_malformed_header_is_parse_error(self, tmp_path, header, message):
         path = tmp_path / "c.ckpt"

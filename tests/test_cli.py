@@ -7,9 +7,11 @@ import struct
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cmkt import cli
+from cmkt.checkpoint import load_checkpoint
 from cmkt.cli import main
 from cmkt.evaluation import (
     EvalRun,
@@ -96,6 +98,50 @@ def cmcl_dir(world_dir, tiny_pretrain_config, tmp_path_factory):
     )
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def teacher_dir(world_dir, tiny_pretrain_config, tmp_path_factory):
+    out = tmp_path_factory.mktemp("teacher") / "teacher"
+    rc = main(
+        [
+            "teacher",
+            "--objective", "cmcl",
+            "--pairs", str(world_dir / "pairs.tsv"),
+            "--vocab", str(world_dir / "vocab.txt"),
+            "--bank", str(world_dir / "features.npz"),
+            "--out", str(out),
+            "--config", str(tiny_pretrain_config),
+        ]
+    )
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def student_dir(world_dir, tiny_pretrain_config, teacher_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("student") / "student"
+    rc = main(
+        [
+            "distill",
+            "--teacher", str(teacher_dir / "checkpoint-final.ckpt"),
+            "--pairs", str(world_dir / "pairs.tsv"),
+            "--vocab", str(world_dir / "vocab.txt"),
+            "--out", str(out),
+            "--config", str(tiny_pretrain_config),
+        ]
+    )
+    assert rc == 0
+    return out
+
+
+def with_header(raw, edit):
+    """Checkpoint bytes ``raw`` with ``edit`` applied to the parsed header."""
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :]
 
 
 class TestSynthCommand:
@@ -367,8 +413,9 @@ class TestPretrainCommand:
         assert len(log) > 1
 
     def test_epoch_checkpoints_written(self, cmcl_dir):
-        assert (cmcl_dir / "checkpoint-epoch-001.ckpt").exists()
-        assert (cmcl_dir / "checkpoint-epoch-002.ckpt").exists()
+        """Each epoch replaces one resume checkpoint; none is archived."""
+        assert not list(cmcl_dir.glob("checkpoint-epoch-*"))
+        assert load_checkpoint(cmcl_dir / "checkpoint-last.ckpt").meta["epoch"] == 2
 
     def test_unknown_method_exit_2_lists_valid(self, world_dir, tmp_path, capsys):
         code = main(
@@ -466,10 +513,10 @@ class TestPretrainCommand:
     def test_divergence_in_epoch_2_keeps_epoch_1_and_writes_no_manifest(
         self, world_dir, tiny_pretrain_config, tmp_path, monkeypatch, capsys
     ):
-        """Epoch checkpoints are on disk as soon as their epoch ends, so a run
-        that fails later keeps them; without a manifest it reads as unfinished."""
+        """Each epoch's checkpoint is on disk as soon as the epoch ends, so a
+        run that fails later keeps its last completed epoch; without a
+        manifest it reads as unfinished."""
         from cmkt import training
-        from cmkt.checkpoint import load_checkpoint
         from cmkt.corpus import load_pairs
         from cmkt.errors import TrainingError
 
@@ -490,8 +537,8 @@ class TestPretrainCommand:
                    "--config", str(tiny_pretrain_config), "--out", str(out)])
         assert rc == 3
         assert f"at step {first_step_of_epoch_2}" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["checkpoint-epoch-001.ckpt"]
-        assert load_checkpoint(out / "checkpoint-epoch-001.ckpt").meta["epoch"] == 1
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint-last.ckpt"]
+        assert load_checkpoint(out / "checkpoint-last.ckpt").meta["epoch"] == 1
 
     def test_manifest_hashes_inputs(self, cmcl_dir):
         manifest = json.loads((cmcl_dir / "manifest.json").read_text())
@@ -500,34 +547,32 @@ class TestPretrainCommand:
             assert len(entry["blake2b"]) == 32
 
 
+RUN_FILES = ["checkpoint-final.ckpt", "checkpoint-last.ckpt", "loss.csv", "manifest.json"]
+
+
+@pytest.mark.parametrize("run", ["cmcl_dir", "teacher_dir", "student_dir"],
+                         ids=["pretrain", "teacher", "distill"])
+class TestRunDirectory:
+    def test_finished_run_holds_exactly_its_outputs(self, run, request):
+        out = request.getfixturevalue(run)
+        assert sorted(p.name for p in out.iterdir()) == RUN_FILES
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / name) for name in RUN_FILES[:-1]]
+
+    def test_last_checkpoint_is_the_final_one_but_for_kind(self, run, request):
+        out = request.getfixturevalue(run)
+        last = load_checkpoint(out / "checkpoint-last.ckpt")
+        final = load_checkpoint(out / "checkpoint-final.ckpt")
+        assert last.params.keys() == final.params.keys()
+        for name, value in final.params.items():
+            np.testing.assert_array_equal(last.params[name], value)
+        assert (last.meta["kind"], final.meta["kind"]) == ("epoch", "final")
+        assert {**last.meta, "kind": "final"} == final.meta
+
+
 class TestTeacherDistillCommands:
-    def test_teacher_then_distill(self, world_dir, tiny_pretrain_config, tmp_path):
-        teacher_out = tmp_path / "teacher"
-        rc = main(
-            [
-                "teacher",
-                "--objective", "cmcl",
-                "--pairs", str(world_dir / "pairs.tsv"),
-                "--vocab", str(world_dir / "vocab.txt"),
-                "--bank", str(world_dir / "features.npz"),
-                "--out", str(teacher_out),
-                "--config", str(tiny_pretrain_config),
-            ]
-        )
-        assert rc == 0
-        student_out = tmp_path / "student"
-        rc = main(
-            [
-                "distill",
-                "--teacher", str(teacher_out / "checkpoint-final.ckpt"),
-                "--pairs", str(world_dir / "pairs.tsv"),
-                "--vocab", str(world_dir / "vocab.txt"),
-                "--out", str(student_out),
-                "--config", str(tiny_pretrain_config),
-            ]
-        )
-        assert rc == 0
-        assert (student_out / "checkpoint-final.ckpt").exists()
+    def test_teacher_then_distill(self, student_dir):
+        assert (student_dir / "checkpoint-final.ckpt").exists()
 
     def test_width_mismatch_exit_2_names_both_widths(self, world_dir, tiny_pretrain_config,
                                                      tmp_path, capsys):
@@ -645,6 +690,30 @@ class TestFinetuneCommand:
         assert code == 2
         assert "--train-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda meta: meta["encoder_config"].update(colour=1), "encoder_config"),
+            (lambda meta: meta.update(encoder_config=[16]), "encoder_config"),
+            (lambda meta: meta.update(vocab=7), "vocab"),
+            (lambda meta: meta["encoder_config"].update(dim="4"), "encoder_config"),
+            (lambda meta: meta["encoder_config"].update(dim=4.0), "encoder_config"),
+        ],
+        ids=["unknown-config-key", "config-not-object", "vocab-not-list", "dim-string",
+             "dim-float"],
+    )
+    def test_bad_bundle_metadata_exit_2_names_field(self, world_dir, cmcl_dir, tiny_eval_config,
+                                                    edit, field, tmp_path, capsys):
+        raw = (cmcl_dir / "checkpoint-final.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(raw, lambda header: edit(header["meta"])))
+        code = main(["finetune", "--checkpoint", str(bad),
+                     "--dataset", str(world_dir / "mcqa.jsonl"), "--learning-rate", "0.1",
+                     "--train-size", "16", "--config", str(tiny_eval_config),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"checkpoint {field}:" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_low64_writes_five_run_seeds(self, world_dir, cmcl_dir,
@@ -727,12 +796,8 @@ class TestEvalCommand:
     def test_checkpoint_header_without_tensors_exit_2(self, world_dir, cmcl_dir,
                                                       tiny_eval_config, tmp_path, capsys):
         raw = (cmcl_dir / "checkpoint-final.ckpt").read_bytes()
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12 : 12 + header_len])
-        del header["tensors"]
-        blob = json.dumps(header).encode()
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len :])
+        bad.write_bytes(with_header(raw, lambda header: header.pop("tensors")))
         rc = main(
             [
                 "eval",

@@ -3,6 +3,7 @@ or inside a function, is used, and no function imports again from a module the
 file already imports at the top level. Also: what importing the CLI loads."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cmkt"
+TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
 
-# (module, name) pairs imported on purpose without a use in the module
+# (module, name) pairs imported on purpose without a use in the module:
+# perfbench/tracing.py wraps each under that module's name
 KEPT = {
-    # perfbench/tracing.py wraps it under the distillation module's name
     ("distillation", "bundle_text_encoder"),
+    ("training", "restore_text_encoder"),
 }
 
 
@@ -89,6 +92,16 @@ def test_no_unused_top_level_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_function_reimports_a_top_level_module(path):
     assert local_reimports(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_every_kept_import_is_a_tracer_target():
+    """An exemption holds only while the tracer patches that name there, so a
+    stale one fails here instead of hiding an unused import."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patched = {(module.removeprefix("cmkt."), attr) for _, module, attr in tracing.TARGETS}
+    assert KEPT <= patched
 
 
 def test_scan_finds_unused_and_counts_all():

@@ -23,7 +23,6 @@ from cmkt import (
     ValidationError,
     ans_loss,
     cmcl_total,
-    cosine_similarity,
     hinge_loss,
     infonce_loss,
     mlm_loss,
@@ -53,51 +52,6 @@ finite_rows = hnp.arrays(
     st.tuples(st.integers(2, 5), st.integers(2, 4)),
     elements=st.floats(-3.0, 3.0, allow_nan=False),
 )
-
-
-class TestCosineSimilarity:
-    def test_unit_diagonal_pair(self):
-        """cos([1,0],[1,1]) = 1/sqrt(2): dot 1 over norms 1 and sqrt(2)."""
-        np.testing.assert_allclose(
-            cosine_similarity([1.0, 0.0], [1.0, 1.0]), 0.7071067811865476
-        )
-
-    def test_parallel_orthogonal_antiparallel(self):
-        assert cosine_similarity([2.0, 0.0], [5.0, 0.0]) == pytest.approx(1.0)
-        assert cosine_similarity([1.0, 0.0], [0.0, 3.0]) == pytest.approx(0.0)
-        assert cosine_similarity([1.0, 1.0], [-2.0, -2.0]) == pytest.approx(-1.0)
-
-    def test_scale_invariant(self):
-        rng = np.random.default_rng(42)
-        u, v = rng.normal(size=(2, 8))
-        np.testing.assert_allclose(
-            cosine_similarity(u, v), cosine_similarity(3.7 * u, 0.01 * v)
-        )
-
-    def test_matches_loop_reference(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            u, v = rng.normal(size=(2, 5))
-            np.testing.assert_allclose(
-                cosine_similarity(u, v), oracles.cos(list(u), list(v))
-            )
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DomainError):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(DomainError):
-            cosine_similarity([1.0, 0.0], [0.0, 0.0])
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    @given(finite_rows)
-    @settings(max_examples=50, deadline=None)
-    def test_bounded_by_one(self, rows):
-        assume(np.linalg.norm(rows[0]) > 0.1 and np.linalg.norm(rows[1]) > 0.1)
-        s = cosine_similarity(rows[0], rows[1])
-        assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 
 class TestInfoNce:

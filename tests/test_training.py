@@ -1,5 +1,5 @@
 """Trainer tests: method composition, loop bookkeeping, determinism,
-voken assignment, rank correlation, and checkpoint selection."""
+voken assignment, and the held-out similarity and loss-log files."""
 
 import argparse
 import dataclasses
@@ -25,7 +25,6 @@ from cmkt import (
     TrainingError,
     assign_vokens,
     build_voken_bank,
-    bundle_text_encoder,
     derive_seed,
     distill,
     load_similarity_set,
@@ -34,8 +33,6 @@ from cmkt import (
     restore_text_encoder,
     save_checkpoint,
     save_similarity_set,
-    select_checkpoint,
-    spearman,
     tcl_loss,
     train_teacher,
     write_loss_log,
@@ -654,126 +651,6 @@ class TestBuildVokenBank:
         pairs = [CaptionPair(i, c, s) for i, c, s in PAIR_ROWS]
         with pytest.raises(ConfigError):
             build_voken_bank(pairs, ImageEncoder.identity(bank), 0)
-
-
-class TestSpearman:
-    def test_identity_is_one(self):
-        assert spearman([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]) == pytest.approx(1.0)
-
-    def test_reversal_is_minus_one(self):
-        assert spearman([1.0, 2.0, 3.0], [5.0, 4.0, 3.0]) == pytest.approx(-1.0)
-
-    def test_single_swap_case(self):
-        """ranks (1,2,3,4) vs (1,3,2,4): d^2 sums to 2, rho = 1 - 12/60."""
-        assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
-
-    def test_ties_use_average_ranks(self):
-        x = [1.0, 2.0, 2.0, 3.0]
-        y = [4.0, 5.0, 6.0, 7.0]
-        assert spearman(x, y) == pytest.approx(oracles.spearman(x, y))
-
-    def test_random_cases_match_loop_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            x = rng.integers(0, 6, size=12).astype(float)
-            y = rng.integers(0, 6, size=12).astype(float)
-            if np.all(x == x[0]) or np.all(y == y[0]):
-                continue
-            assert spearman(x, y) == pytest.approx(oracles.spearman(list(x), list(y)))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            spearman([1, 2], [1, 2, 3])
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ShapeError):
-            spearman([1.0], [2.0])
-
-    def test_constant_input_rejected(self):
-        with pytest.raises(DomainError):
-            spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("side", ["x", "y"])
-    def test_non_finite_input_rejected(self, bad, side):
-        """NaN would otherwise get a rank of its own and inf the top rank."""
-        values = [1.0, bad, 3.0, 2.0]
-        x, y = (values, [1.0, 2.0, 3.0, 4.0]) if side == "x" else ([1.0, 2.0, 3.0, 4.0], values)
-        with pytest.raises(DomainError, match="NaN or infinite"):
-            spearman(x, y)
-
-    def test_average_ranks_equal_loop_ranks(self):
-        rng = np.random.default_rng(29)
-        for size in (1, 2, 7, 40):
-            for _ in range(20):
-                values = rng.integers(0, 5, size=size).astype(float)
-                np.testing.assert_array_equal(
-                    training_module._average_ranks(values), oracles.average_ranks(list(values))
-                )
-
-
-class TestSelectCheckpoint:
-    def make_bundle(self, seed, vocab):
-        config = small_config().encoder_config(len(vocab))
-        encoder = TextEncoder(config, seed=seed)
-        return bundle_text_encoder(encoder, vocab, {"seed": seed}), encoder
-
-    def heldout_for(self, encoder, vocab, n=8):
-        """Sentence pairs whose gold scores are this encoder's own cosine
-        similarities, so it rank-orders them perfectly."""
-        words = [vocab.word_of(i) for i in range(4, len(vocab))]
-        rng = np.random.default_rng(23)
-        items = []
-        for _ in range(n):
-            a = " ".join(rng.choice(words, size=3))
-            b = " ".join(rng.choice(words, size=3))
-            items.append((a, b))
-        from cmkt.corpus import tokenize
-
-        seqs_a = [tokenize(a, vocab, 8) for a, _ in items]
-        seqs_b = [tokenize(b, vocab, 8) for _, b in items]
-        va = encoder.encode(seqs_a).vectors
-        vb = encoder.encode(seqs_b).vectors
-        return [
-            (a, b, oracles.cos(va[i], vb[i]))
-            for i, (a, b) in enumerate(items)
-        ]
-
-    def test_single_checkpoint_returned_unconditionally(self):
-        data = make_data()
-        bundle, encoder = self.make_bundle(1, data.vocab)
-        heldout = self.heldout_for(encoder, data.vocab)
-        selection = select_checkpoint([bundle], heldout)
-        assert selection.index == 0
-        assert selection.checkpoint is bundle
-
-    def test_perfectly_ranking_encoder_wins(self):
-        data = make_data()
-        bundle_a, _ = self.make_bundle(1, data.vocab)
-        bundle_b, encoder_b = self.make_bundle(2, data.vocab)
-        heldout = self.heldout_for(encoder_b, data.vocab)
-        selection = select_checkpoint([bundle_a, bundle_b], heldout)
-        assert selection.index == 1
-        assert selection.correlations[1] == pytest.approx(1.0)
-        assert selection.correlations[0] < 1.0
-
-    def test_tie_goes_to_earliest(self):
-        data = make_data()
-        bundle, encoder = self.make_bundle(1, data.vocab)
-        twin, _ = self.make_bundle(1, data.vocab)
-        heldout = self.heldout_for(encoder, data.vocab)
-        selection = select_checkpoint([bundle, twin], heldout)
-        assert selection.index == 0
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ConfigError):
-            select_checkpoint([], [("a", "b", 1.0)])
-
-    def test_empty_heldout_rejected(self):
-        data = make_data()
-        bundle, _ = self.make_bundle(1, data.vocab)
-        with pytest.raises(ConfigError):
-            select_checkpoint([bundle], [])
 
 
 class TestSimilaritySetIO:
