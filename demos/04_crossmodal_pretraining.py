@@ -9,8 +9,6 @@ image. Held-out retrieval recall@1 over 32 candidates (chance 1/32,
 about 0.03) shows how much alignment each method buys.
 """
 
-import numpy as np
-
 from cmkt.checkpoint import restore_text_encoder
 from cmkt.corpus import tokenize
 from cmkt.encoders import ImageEncoder, TextEncoder

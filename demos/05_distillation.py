@@ -13,8 +13,6 @@ ignores the teacher entirely and the run replays plain masked-language
 training step for step, which this demo verifies bit for bit.
 """
 
-import numpy as np
-
 from cmkt.checkpoint import restore_text_encoder
 from cmkt.distillation import DistillSpec, TeacherSpec, distill, train_teacher
 from cmkt.objectives import nst_loss

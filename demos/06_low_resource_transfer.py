@@ -12,8 +12,6 @@ learning rate chosen on the first subsample's dev accuracy, mean and
 standard deviation over the 5 fine-tunes, rendered as a report table.
 """
 
-import numpy as np
-
 from cmkt.checkpoint import bundle_text_encoder
 from cmkt.encoders import TextEncoder
 from cmkt.evaluation import FinetuneConfig, low_resource_protocol, report

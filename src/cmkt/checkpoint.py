@@ -156,5 +156,10 @@ def restore_text_encoder(ckpt: Checkpoint) -> tuple[TextEncoder, Vocab]:
         encoder = TextEncoder(TextEncoderConfig(**ckpt.meta["encoder_config"]), seed=0)
     with parse_errors("checkpoint vocab", ValidationError):
         vocab = Vocab(ckpt.meta["vocab"])
+    if len(vocab) != encoder.config.vocab_size:
+        raise ValidationError(
+            f"checkpoint vocab: {len(vocab)} words, but encoder_config.vocab_size is "
+            f"{encoder.config.vocab_size}"
+        )
     encoder.set_params(ckpt.text_params())
     return encoder, vocab

@@ -82,9 +82,17 @@ def _ln_forward(x, gamma, beta):
     x_hat -= x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((x_hat * x_hat) @ np.full(x.shape[1], 1.0 / x.shape[1]) + LN_EPS)
     x_hat *= inv[:, None]
+    cache = (x_hat, inv, gamma)
+    return _ln_output(cache, beta), cache
+
+
+def _ln_output(cache, beta):
+    """The output of :func:`_ln_forward` from its cache: backward rebuilds
+    an output it needs with these same operations instead of keeping it."""
+    x_hat, _, gamma = cache
     out = x_hat * gamma
     out += beta
-    return out, (x_hat, inv, gamma)
+    return out
 
 
 def _ln_backward(d_out, cache, ones):
@@ -113,6 +121,12 @@ def _wgrad(a, b):
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
+def _row_wgrad(a, b, n):
+    """:func:`_wgrad` of two ``(n * length, .)`` row matrices, taken through
+    their ``(n, length, .)`` views."""
+    return _wgrad(a.reshape(n, -1, a.shape[-1]), b.reshape(n, -1, b.shape[-1]))
+
+
 def _embedding_grad(tokens, d_emb, vocab_size):
     """Sum of ``d_emb`` rows per token id, added in the same order as ``np.add.at``:
     one bincount over (token id, column) bins."""
@@ -122,23 +136,81 @@ def _embedding_grad(tokens, d_emb, vocab_size):
                        minlength=vocab_size * dim).reshape(vocab_size, dim)
 
 
-def _undrop(d_out, scale):
-    """Gradient through a dropout site whose cached scale is ``scale``."""
-    return d_out if scale is None else d_out * scale
+def _undrop(d_out, keep, p):
+    """Gradient through a dropout site whose cached keep-mask is ``keep``,
+    scaled the way :func:`_drop` scales its output. ``d_out`` is not written."""
+    if keep is None:
+        return d_out
+    d_in = d_out * keep
+    d_in *= 1.0 / (1.0 - p)
+    return d_in
 
 
 def _drop(x, site, rng, p, saved):
-    """Dropout at ``site``, in place on ``x``: the keep-mask is the next
-    ``x.shape`` uniforms of ``rng`` (None when dropout is off). The scale
+    """Dropout at ``site``, in place on ``x``: the bool keep-mask is the next
+    ``x.shape`` uniforms of ``rng`` at or above ``p`` (None when dropout is
+    off). ``x`` is multiplied by the mask, then by ``1 / (1 - p)``. The mask
     goes to ``saved`` unless that is None."""
-    scale = None
+    keep = None
     if rng is not None:
-        scale = rng.random(x.shape) >= p
-        scale = scale * (1.0 / (1.0 - p))
-        x *= scale
+        keep = rng.random(x.shape) >= p
+        x *= keep
+        x *= 1.0 / (1.0 - p)
     if saved is not None:
-        saved["drop." + site] = scale
+        saved["drop." + site] = keep
     return x
+
+
+def _ffn_backward(d_x, blk, keep, p_drop, P, p, grads, ones, n):
+    """Backward through the feed-forward half of block ``p`` over ``n``
+    sequences: its second layer norm, dropout site and ReLU feed-forward.
+    Pops ``ln2`` and ``h`` from the block cache ``blk``, writes the
+    parameter gradients to ``grads`` and returns the gradient on the first
+    layer norm's output."""
+    d_r2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk.pop("ln2"), ones)
+    d_ffn = _undrop(d_r2, keep, p_drop)
+    h = blk.pop("h")
+    grads[p + "w2"] = _row_wgrad(h, d_ffn, n)
+    grads[p + "b2"] = ones @ d_ffn
+    d_pre = d_ffn @ P[p + "w2"].T
+    d_pre *= h > 0
+    grads[p + "w1"] = _row_wgrad(_ln_output(blk["ln1"], P[p + "ln1_b"]), d_pre, n)
+    grads[p + "b1"] = ones @ d_pre
+    d_y = d_pre @ P[p + "w1"].T
+    d_y += d_r2
+    return d_y
+
+
+def _attention_backward(d_y, blk, keep, p_drop, x_in, P, p, grads, ones):
+    """Backward through the attention half of block ``p``: its first layer
+    norm, dropout site, output projection and single-head attention over
+    the input ``x_in``. Pops the rest of the block cache ``blk``, writes
+    the parameter gradients to ``grads`` and returns the gradient on
+    ``x_in``."""
+    d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_y, blk.pop("ln1"), ones)
+    d_proj = _undrop(d_r1, keep, p_drop)
+    qkv, attn = blk.pop("qkv"), blk.pop("attn")
+    n, length, d = qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3
+    q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+    grads[p + "wo"] = _row_wgrad((attn @ v).reshape(n * length, d), d_proj, n)
+    grads[p + "bo"] = ones @ d_proj
+    d_ctx = (d_proj @ P[p + "wo"].T).reshape(n, length, d)
+    d_attn = d_ctx @ v.transpose(0, 2, 1)
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    scale = 1.0 / np.sqrt(d)
+    d_qkv = np.concatenate(
+        [d_scores @ k * scale, d_scores.transpose(0, 2, 1) @ q * scale,
+         attn.transpose(0, 2, 1) @ d_ctx],
+        axis=-1,
+    ).reshape(n * length, 3 * d)
+    g_qkv = _row_wgrad(x_in, d_qkv, n)
+    b_qkv = ones @ d_qkv
+    for j, side in enumerate("qkv"):
+        grads[p + "w" + side] = g_qkv[:, j * d : (j + 1) * d]
+        grads[p + "b" + side] = b_qkv[j * d : (j + 1) * d]
+    d_x = d_qkv @ blk.pop("w_qkv").T
+    d_x += d_r1
+    return d_x
 
 
 class TextEncoder:
@@ -230,13 +302,17 @@ class TextEncoder:
         left-aligned and padded with id 0, and a mask of 1.0 on real tokens.
         Neither array is written, so one pair can serve several forwards.
         Returns a cache holding pooled output, hidden states, per-block
-        pooled activations and, when ``record`` is true, every intermediate
-        the backward pass needs. Inference passes ``record=False``: each
+        pooled activations and, when ``record`` is true, what the backward
+        pass needs: each dropout site's bool keep-mask, the first block's
+        input, and per block the Q/K/V projections, attention weights, ReLU
+        activations and both layer norms' normalized rows. Backward rebuilds
+        the rest and consumes this part, so the cache goes to
+        :meth:`backward` once. Inference passes ``record=False``: each
         block's intermediates are then freed as the next block starts, and
         the cache cannot go to :meth:`backward`."""
         P = self.params
         cache: dict = {"tokens": tokens, "mask": mask}
-        saved = cache if record else None  # where dropout scales go
+        saved = cache if record else None  # where keep-masks go
         n, length = tokens.shape
         d = self.config.dim
         p_drop = self.config.dropout
@@ -284,8 +360,9 @@ class TextEncoder:
             x_in = x
             x, ln2 = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
             if record:
-                cache[f"blk{i}"] = dict(x_in=x_in, w_qkv=w_qkv, qkv=qkv, attn=attn,
-                                        ctx=ctx, h=h, y=y, ln1=ln1, ln2=ln2)
+                cache[f"blk{i}"] = dict(w_qkv=w_qkv, qkv=qkv, attn=attn, h=h, ln1=ln1, ln2=ln2)
+                if i == 0:  # a later block's input is rebuilt from the block before it
+                    cache["blk0"]["x_in"] = x_in
             cache["block_pooled"].append(self._pool(x.reshape(n, length, d), pool_weights))
 
         cache["hidden"] = x.reshape(n, length, d)
@@ -321,18 +398,25 @@ class TextEncoder:
     ) -> dict[str, np.ndarray]:
         """Parameter gradients for any mix of upstream gradients: on the
         final pooled vector, on per-position hidden states, and on each
-        block's pooled activation (used by activation matching)."""
+        block's pooled activation (used by activation matching).
+
+        Backward consumes the cache of a recording :meth:`forward`: it pops
+        each block's intermediates and keep-masks as it reads them, so a
+        cache goes to backward once. ``tokens``, ``mask``, ``hidden``,
+        ``pooled`` and ``block_pooled`` stay."""
+        if f"blk{self.config.num_blocks - 1}" not in cache:
+            raise ValidationError(
+                "cache holds no backward state: its forward ran with record=False, "
+                "or backward already consumed it"
+            )
         P = self.params
         pool_weights = self._pool_weights(cache["mask"])
         tokens = cache["tokens"]
         n, length = tokens.shape
         d = self.config.dim
+        p_drop = self.config.dropout
         grads: dict[str, np.ndarray] = {}
-        scale = 1.0 / np.sqrt(d)
         ones = np.ones(n * length)
-
-        def wgrad(a, b):  # weight gradients take (n, length, .) views
-            return _wgrad(a.reshape(n, length, -1), b.reshape(n, length, -1))
 
         d_x = np.zeros((n * length, d))
         if d_hidden is not None:
@@ -344,47 +428,26 @@ class TextEncoder:
             if d_block_pooled is not None and d_block_pooled[i] is not None:
                 d_x += self._pool_backward(d_block_pooled[i], pool_weights).reshape(n * length, d)
             p = f"blk{i}."
-            blk = cache[f"blk{i}"]
+            blk = cache.pop(f"blk{i}")
+            # each half returns the gradient on its input; assigning it to
+            # d_x frees the gradient the half took
+            d_x = _ffn_backward(d_x, blk, cache.pop(f"drop.{p}ffn"), p_drop,
+                                P, p, grads, ones, n)
+            d_x = _attention_backward(d_x, blk, cache.pop(f"drop.{p}attn"), p_drop,
+                                      self._block_input(cache, blk, i), P, p, grads, ones)
 
-            d_r2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk["ln2"], ones)
-            d_ffn = _undrop(d_r2, cache["drop." + p + "ffn"])
-            grads[p + "w2"] = wgrad(blk["h"], d_ffn)
-            grads[p + "b2"] = ones @ d_ffn
-            d_pre = d_ffn @ P[p + "w2"].T
-            d_pre *= blk["h"] > 0
-            grads[p + "w1"] = wgrad(blk["y"], d_pre)
-            grads[p + "b1"] = ones @ d_pre
-            d_y = d_pre @ P[p + "w1"].T
-            d_y += d_r2
-
-            d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_y, blk["ln1"], ones)
-            d_proj = _undrop(d_r1, cache["drop." + p + "attn"])
-            grads[p + "wo"] = wgrad(blk["ctx"], d_proj)
-            grads[p + "bo"] = ones @ d_proj
-            d_ctx = (d_proj @ P[p + "wo"].T).reshape(n, length, d)
-
-            qkv, attn = blk["qkv"], blk["attn"]
-            q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-            d_attn = d_ctx @ v.transpose(0, 2, 1)
-            d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-            d_qkv = np.concatenate(
-                [d_scores @ k * scale, d_scores.transpose(0, 2, 1) @ q * scale,
-                 attn.transpose(0, 2, 1) @ d_ctx],
-                axis=-1,
-            ).reshape(n * length, 3 * d)
-            g_qkv = wgrad(blk["x_in"], d_qkv)
-            b_qkv = ones @ d_qkv
-            for j, side in enumerate("qkv"):
-                grads[p + "w" + side] = g_qkv[:, j * d : (j + 1) * d]
-                grads[p + "b" + side] = b_qkv[j * d : (j + 1) * d]
-            d_x = d_qkv @ blk["w_qkv"].T
-            d_x += d_r1
-
-        d_emb = _undrop(d_x, cache["drop.emb"]).reshape(n, length, d)
+        d_emb = _undrop(d_x, cache.pop("drop.emb"), p_drop).reshape(n, length, d)
         grads["tok_emb"] = _embedding_grad(tokens, d_emb, self.config.vocab_size)
         grads["pos_emb"] = np.zeros_like(P["pos_emb"])
         grads["pos_emb"][:length] = d_emb.sum(axis=0)
         return grads
+
+    def _block_input(self, cache, blk, i):
+        """Block ``i``'s input: the first block's is cached in ``blk``; a
+        later block's is rebuilt from the second layer norm before it."""
+        if i == 0:
+            return blk.pop("x_in")
+        return _ln_output(cache[f"blk{i - 1}"]["ln2"], self.params[f"blk{i - 1}.ln2_b"])
 
     # ---------------------------------------------------------- public API
 

@@ -204,6 +204,16 @@ class TestEncoderBundle:
         with pytest.raises(ValidationError, match="bundle"):
             restore_text_encoder(small_checkpoint())
 
+    @pytest.mark.parametrize("size", [9, 6])
+    def test_restore_rejects_vocab_of_another_size(self, size):
+        """An 8-word bundle whose vocab list is edited to 9 or 6 words."""
+        encoder, vocab = self.make_encoder()
+        ckpt = bundle_text_encoder(encoder, vocab, {})
+        ckpt.meta["vocab"] = list(SPECIALS) + ["cat", "dog", "runs", "sits", "mat"][: size - 4]
+        with pytest.raises(ValidationError,
+                           match=f"vocab: {size} words, but encoder_config.vocab_size is 8"):
+            restore_text_encoder(ckpt)
+
     def test_bundle_roundtrip_is_byte_identical(self, tmp_path):
         encoder, vocab = self.make_encoder()
         p1 = tmp_path / "one.ckpt"

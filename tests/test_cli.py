@@ -17,7 +17,6 @@ from cmkt.evaluation import (
     EvalRun,
     FinetuneConfig,
     MCQADataset,
-    MCQAItem,
     load_mcqa,
     load_runs,
     save_mcqa,
@@ -698,9 +697,11 @@ class TestFinetuneCommand:
             (lambda meta: meta.update(vocab=7), "vocab"),
             (lambda meta: meta["encoder_config"].update(dim="4"), "encoder_config"),
             (lambda meta: meta["encoder_config"].update(dim=4.0), "encoder_config"),
+            (lambda meta: meta["vocab"].append("zzz"), "vocab"),
+            (lambda meta: meta["vocab"].pop(), "vocab"),
         ],
         ids=["unknown-config-key", "config-not-object", "vocab-not-list", "dim-string",
-             "dim-float"],
+             "dim-float", "vocab-longer-than-config", "vocab-shorter-than-config"],
     )
     def test_bad_bundle_metadata_exit_2_names_field(self, world_dir, cmcl_dir, tiny_eval_config,
                                                     edit, field, tmp_path, capsys):

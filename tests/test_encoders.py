@@ -137,6 +137,39 @@ class TestForwardBehaviour:
         assert len(caches) == 2
         assert not any(key.startswith(("blk", "drop.")) for c in caches for key in c)
 
+    def test_recorded_cache_is_lean_and_backward_consumes_it(self):
+        """At the acceptance width a recording forward keeps bool keep-masks,
+        no first layer-norm output (``y``), no attention context (``ctx``)
+        and at most 4,800 bytes per token row. Backward leaves only the
+        outputs."""
+        enc = TextEncoder(tiny_config(vocab_size=40, dim=32, ffn_dim=64, max_len=16,
+                                      dropout=0.1), seed=0)
+        rng = np.random.default_rng(0)
+        tokens, mask = enc.prepare_batch([list(rng.integers(4, 40, size=14)) for _ in range(64)])
+        cache = enc.forward(tokens, mask, dropout_seed=3)
+
+        def nbytes(obj):  # every array in the cache, through its dicts, lists and tuples
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            return sum(map(nbytes, obj.values() if isinstance(obj, dict) else obj))
+
+        masks = [v for k, v in cache.items() if k.startswith("drop.")]
+        assert len(masks) == 5 and all(m.dtype == bool for m in masks)
+        assert not {"y", "ctx"} & {key for i in range(2) for key in cache[f"blk{i}"]}
+        assert nbytes(cache) <= 4_800 * tokens.size
+        enc.backward(cache, d_pooled=np.ones((64, 32)))
+        assert set(cache) == {"tokens", "mask", "hidden", "pooled", "block_pooled"}
+
+    @pytest.mark.parametrize("how", ["record-false", "consumed"])
+    def test_backward_needs_an_unused_recording_cache(self, how):
+        enc = TextEncoder(tiny_config(dropout=0.1), seed=0)
+        batch = enc.prepare_batch(SEQS)
+        cache = enc.forward(*batch, dropout_seed=1, record=how != "record-false")
+        if how == "consumed":
+            enc.backward(cache, d_pooled=np.ones((3, 4)))
+        with pytest.raises(ValidationError, match="record=False, or backward already consumed"):
+            enc.backward(cache, d_pooled=np.ones((3, 4)))
+
     def test_block_activations_count_and_shape(self):
         enc = TextEncoder(tiny_config(num_blocks=2), seed=42)
         acts = enc.block_activations(SEQS)
@@ -488,18 +521,28 @@ class TestKernelsMatchReference:
 
     def test_dropout_scales_follow_site_order(self):
         """One generator, rng_for(seed, "dropout"), per forward: each site's
-        keep-mask is the next (n * length, dim) block of its uniforms, in
-        the order emb, blk0.attn, blk0.ffn, blk1.attn, blk1.ffn."""
+        cached bool keep-mask is the next (n * length, dim) block of its
+        uniforms at or above p, in the order emb, blk0.attn, blk0.ffn,
+        blk1.attn, blk1.ffn. The first block's input is the embedding times
+        the mask's float scale, bit for bit."""
         enc = TextEncoder(tiny_config(dropout=0.3), seed=0)
         cache = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=9)
         rng = encoders.rng_for(9, "dropout")
-        scales = {}
         for site in ("emb", "blk0.attn", "blk0.ffn", "blk1.attn", "blk1.ffn"):
             keep = rng.random((len(SEQS) * 5, 4)) >= 0.3
-            scales[site] = keep.astype(np.float64) / (1.0 - 0.3)
-            np.testing.assert_array_equal(cache["drop." + site], scales[site])
+            assert cache["drop." + site].dtype == bool
+            np.testing.assert_array_equal(cache["drop." + site], keep)
         emb = enc.params["tok_emb"][cache["tokens"]] + enc.params["pos_emb"][:5]
-        np.testing.assert_array_equal(cache["blk0"]["x_in"], emb.reshape(-1, 4) * scales["emb"])
+        scale = cache["drop.emb"] * (1.0 / (1.0 - 0.3))
+        np.testing.assert_array_equal(cache["blk0"]["x_in"], emb.reshape(-1, 4) * scale)
+
+    def test_undrop_matches_float_scale(self):
+        rng = np.random.default_rng(6)
+        d_out = rng.normal(size=(30, 4))
+        keep = rng.random((30, 4)) >= 0.3
+        want = d_out * (keep * (1.0 / (1.0 - 0.3)))
+        np.testing.assert_array_equal(encoders._undrop(d_out, keep, 0.3), want)
+        assert encoders._undrop(d_out, None, 0.3) is d_out
 
     def test_embedding_grad_equals_per_column_bincount(self):
         rng = np.random.default_rng(5)

@@ -6,7 +6,6 @@ gradient with a relative tolerance of 1e-4.
 """
 
 import numpy as np
-import pytest
 
 from cmkt import (
     EmbeddingBatch,

@@ -1,6 +1,7 @@
-"""Lint check without a linter: every import in ``src/cmkt``, at the top level
-or inside a function, is used, and no function imports again from a module the
-file already imports at the top level. Also: what importing the CLI loads."""
+"""Lint check without a linter: every import in ``src/cmkt``, ``tests`` and
+``demos``, at the top level or inside a function, is used, and no function in
+``src/cmkt`` imports again from a module the file already imports at the top
+level. Also: what importing the CLI loads."""
 
 import ast
 import importlib.util
@@ -13,6 +14,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cmkt"
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+SCRIPTS = [path for folder in ("tests", "demos")
+           for path in sorted((PACKAGE.parents[1] / folder).glob("*.py"))]
 
 # (module, name) pairs imported on purpose without a use in the module:
 # perfbench/tracing.py wraps each under that module's name
@@ -86,6 +89,11 @@ def local_reimports(source: str, module: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_top_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_no_unused_imports_in_tests_and_demos(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.stem) == []
 
 
