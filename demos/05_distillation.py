@@ -42,11 +42,11 @@ print("=== 3. activation matching actually pulled the student over ===")
 t_enc, vocab = restore_text_encoder(teacher.final)
 s_enc, _ = restore_text_encoder(student.final)
 probe = [[5, 6, 7, 8], [9, 10, 11], [12, 13]]
-t_act = t_enc.encode(probe).vectors
-s_act = s_enc.encode(probe).vectors
+t_act = t_enc.encode(probe)
+s_act = s_enc.encode(probe)
 fresh = pretrain("MLM", data, config)
 f_enc, _ = restore_text_encoder(fresh.final)
-f_act = f_enc.encode(probe).vectors
+f_act = f_enc.encode(probe)
 print(f"mmd^2(teacher, student)  = {nst_loss(t_act, s_act):.6f}")
 print(f"mmd^2(teacher, mlm-only) = {nst_loss(t_act, f_act):.6f}\n")
 

@@ -2,9 +2,9 @@
 
 Subcommands: synth, perturb, pretrain, teacher, distill, finetune, eval,
 report. Every command derives its randomness from --seed, writes exactly
-one JSON manifest recording inputs (hashed), outputs, config, and seed,
-and produces byte-identical outputs when re-run (the manifest's own
-timestamp aside).
+one JSON manifest recording inputs (hashed), outputs, config, seed and
+run provenance, and produces byte-identical outputs when re-run (the
+manifest's timestamp, wall time and peak memory aside).
 
 Exit codes: 0 success; 2 usage or input errors; 3 runtime or training
 failures. Relative input paths are also tried against $CMKT_DATA_DIR.
@@ -19,9 +19,14 @@ import hashlib
 import json
 import math
 import os
+import platform
+import resource
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Vocab, load_pairs
@@ -131,7 +136,13 @@ def _write_manifest(
     inputs: dict[str, Path],
     outputs: list[Path],
     seed: int,
+    started: float,
 ) -> None:
+    """Writes the command's manifest: inputs (hashed), outputs, config and
+    seed, then provenance: the wall seconds since ``started`` (a
+    ``time.perf_counter`` reading), the process's peak RSS in MB and the
+    python and numpy versions. Like the timestamp, the times vary between
+    re-runs, so no byte comparison reads a manifest."""
     manifest = {
         "command": command,
         "config": config,
@@ -142,6 +153,10 @@ def _write_manifest(
         "outputs": sorted(str(p) for p in outputs),
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "wall_s": time.perf_counter() - started,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     write_lines(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True)])
@@ -176,6 +191,7 @@ def cmd_synth(args) -> int:
         {},
         list(paths.values()),
         config.seed,
+        args.started,
     )
     print(f"world written to {out} ({len(artifacts.pairs)} pairs)")
     return EXIT_OK
@@ -217,6 +233,7 @@ def cmd_perturb(args) -> int:
         inputs,
         [out],
         seed,
+        args.started,
     )
     print(f"{len(records)} perturbation records from {len(train)} captions -> {out}")
     return EXIT_OK
@@ -275,7 +292,8 @@ def cmd_pretrain(args) -> int:
     result = pretrain(args.method, data, config, on_epoch=_epoch_writer(out))
     outputs = _write_final_outputs(result, out)
     snapshot = {**dataclasses.asdict(config), "method": args.method}
-    _write_manifest(out / "manifest.json", "pretrain", snapshot, inputs, outputs, config.seed)
+    _write_manifest(out / "manifest.json", "pretrain", snapshot, inputs, outputs, config.seed,
+                    args.started)
     final_total = result.loss_rows[-1]["total"] if result.loss_rows else float("nan")
     print(f"{args.method}: {len(result.loss_rows)} steps, final loss {final_total:.4f} -> {out}")
     return EXIT_OK
@@ -289,7 +307,8 @@ def cmd_teacher(args) -> int:
                            on_epoch=_epoch_writer(out))
     outputs = _write_final_outputs(result, out)
     snapshot = {**dataclasses.asdict(config), "objective": args.objective}
-    _write_manifest(out / "manifest.json", "teacher", snapshot, inputs, outputs, config.seed)
+    _write_manifest(out / "manifest.json", "teacher", snapshot, inputs, outputs, config.seed,
+                    args.started)
     print(f"teacher:{args.objective} trained -> {out}")
     return EXIT_OK
 
@@ -305,7 +324,8 @@ def cmd_distill(args) -> int:
     result = distill(teacher, data, spec, config, on_epoch=_epoch_writer(out))
     outputs = _write_final_outputs(result, out)
     snapshot = {**dataclasses.asdict(config), **dataclasses.asdict(spec)}
-    _write_manifest(out / "manifest.json", "distill", snapshot, inputs, outputs, config.seed)
+    _write_manifest(out / "manifest.json", "distill", snapshot, inputs, outputs, config.seed,
+                    args.started)
     print(f"distilled student -> {out}")
     return EXIT_OK
 
@@ -328,7 +348,7 @@ def cmd_finetune(args) -> int:
     test = dataset.split("test")
     if not test:
         raise ConfigError(f"dataset {dataset.name!r} has no test split")
-    accuracy = evaluate(model, test)
+    accuracy = evaluate(model, test, config.batch_size)
     result = {
         "dataset": dataset.name,
         "method": str(checkpoint.meta.get("method", "unknown")),
@@ -348,6 +368,7 @@ def cmd_finetune(args) -> int:
         {"checkpoint": ckpt_path, "dataset": dataset_path},
         [out],
         config.seed,
+        args.started,
     )
     print(f"test accuracy {accuracy:.3f} -> {out}")
     return EXIT_OK
@@ -376,6 +397,7 @@ def cmd_eval(args) -> int:
         {"checkpoint": ckpt_path, "dataset": dataset_path},
         [out],
         config.seed,
+        args.started,
     )
     for run in runs:
         print(
@@ -473,6 +495,7 @@ def cmd_report(args) -> int:
         inputs,
         outputs,
         args.seed if args.seed is not None else 0,
+        args.started,
     )
     print(result.text)
     return EXIT_OK
@@ -601,6 +624,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help (0) or bad usage (2), printed by argparse
         return exc.code
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except TrainingError as exc:

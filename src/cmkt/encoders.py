@@ -30,7 +30,7 @@ from .errors import (
     TokenizationError,
     ValidationError,
 )
-from .objectives import IMAGE, TEXT, EmbeddingBatch, softmax_cross_entropy
+from .objectives import IMAGE, EmbeddingBatch, softmax_cross_entropy
 from .seeding import rng_for
 from .textio import parse_errors, read_lines, tab_fields, write_bytes, write_lines
 
@@ -451,22 +451,13 @@ class TextEncoder:
 
     # ---------------------------------------------------------- public API
 
-    def encode(self, seqs: Sequence[Sequence[int]]) -> EmbeddingBatch:
-        """Pooled vectors of token sequences, dropout disabled."""
-        cache = self.forward(*self.prepare_batch(seqs), record=False)
-        return EmbeddingBatch(cache["pooled"], TEXT, tuple(range(len(seqs))))
+    def encode(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
+        """Pooled ``(n, dim)`` vectors of token sequences, dropout disabled."""
+        return self.forward(*self.prepare_batch(seqs), record=False)["pooled"]
 
     def block_activations(self, seqs: Sequence[Sequence[int]]) -> list[np.ndarray]:
         """Per-block mean-pooled hidden states, dropout disabled."""
         return self.forward(*self.prepare_batch(seqs), record=False)["block_pooled"]
-
-    def masked_forward(self, tokens, mask, dropout_seed: Optional[int] = None):
-        """Per-position distributions over the vocabulary, plus the cache."""
-        cache = self.forward(tokens, mask, dropout_seed)
-        logits = cache["hidden"] @ self.params["mlm_w"] + self.params["mlm_b"]
-        dists = _softmax_last(logits)
-        cache["mlm_dists"] = dists
-        return dists, cache
 
     def mlm_step(self, tokens, mask, selections, dropout_seed: Optional[int] = None):
         """Fused masked-token loss and gradients on a padded batch.

@@ -263,16 +263,18 @@ def finetune(
     return model
 
 
-def evaluate(model: TaskModel, items: Sequence[MCQAItem]) -> float:
+def evaluate(model: TaskModel, items: Sequence[MCQAItem], batch_size: int) -> float:
     """Fraction of items whose top-scoring choice is the gold one; a model
-    with non-finite scores raises :class:`TrainingError`."""
+    with non-finite scores raises :class:`TrainingError`. Items are scored
+    ``batch_size`` at a time, the fine-tune batch, so inference never holds
+    more rows than a training step. Padding is masked out, so the chunks
+    predict what one forward over all items would."""
     items = list(items)
     if not items:
         raise ConfigError("cannot evaluate on an empty split")
     correct = 0
-    chunk = 64
-    for start in range(0, len(items), chunk):
-        part = items[start : start + chunk]
+    for start in range(0, len(items), batch_size):
+        part = items[start : start + batch_size]
         predictions = model.predict(part)
         correct += sum(
             1 for item, pred in zip(part, predictions) if pred == item.gold
@@ -355,7 +357,7 @@ def grid_search(
     best = None
     for lr in sorted(config.learning_rates):
         model = finetune(checkpoint, dataset, subset, lr, config)
-        acc = evaluate(model, dev)
+        acc = evaluate(model, dev, config.batch_size)
         table.append((lr, acc))
         if best is None or acc > best[1]:
             best = (lr, acc, model)
@@ -404,12 +406,12 @@ def low_resource_protocol(
             _subsample(dataset, size, config.seed, s) for s in range(n_subsamples)
         ]
         grid = grid_search(checkpoint, dataset, subsets[0], config)
-        accuracies = [evaluate(grid.best_model, test)]
+        accuracies = [evaluate(grid.best_model, test, config.batch_size)]
         for subset in subsets[1:]:
             model = finetune(
                 checkpoint, dataset, subset, grid.best_learning_rate, config
             )
-            accuracies.append(evaluate(model, test))
+            accuracies.append(evaluate(model, test, config.batch_size))
         runs.append(
             EvalRun(
                 dataset=dataset.name,
@@ -447,7 +449,7 @@ def supervised_protocol(
         model = finetune(
             checkpoint, dataset, train, grid.best_learning_rate, run_config
         )
-        accuracies.append(evaluate(model, test))
+        accuracies.append(evaluate(model, test, config.batch_size))
     return EvalRun(
         dataset=dataset.name,
         method=method,
@@ -657,7 +659,7 @@ def retrieval_recall_at_1(
         raise ShapeError(
             f"need one image row per caption: {images.shape} vs {len(caption_seqs)}"
         )
-    texts = encoder.encode(caption_seqs).vectors
+    texts = encoder.encode(caption_seqs)
     img_unit = images / np.linalg.norm(images, axis=1, keepdims=True)
     txt_unit = texts / np.linalg.norm(texts, axis=1, keepdims=True)
     sims = txt_unit @ img_unit.T

@@ -174,7 +174,7 @@ class TestEncoderBundle:
         restored, restored_vocab = restore_text_encoder(load_checkpoint(path))
         seqs = [[4, 6, 5], [7, 4]]
         np.testing.assert_array_equal(
-            encoder.encode(seqs).vectors, restored.encode(seqs).vectors
+            encoder.encode(seqs), restored.encode(seqs)
         )
         assert [restored_vocab.word_of(i) for i in range(len(restored_vocab))] == [
             vocab.word_of(i) for i in range(len(vocab))

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import platform
 import re
 import struct
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -736,6 +738,22 @@ class TestEvalCommand:
         assert runs[0].size == "64"
         assert len(runs[0].accuracies) == 5
         assert runs[0].method == "CMCL"
+
+    def test_manifest_records_provenance(self, world_dir, cmcl_dir, tiny_eval_config,
+                                         tmp_path):
+        """The manifest holds the command's own wall time (not the
+        process's), the process's peak RSS and the library versions."""
+        out = tmp_path / "runs.jsonl"
+        started = time.perf_counter()
+        assert main(["eval", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                     "--dataset", str(world_dir / "mcqa.jsonl"), "--protocol", "low64",
+                     "--config", str(tiny_eval_config), "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - started
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert 0 < manifest["wall_s"] <= elapsed
+        assert manifest["peak_rss_mb"] > 0
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
     def test_full_protocol_three_seeds(self, world_dir, cmcl_dir,
                                        tiny_eval_config, tmp_path):

@@ -272,4 +272,4 @@ class TestDistillRun:
         result = distill(teacher.final, data, DistillSpec(), config)
         assert result.final.image_params() == {}
         encoder, _ = restore_text_encoder(result.final)
-        assert encoder.encode([[4, 5]]).vectors.shape == (1, 6)
+        assert encoder.encode([[4, 5]]).shape == (1, 6)

@@ -30,6 +30,15 @@ def tiny_config(**overrides):
 SEQS = [[4, 5, 6], [5, 7, 4, 6, 5], [7, 4]]
 
 
+def mlm_dists(encoder, tokens, mask):
+    """Per-position vocabulary distributions of the MLM head: the hidden
+    states through the head, then an explicit softmax."""
+    logits = encoder.forward(tokens, mask)["hidden"] @ encoder.params["mlm_w"]
+    logits += encoder.params["mlm_b"]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def fd_check_params(encoder, value_fn, grads, step=STEP, rel_tol=REL_TOL):
     """Central-difference check of every parameter gradient in `grads`."""
     for name, grad in grads.items():
@@ -89,20 +98,20 @@ class TestForwardBehaviour:
         enc = TextEncoder(cfg_drop, seed=42)
         out_eval = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=None)["pooled"]
         twin = TextEncoder(tiny_config(dropout=0.0), seed=42)
-        np.testing.assert_allclose(out_eval, twin.encode(SEQS).vectors)
+        np.testing.assert_allclose(out_eval, twin.encode(SEQS))
 
     def test_padding_does_not_leak_into_real_rows(self):
         """A sequence's pooled vector is the same whether it shares a
         batch with longer sequences or stands alone."""
         enc = TextEncoder(tiny_config(), seed=42)
-        alone = enc.encode([SEQS[0]]).vectors[0]
-        batched = enc.encode(SEQS).vectors[0]
+        alone = enc.encode([SEQS[0]])[0]
+        batched = enc.encode(SEQS)[0]
         np.testing.assert_allclose(alone, batched, atol=1e-12)
 
     def test_output_dim_stable(self):
         enc = TextEncoder(tiny_config(), seed=1)
-        assert enc.encode(SEQS).vectors.shape == (3, 4)
-        assert enc.encode([[4]]).vectors.shape == (1, 4)
+        assert enc.encode(SEQS).shape == (3, 4)
+        assert enc.encode([[4]]).shape == (1, 4)
 
     def test_first_token_pooling(self):
         enc = TextEncoder(tiny_config(pooling="first"), seed=42)
@@ -175,7 +184,7 @@ class TestForwardBehaviour:
         acts = enc.block_activations(SEQS)
         assert len(acts) == 2
         assert all(a.shape == (3, 4) for a in acts)
-        np.testing.assert_array_equal(acts[-1], enc.encode(SEQS).vectors)
+        np.testing.assert_array_equal(acts[-1], enc.encode(SEQS))
 
     def test_oov_token_rejected_with_position(self):
         enc = TextEncoder(tiny_config(), seed=42)
@@ -270,9 +279,14 @@ class TestPrepareBatch:
 
 class TestMaskedLmHead:
     def test_distributions_normalized(self):
+        """The in-place softmax kernel turns the head's logits into one
+        distribution per position, the explicit softmax's."""
         enc = TextEncoder(tiny_config(), seed=42)
-        dists, _ = enc.masked_forward(*enc.prepare_batch(SEQS))
-        np.testing.assert_allclose(dists.sum(axis=-1), np.ones(dists.shape[:2]), atol=1e-6)
+        tokens, mask = enc.prepare_batch(SEQS)
+        logits = enc.forward(tokens, mask)["hidden"] @ enc.params["mlm_w"] + enc.params["mlm_b"]
+        dists = encoders._softmax_last(logits)
+        np.testing.assert_allclose(dists, mlm_dists(enc, tokens, mask), rtol=1e-12)
+        np.testing.assert_allclose(dists.sum(axis=-1), np.ones(dists.shape[:2]), atol=1e-12)
 
     def test_fresh_head_near_log_vocab(self):
         """Small-scale random init keeps logits near zero, so the loss
@@ -285,7 +299,7 @@ class TestMaskedLmHead:
         enc = TextEncoder(tiny_config(), seed=42)
         selections = [(0, 0, 6), (1, 3, 5), (2, 1, 4)]
         loss, _ = enc.mlm_step(*enc.prepare_batch(SEQS), selections)
-        dists, _ = enc.masked_forward(*enc.prepare_batch(SEQS))
+        dists = mlm_dists(enc, *enc.prepare_batch(SEQS))
         expected = np.mean([-np.log(dists[b, p, t]) for b, p, t in selections])
         np.testing.assert_allclose(loss, expected)
 
@@ -405,7 +419,7 @@ class TestTextEncoderGradients:
         selections = [(0, 0, 6), (1, 3, 5), (2, 1, 4)]
 
         def value():
-            dists, _ = enc.masked_forward(*enc.prepare_batch(SEQS))
+            dists = mlm_dists(enc, *enc.prepare_batch(SEQS))
             return float(np.mean([-np.log(dists[b, p, t]) for b, p, t in selections]))
 
         _, grads = enc.mlm_step(*enc.prepare_batch(SEQS), selections)
@@ -558,7 +572,7 @@ class TestParamPlumbing:
     def test_roundtrip_and_clone(self):
         enc = TextEncoder(tiny_config(), seed=42)
         twin = enc.clone()
-        np.testing.assert_array_equal(enc.encode(SEQS).vectors, twin.encode(SEQS).vectors)
+        np.testing.assert_array_equal(enc.encode(SEQS), twin.encode(SEQS))
         twin.params["tok_emb"][0, 0] += 1.0
         assert not np.array_equal(enc.params["tok_emb"], twin.params["tok_emb"])
 

@@ -16,6 +16,7 @@ from cmkt.evaluation import (
     FinetuneConfig,
     MCQADataset,
     MCQAItem,
+    TaskModel,
     build_task_model,
     evaluate,
     finetune,
@@ -337,7 +338,7 @@ class TestFinetune:
         sub = ds.split("train")
         cfg = FinetuneConfig(learning_rates=(0.3,), batch_size=8, seed=0)
         model = finetune(make_checkpoint(), ds, sub, 0.3, cfg, max_epochs=40)
-        assert evaluate(model, sub) >= 0.9
+        assert evaluate(model, sub, cfg.batch_size) >= 0.9
 
 
 class _FixedScoreModel:
@@ -360,7 +361,7 @@ class TestEvaluate:
             for _ in range(5)
         ]
         model = _FixedScoreModel([[0.0, 1.0]] * 5)
-        assert evaluate(model, items) == 1.0
+        assert evaluate(model, items, 2) == 1.0
 
     def test_seven_of_ten(self):
         items = [
@@ -368,7 +369,7 @@ class TestEvaluate:
             for _ in range(10)
         ]
         scores = [[1.0, 0.0]] * 7 + [[0.0, 1.0]] * 3
-        assert evaluate(_FixedScoreModel(scores), items) == pytest.approx(0.7)
+        assert evaluate(_FixedScoreModel(scores), items, 3) == pytest.approx(0.7)
 
     def test_ties_break_to_lowest_index(self):
         items = [
@@ -377,11 +378,11 @@ class TestEvaluate:
         ]
         model = _FixedScoreModel([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
         # both items predict index 0: first counts as correct, second not
-        assert evaluate(model, items) == pytest.approx(0.5)
+        assert evaluate(model, items, 16) == pytest.approx(0.5)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate(_FixedScoreModel([[1.0, 0.0]]), [])
+            evaluate(_FixedScoreModel([[1.0, 0.0]]), [], 16)
 
     def test_non_finite_scores_raise_training_error(self):
         """A diverged model scores NaN everywhere, where argmax would pick
@@ -390,7 +391,7 @@ class TestEvaluate:
         model = build_task_model(make_checkpoint(), seed=0)
         model.head_w = np.full_like(model.head_w, np.nan)
         with pytest.raises(TrainingError, match="non-finite"):
-            evaluate(model, ds.split("test"))
+            evaluate(model, ds.split("test"), 16)
 
     def test_untrained_model_near_chance_on_five_choices(self):
         rng = np.random.default_rng(11)
@@ -406,8 +407,87 @@ class TestEvaluate:
                          gold=int(rng.integers(5)), split="test")
             )
         model = build_task_model(make_checkpoint(seed=4), seed=4)
-        accuracy = evaluate(model, items)
+        accuracy = evaluate(model, items, 16)
         assert 0.15 <= accuracy <= 0.25
+
+
+    @staticmethod
+    def forward_rows(monkeypatch):
+        """Batch row count of every TextEncoder.forward call from now on."""
+        rows = []
+        real = TextEncoder.forward
+
+        def spy(self, tokens, *args, **kwargs):
+            rows.append(tokens.shape[0])
+            return real(self, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(TextEncoder, "forward", spy)
+        return rows
+
+    def test_forward_rows_bounded_by_batch(self, monkeypatch):
+        ds = make_dataset(n_test=37)
+        model = build_task_model(make_checkpoint(), seed=0)
+        rows = self.forward_rows(monkeypatch)
+        evaluate(model, ds.split("test"), 5)
+        assert rows == [5 * 4] * 7 + [2 * 4]
+
+    def test_protocol_scoring_bounded_by_finetune_batch(self, monkeypatch):
+        """Every forward of the protocols, scoring included, holds at most
+        one fine-tune batch of (question, choice) sequences."""
+        ds = make_dataset(n_train=8, n_dev=9, n_test=37)
+        config = tiny_protocol_config(batch_size=3, max_epochs_low_resource=1,
+                                      max_epochs_full=1)
+        rows = self.forward_rows(monkeypatch)
+        low_resource_protocol(make_checkpoint(), ds, config, sizes=(4,), n_subsamples=2)
+        supervised_protocol(make_checkpoint(), ds, config, n_seeds=1)
+        assert rows and max(rows) == 3 * 4
+
+    def test_chunked_scoring_matches_one_forward(self, monkeypatch):
+        """An untrained model's near-tied scores on choices of one to eight
+        words: 37 items in chunks of 8, each padded to its own longest
+        sequence, predict what one forward over all 148 sequences does."""
+        rng = np.random.default_rng(0)
+        test = [
+            MCQAItem(question="which one", choices=tuple(
+                " ".join(rng.choice(WORDS[len(SPECIALS):], size=int(rng.integers(1, 9))))
+                for _ in range(4)), gold=int(rng.integers(4)), split="test")
+            for _ in range(37)
+        ]
+        model = build_task_model(make_checkpoint(seed=1), seed=1)
+        whole = model.predict(test)
+        chunked = []
+        real = TaskModel.predict
+
+        def spy(self, items):
+            chunked.extend(real(self, items))
+            return chunked[-len(items):]
+
+        monkeypatch.setattr(TaskModel, "predict", spy)
+        accuracy = evaluate(model, test, 8)
+        assert chunked == whole
+        assert accuracy == sum(p == i.gold for p, i in zip(whole, test)) / 37
+        assert 0.0 < accuracy < 1.0
+
+    def test_non_finite_scores_in_a_later_chunk_raise(self, monkeypatch):
+        """The first chunk scores finite; a word only the second chunk
+        holds has a NaN embedding, and that chunk raises."""
+        clean = MCQAItem(question="which one", choices=("the cat runs", "a red dog"),
+                         gold=0, split="test")
+        poisoned = MCQAItem(question="which one", choices=("the three cats", "a dog"),
+                            gold=1, split="test")
+        model = build_task_model(make_checkpoint(), seed=0)
+        model.encoder.params["tok_emb"][make_vocab().id_of("three")] = np.nan
+        chunks = []
+        real = TaskModel.predict
+
+        def spy(self, items):
+            chunks.append(len(items))
+            return real(self, items)
+
+        monkeypatch.setattr(TaskModel, "predict", spy)
+        with pytest.raises(TrainingError, match="non-finite"):
+            evaluate(model, [clean] * 4 + [poisoned], 4)
+        assert chunks == [4, 1]
 
 
 class TestGridSearch:
@@ -436,7 +516,7 @@ class TestGridSearch:
         )
         monkeypatch.setattr(
             evaluation_module, "evaluate",
-            lambda model, items: dev_scores[model[1]],
+            lambda model, items, batch_size: dev_scores[model[1]],
         )
         ds = make_dataset(n_train=4, n_dev=2)
         cfg = FinetuneConfig(learning_rates=(0.01, 0.1, 1.0))
@@ -450,7 +530,7 @@ class TestGridSearch:
             lambda ckpt, ds, sub, lr, cfg, max_epochs=None: ("model", lr),
         )
         monkeypatch.setattr(
-            evaluation_module, "evaluate", lambda model, items: 0.5,
+            evaluation_module, "evaluate", lambda model, items, batch_size: 0.5,
         )
         ds = make_dataset(n_train=4, n_dev=2)
         cfg = FinetuneConfig(learning_rates=(0.3, 0.01, 0.1))
@@ -540,7 +620,8 @@ def reference_low_resource(checkpoint, dataset, config, sizes, n_subsamples=5):
         subsets = [_subsample(dataset, size, config.seed, s) for s in range(n_subsamples)]
         grid = grid_search(checkpoint, dataset, subsets[0], config)
         accuracies = [
-            evaluate(finetune(checkpoint, dataset, sub, grid.best_learning_rate, config), test)
+            evaluate(finetune(checkpoint, dataset, sub, grid.best_learning_rate, config), test,
+                     config.batch_size)
             for sub in subsets
         ]
         runs.append(EvalRun(dataset=dataset.name, method="random-init", size=str(size),
@@ -606,7 +687,7 @@ class TestProtocolReuse:
         sub = ds.split("train")
         model = finetune(make_checkpoint(), ds, sub, 0.1, tiny_protocol_config(), max_epochs=3)
         assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})
-        evaluate(model, sub)
+        evaluate(model, sub, 4)
         assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})
 
     def test_diverging_grid_rate_raises(self):
@@ -810,7 +891,7 @@ class TestRetrievalRecall:
         from cmkt.corpus import tokenize
 
         seqs = [tokenize(t, vocab, 12) for t in ("the cat runs", "a dog sleeps", "big red bird")]
-        texts = encoder.encode(seqs).vectors
+        texts = encoder.encode(seqs)
         assert retrieval_recall_at_1(encoder, texts, seqs) == 1.0
 
     def test_shape_mismatch_rejected(self):
