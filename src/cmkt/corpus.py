@@ -72,24 +72,12 @@ class Vocab:
         return self._id_to_word[token_id]
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
     def unk_id(self) -> int:
         return 1
 
     @property
     def mask_id(self) -> int:
         return 2
-
-    @property
-    def sep_id(self) -> int:
-        return 3
-
-    @property
-    def special_ids(self) -> frozenset[int]:
-        return SPECIAL_IDS
 
     def content_ids(self) -> np.ndarray:
         """Ids of ordinary words, the pool for random replacement."""
@@ -121,10 +109,6 @@ def tokenize(text: str, vocab: Vocab, max_len: Optional[int] = None) -> list[int
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
         ids = ids[:max_len]
     return ids
-
-
-def detokenize(token_ids: Sequence[int], vocab: Vocab) -> str:
-    return " ".join(vocab.word_of(t) for t in token_ids)
 
 
 @dataclass(frozen=True)

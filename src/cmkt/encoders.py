@@ -13,7 +13,6 @@ trainable affine projection; no vision backbone lives here.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from itertools import chain
@@ -469,18 +468,18 @@ class TextEncoder:
         """
         if len(selections) == 0:
             return 0.0, {}
-        cache = self.forward(tokens, mask, dropout_seed)
         rows, cols, targets = np.asarray(selections, dtype=np.int64).reshape(-1, 3).T
         n, length = tokens.shape
         if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= length)):
             raise ValidationError("masked position outside the padded batch")
-        return self._head_step(cache, "mlm", rows, cols, targets)
+        return self._head_step(tokens, mask, dropout_seed, "mlm", rows, cols, targets)
 
     def voken_step(self, tokens, mask, voken_targets, dropout_seed: Optional[int] = None):
         """Fused voken-classification loss and gradients on a padded batch.
 
         ``voken_targets`` is an array of the shape of ``tokens``; entries
-        of -1 mark positions without a voken and are excluded.
+        of -1 mark positions without a voken and are excluded, and any
+        other entry outside ``[0, voken_count)`` is a ``ValidationError``.
         """
         if self.config.voken_count == 0:
             raise ConfigError("encoder was built without a voken head")
@@ -489,17 +488,19 @@ class TextEncoder:
             raise ShapeError(
                 f"voken targets shape {targets.shape} does not match batch {tokens.shape}"
             )
-        rows, cols = np.nonzero(targets >= 0)
+        rows, cols = np.nonzero(targets != -1)
         if rows.size == 0:
             return 0.0, {}
-        cache = self.forward(tokens, mask, dropout_seed)
-        return self._head_step(cache, "voken", rows, cols, targets[rows, cols])
+        return self._head_step(tokens, mask, dropout_seed, "voken", rows, cols, targets[rows, cols])
 
-    def _head_step(self, cache, head, rows, cols, targets):
+    def _head_step(self, tokens, mask, dropout_seed, head, rows, cols, targets):
         """Cross-entropy of a token head (``mlm`` or ``voken``) at the
         selected positions, with gradients for the trunk and the head.
         Only the selected hidden states are scored."""
         w = self.params[head + "_w"]
+        if np.any((targets < 0) | (targets >= w.shape[1])):
+            raise ValidationError(f"{head} target outside [0, {w.shape[1]})")
+        cache = self.forward(tokens, mask, dropout_seed)
         hidden = cache["hidden"]
         n, length, d = hidden.shape
         picked = hidden[rows, cols]
@@ -532,11 +533,6 @@ class TextEncoder:
                     f"parameter {k}: shape {v.shape} does not match {self.params[k].shape}"
                 )
             self.params[k] = np.asarray(v, dtype=np.float64).copy()
-
-    def clone(self) -> "TextEncoder":
-        twin = TextEncoder(self.config, seed=0)
-        twin.set_params(self.params)
-        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +581,6 @@ class FeatureBank:
                 raise FeatureLookupError(f"image id {img_id!r} not in feature bank")
             rows.append(self._row_of[img_id])
         return self._features[rows].astype(np.float64)
-
-    def checksum(self) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self._features.tobytes())
-        h.update("\n".join(self._ids).encode("utf-8"))
-        return h.hexdigest()
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -646,10 +636,6 @@ class ImageEncoder:
             )
         self.bank = bank
         self.params = {"proj_w": proj_w, "proj_b": proj_b}
-
-    @classmethod
-    def identity(cls, bank: FeatureBank) -> "ImageEncoder":
-        return cls(bank, np.eye(bank.dim), np.zeros(bank.dim))
 
     @classmethod
     def initialized(cls, bank: FeatureBank, out_dim: int, seed: int) -> "ImageEncoder":

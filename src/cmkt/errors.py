@@ -19,10 +19,6 @@ class ShapeError(CmktError):
     """Array shapes or batch sizes do not line up."""
 
 
-class AlignmentError(CmktError):
-    """Two batches that must describe the same items carry different ids."""
-
-
 class ConfigError(CmktError):
     """A configuration value is invalid or a required input is missing."""
 

@@ -1,20 +1,21 @@
 """Differentiable objectives for intermediate pre-training.
 
-Every loss here is a pure function of numpy arrays: it validates its
-inputs, computes the value in float64 with max-subtracted softmax
-denominators (exact in real arithmetic, stable in floating point), and
-returns a :class:`LossResult` carrying the per-item decomposition and,
-for the contrastive family, analytic gradients with respect to every
-input array.
+Every loss here is a pure function of numpy arrays. The contrastive
+losses take ``(N, d)`` embedding matrices whose row i is item i, validate
+them, compute in float64 with max-subtracted softmax denominators (exact
+in real arithmetic, stable in floating point), and return a
+:class:`LossResult` carrying the per-item decomposition and analytic
+gradients with respect to every input array.
 
 Aggregation conventions, stated once and tested:
 
-* ``infonce_loss``, ``tcl_loss`` and ``hinge_loss`` report the **sum**
-  of per-item terms.
+* ``tcl_loss`` and ``hinge_loss`` report the **sum** of per-item terms;
+  ``tcl_loss`` without hard negatives is one-direction InfoNCE.
 * ``cmcl_total`` and ``ans_loss`` report the **mean** of per-item terms,
   where each item contributes both contrastive directions.
-* ``softmax_cross_entropy``, ``mlm_loss`` and ``voken_loss`` report the
-  **mean** over supervised positions.
+* ``softmax_cross_entropy`` reports the **mean** over supervised
+  positions.
+* ``nst_loss`` reports one squared discrepancy between two row sets.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DomainError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import ConfigError, DomainError, ShapeError, ValidationError
 
 Array = np.ndarray
 
@@ -42,8 +37,8 @@ IMAGE = "image"
 class EmbeddingBatch:
     """A batch of encoder outputs: an (N, d) matrix plus provenance.
 
-    Row i of a text batch and row i of an image batch with equal
-    ``batch_ids`` form an aligned pair.
+    ``ImageEncoder.encode`` returns one; the losses below take the plain
+    ``vectors`` matrix.
     """
 
     vectors: Array
@@ -79,16 +74,14 @@ class EmbeddingBatch:
 
 @dataclass
 class LossResult:
-    """A loss value with its per-item breakdown and optional gradients.
+    """A contrastive loss value with its per-item breakdown and gradients.
 
-    ``gradients`` maps input names to arrays matching each input's shape;
-    it is populated for the contrastive losses and left ``None`` where the
-    trainer differentiates through logits directly.
+    ``gradients`` maps input names to arrays matching each input's shape.
     """
 
     total: float
     per_item: Array
-    gradients: Optional[dict[str, Array]] = None
+    gradients: dict[str, Array]
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +105,20 @@ def _unit_rows(name: str, m: Array) -> tuple[Array, Array]:
     return m / norms[..., None], norms
 
 
-def _check_aligned(a: EmbeddingBatch, b: EmbeddingBatch) -> None:
-    if a.n != b.n:
-        raise ShapeError(f"batch sizes differ: {a.n} vs {b.n}")
-    if a.dim != b.dim:
-        raise ShapeError(f"embedding dims differ: {a.dim} vs {b.dim}")
-    if a.batch_ids != b.batch_ids:
-        raise AlignmentError(
-            f"batch ids are not aligned: {a.batch_ids} vs {b.batch_ids}"
-        )
+def _embeddings(**named: Array) -> list[Array]:
+    """The inputs as float64 ``(N, d)`` matrices, row i of each one item i:
+    each 2-D with N >= 1 and d >= 1, all finite, all of one shape."""
+    out = []
+    for name, m in named.items():
+        m = np.asarray(m, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+            raise ShapeError(f"{name} must be (N, d) with N, d >= 1, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError(f"{name} contains non-finite entries")
+        if out and m.shape != out[0].shape:
+            raise ShapeError(f"{name} shape {m.shape} differs from {out[0].shape}")
+        out.append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,31 +185,9 @@ def _contrastive_direction(
     return per_item, d_anchors, d_targets, d_negatives
 
 
-def infonce_loss(
-    anchors: EmbeddingBatch, targets: EmbeddingBatch, temperature: float
-) -> LossResult:
-    """In-batch softmax contrastive loss in one direction.
-
-    The aligned pair (anchor i, target i) is the positive; every other
-    target in the batch is a negative. Total is the sum over items.
-    Gradients: ``anchors``, ``targets``.
-    """
-    if not temperature > 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    _check_aligned(anchors, targets)
-    per_item, d_a, d_t, _ = _contrastive_direction(
-        anchors.vectors, targets.vectors, None, temperature, "anchors", "targets"
-    )
-    return LossResult(
-        total=float(np.sum(per_item)),
-        per_item=per_item,
-        gradients={"anchors": d_a, "targets": d_t},
-    )
-
-
 def tcl_loss(
-    reps: EmbeddingBatch,
-    dropout_positives: EmbeddingBatch,
+    reps: Array,
+    dropout_positives: Array,
     temperature: float,
     hard_negatives: Optional[Array] = None,
 ) -> LossResult:
@@ -221,25 +197,27 @@ def tcl_loss(
     independent dropout draws; the denominator runs over the positives of
     the whole batch. ``hard_negatives``, when given as an (N, M, d)
     tensor of perturbed-caption embeddings, adds M extra denominator
-    terms per item. Total is the sum over items.
+    terms per item; without them this is one-direction InfoNCE, every
+    other positive in the batch a negative. Total is the sum over items.
     Gradients: ``reps``, ``dropout_positives``, and ``hard_negatives``
     when provided.
     """
     if not temperature > 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    _check_aligned(reps, dropout_positives)
+    reps, dropout_positives = _embeddings(reps=reps, dropout_positives=dropout_positives)
+    n, d = reps.shape
     negs = None
     if hard_negatives is not None:
         negs = np.asarray(hard_negatives, dtype=np.float64)
-        if negs.ndim != 3 or negs.shape[0] != reps.n or negs.shape[2] != reps.dim:
+        if negs.ndim != 3 or negs.shape[0] != n or negs.shape[2] != d:
             raise ShapeError(
-                f"hard_negatives must be ({reps.n}, M, {reps.dim}), got shape {negs.shape}"
+                f"hard_negatives must be ({n}, M, {d}), got shape {negs.shape}"
             )
         if negs.shape[1] == 0:
             negs = None
     per_item, d_r, d_p, d_n = _contrastive_direction(
-        reps.vectors,
-        dropout_positives.vectors,
+        reps,
+        dropout_positives,
         negs,
         temperature,
         "reps",
@@ -260,22 +238,22 @@ def tcl_loss(
 
 
 def _bidirectional(
-    image_batch: EmbeddingBatch,
-    text_batch: EmbeddingBatch,
+    image_batch: Array,
+    text_batch: Array,
     negatives: Optional[Array],
     temperature: float,
 ):
-    """Both contrastive directions; hard negatives only join image-to-text."""
+    """Both contrastive directions; hard negatives only join image-to-text.
+    The inputs are already :func:`_embeddings` checked."""
     if not temperature > 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    _check_aligned(image_batch, text_batch)
-    n = image_batch.n
+    n = image_batch.shape[0]
     per_vl, d_img_1, d_txt_1, d_neg = _contrastive_direction(
-        image_batch.vectors, text_batch.vectors, negatives, temperature,
+        image_batch, text_batch, negatives, temperature,
         "image_batch", "text_batch",
     )
     per_lv, d_txt_2, d_img_2, _ = _contrastive_direction(
-        text_batch.vectors, image_batch.vectors, None, temperature,
+        text_batch, image_batch, None, temperature,
         "text_batch", "image_batch",
     )
     per_item = per_vl + per_lv
@@ -291,8 +269,8 @@ def _bidirectional(
 
 
 def cmcl_total(
-    image_batch: EmbeddingBatch,
-    text_batch: EmbeddingBatch,
+    image_batch: Array,
+    text_batch: Array,
     temperature: float,
 ) -> LossResult:
     """Bidirectional in-batch contrastive loss over aligned image/text pairs.
@@ -300,12 +278,13 @@ def cmcl_total(
     total = mean_i ( image_to_text_i + text_to_image_i ).
     Gradients: ``image``, ``text``.
     """
+    image_batch, text_batch = _embeddings(image_batch=image_batch, text_batch=text_batch)
     return _bidirectional(image_batch, text_batch, None, temperature)
 
 
 def ans_loss(
-    image_batch: EmbeddingBatch,
-    text_batch: EmbeddingBatch,
+    image_batch: Array,
+    text_batch: Array,
     hard_negatives: Array,
     temperature: float,
 ) -> LossResult:
@@ -318,16 +297,17 @@ def ans_loss(
     losses agree bit for bit.
     Gradients: ``image``, ``text``, ``hard_negatives`` (when M > 0).
     """
+    image_batch, text_batch = _embeddings(image_batch=image_batch, text_batch=text_batch)
     hard_negatives = np.asarray(hard_negatives, dtype=np.float64)
     if hard_negatives.ndim != 3:
         raise ShapeError(
             f"hard_negatives must be (N, M, d), got shape {hard_negatives.shape}"
         )
     n, m, d = hard_negatives.shape
-    if n != image_batch.n or d != image_batch.dim:
+    if (n, d) != image_batch.shape:
         raise ShapeError(
             f"hard_negatives shape {hard_negatives.shape} does not match "
-            f"batch ({image_batch.n}, M, {image_batch.dim})"
+            f"batch ({image_batch.shape[0]}, M, {image_batch.shape[1]})"
         )
     negs = hard_negatives if m > 0 else None
     result = _bidirectional(image_batch, text_batch, negs, temperature)
@@ -337,10 +317,10 @@ def ans_loss(
 
 
 def hinge_loss(
-    image_batch: EmbeddingBatch,
-    text_batch: EmbeddingBatch,
-    negative_images: EmbeddingBatch,
-    negative_texts: EmbeddingBatch,
+    image_batch: Array,
+    text_batch: Array,
+    negative_images: Array,
+    negative_texts: Array,
     margin: float,
 ) -> LossResult:
     """Margin ranking loss against one mismatched image and caption per item.
@@ -353,20 +333,17 @@ def hinge_loss(
     """
     if margin < 0:
         raise ConfigError(f"margin must be non-negative, got {margin}")
-    for other in (text_batch, negative_images, negative_texts):
-        if other.n != image_batch.n:
-            raise ShapeError(
-                f"batch sizes differ: {image_batch.n} vs {other.n}"
-            )
-        if other.dim != image_batch.dim:
-            raise ShapeError(
-                f"embedding dims differ: {image_batch.dim} vs {other.dim}"
-            )
+    image_batch, text_batch, negative_images, negative_texts = _embeddings(
+        image_batch=image_batch,
+        text_batch=text_batch,
+        negative_images=negative_images,
+        negative_texts=negative_texts,
+    )
 
-    v_hat, v_norm = _unit_rows("image_batch", image_batch.vectors)
-    l_hat, l_norm = _unit_rows("text_batch", text_batch.vectors)
-    vn_hat, vn_norm = _unit_rows("negative_images", negative_images.vectors)
-    ln_hat, ln_norm = _unit_rows("negative_texts", negative_texts.vectors)
+    v_hat, v_norm = _unit_rows("image_batch", image_batch)
+    l_hat, l_norm = _unit_rows("text_batch", text_batch)
+    vn_hat, vn_norm = _unit_rows("negative_images", negative_images)
+    ln_hat, ln_norm = _unit_rows("negative_texts", negative_texts)
 
     s_pos = np.einsum("id,id->i", v_hat, l_hat)
     s_img_neg = np.einsum("id,id->i", vn_hat, l_hat)  # sim(v'_i, l_i)
@@ -416,9 +393,8 @@ def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
     and its gradient on the logits.
 
     The loss is logsumexp minus the target logit, so it stays finite where
-    -log(softmax) underflows. This is the cross-entropy the trainer's token
-    heads and the fine-tuner run; ``mlm_loss`` and ``voken_loss`` below take
-    probability rows and serve as its reference.
+    -log(softmax) underflows. It is the one cross-entropy in the package:
+    the MLM and voken heads and the fine-tuner all run it.
     """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -429,80 +405,6 @@ def softmax_cross_entropy(logits: Array, targets: Array) -> tuple[float, Array]:
     d_logits[idx, targets] -= 1.0
     d_logits /= len(targets)
     return loss, d_logits
-
-
-def _check_distributions(name: str, dists: Array) -> Array:
-    dists = _as_matrix(name, dists)
-    if dists.shape[0] > 0:
-        sums = np.sum(dists, axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            bad = int(np.argwhere(np.abs(sums - 1.0) > 1e-6).ravel()[0])
-            raise ValidationError(
-                f"{name} row {bad} sums to {sums[bad]!r}, not 1"
-            )
-        if np.any(dists < -1e-9):
-            raise ValidationError(f"{name} contains negative probabilities")
-    return dists
-
-
-def mlm_loss(predicted_distributions: Array, targets: Array) -> LossResult:
-    """Cross-entropy of masked-token predictions.
-
-    One probability row per masked position; total is the mean of
-    -log p(target). An empty input contributes zero.
-    """
-    dists = _check_distributions("predicted_distributions", predicted_distributions)
-    targets = np.asarray(targets, dtype=np.int64).ravel()
-    if targets.shape[0] != dists.shape[0]:
-        raise ShapeError(
-            f"{targets.shape[0]} targets for {dists.shape[0]} distributions"
-        )
-    if targets.shape[0] == 0:
-        return LossResult(total=0.0, per_item=np.zeros(0))
-    vocab = dists.shape[1]
-    if np.any(targets < 0) or np.any(targets >= vocab):
-        bad = int(np.argwhere((targets < 0) | (targets >= vocab)).ravel()[0])
-        raise IndexError(
-            f"target {targets[bad]} at position {bad} outside vocabulary of size {vocab}"
-        )
-    with np.errstate(divide="ignore"):
-        per_item = -np.log(dists[np.arange(targets.shape[0]), targets])
-    return LossResult(total=float(np.mean(per_item)), per_item=per_item)
-
-
-NO_VOKEN = -1
-
-
-def voken_loss(voken_distributions: Array, voken_targets: Array) -> LossResult:
-    """Cross-entropy of per-token voken classification.
-
-    Targets equal to ``NO_VOKEN`` mark tokens without an assigned voken;
-    they contribute zero per-item loss and are excluded from the mean.
-    """
-    dists = _check_distributions("voken_distributions", voken_distributions)
-    targets = np.asarray(voken_targets, dtype=np.int64).ravel()
-    if targets.shape[0] != dists.shape[0]:
-        raise ShapeError(
-            f"{targets.shape[0]} targets for {dists.shape[0]} distributions"
-        )
-    assigned = targets != NO_VOKEN
-    k = dists.shape[1]
-    if np.any((targets < 0) & assigned) or np.any(targets >= k):
-        bad = int(
-            np.argwhere(((targets < 0) & assigned) | (targets >= k)).ravel()[0]
-        )
-        raise IndexError(
-            f"voken target {targets[bad]} at position {bad} outside vocabulary of size {k}"
-        )
-    per_item = np.zeros(targets.shape[0])
-    if np.any(assigned):
-        idx = np.argwhere(assigned).ravel()
-        with np.errstate(divide="ignore"):
-            per_item[idx] = -np.log(dists[idx, targets[idx]])
-        total = float(np.sum(per_item) / idx.shape[0])
-    else:
-        total = 0.0
-    return LossResult(total=total, per_item=per_item)
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,7 @@ from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
 from .corpus import CaptionPair, Vocab, plan_dynamic_masking, tokenize
 from .encoders import FeatureBank, ImageEncoder, TextEncoder, TextEncoderConfig
 from .errors import ConfigError, DomainError, ParseError, ShapeError, TrainingError
-from .objectives import (
-    IMAGE,
-    TEXT,
-    EmbeddingBatch,
-    ans_loss,
-    cmcl_total,
-    hinge_loss,
-    tcl_loss,
-)
+from .objectives import ans_loss, cmcl_total, hinge_loss, tcl_loss
 from .perturbation import ADVERSARIAL_NEGATIVE, PerturbationRecord
 from .seeding import derive_seed, rng_for
 from .textio import parse_errors, read_lines, tab_fields, write_lines
@@ -416,14 +408,11 @@ class _ComponentEngine:
         return loss, grads, {}
 
     def _tcl(self, batch, padded, epoch, step):
-        ids = tuple(rec.index for rec in batch)
         cache_a = self._encode(padded, "tcl-a", epoch, step)
         cache_b = self._encode(padded, "tcl-b", epoch, step)
-        reps = EmbeddingBatch(cache_a["pooled"], TEXT, ids)
-        positives = EmbeddingBatch(cache_b["pooled"], TEXT, ids)
         negs, cache_n = self._embed_negatives(batch, epoch, step, "tcl-neg")
         result = tcl_loss(
-            reps, positives, self.config.temperature, hard_negatives=negs
+            cache_a["pooled"], cache_b["pooled"], self.config.temperature, hard_negatives=negs
         )
         n = len(batch)
         grads = self.encoder.backward(cache_a, d_pooled=result.gradients["reps"] / n)
@@ -440,16 +429,14 @@ class _ComponentEngine:
         return result.total / n, grads, {}
 
     def _cmcl(self, batch, padded, epoch, step):
-        ids = tuple(rec.index for rec in batch)
         image_ids = [rec.image_id for rec in batch]
         cache_t = self._encode(padded, "cmcl-text", epoch, step)
-        text_batch = EmbeddingBatch(cache_t["pooled"], TEXT, ids)
-        image_batch = EmbeddingBatch(self._images(image_ids, step), IMAGE, ids)
+        images = self._images(image_ids, step)
         negs, cache_n = self._embed_negatives(batch, epoch, step, "cmcl-neg")
         if negs is not None:
-            result = ans_loss(image_batch, text_batch, negs, self.config.temperature)
+            result = ans_loss(images, cache_t["pooled"], negs, self.config.temperature)
         else:
-            result = cmcl_total(image_batch, text_batch, self.config.temperature)
+            result = cmcl_total(images, cache_t["pooled"], self.config.temperature)
         grads = self.encoder.backward(cache_t, d_pooled=result.gradients["text"])
         if negs is not None:
             d_negs = result.gradients["hard_negatives"].reshape(len(batch) * self.m, -1)
@@ -466,24 +453,16 @@ class _ComponentEngine:
         return loss, grads, {}
 
     def _hinge(self, batch, padded, epoch, step):
-        ids = tuple(rec.index for rec in batch)
         image_ids = [rec.image_id for rec in batch]
         cache_t = self._encode(padded, "hinge-text", epoch, step)
-        text_batch = EmbeddingBatch(cache_t["pooled"], TEXT, ids)
-        image_vectors = self._images(image_ids, step)
-        image_batch = EmbeddingBatch(image_vectors, IMAGE, ids)
+        texts = cache_t["pooled"]
+        images = self._images(image_ids, step)
         n = len(batch)
         rng = rng_for(self.config.seed, "hinge-neg", epoch, step)
         perm_img = rng.permutation(n)
         perm_txt = rng.permutation(n)
-        neg_images = EmbeddingBatch(
-            image_vectors[perm_img], IMAGE, tuple(ids[i] for i in perm_img)
-        )
-        neg_texts = EmbeddingBatch(
-            cache_t["pooled"][perm_txt], TEXT, tuple(ids[i] for i in perm_txt)
-        )
         result = hinge_loss(
-            image_batch, text_batch, neg_images, neg_texts, self.config.margin
+            images, texts, images[perm_img], texts[perm_txt], self.config.margin
         )
         d_text = result.gradients["text"].copy()
         np.add.at(d_text, perm_txt, result.gradients["negative_texts"])

@@ -28,7 +28,7 @@ from cmkt.checkpoint import bundle_text_encoder, restore_text_encoder
 from cmkt.cli import main as cli_main
 from cmkt.corpus import ACTIONS, Vocab, plan_dynamic_masking, tokenize
 from cmkt.distillation import DistillSpec, TeacherSpec, distill, train_teacher
-from cmkt.encoders import ImageEncoder, TextEncoder
+from cmkt.encoders import ImageEncoder, TextEncoder, TextEncoderConfig
 from cmkt.evaluation import (
     EvalRun,
     FinetuneConfig,
@@ -39,18 +39,12 @@ from cmkt.evaluation import (
     supervised_protocol,
 )
 from cmkt.objectives import (
-    IMAGE,
-    TEXT,
-    EmbeddingBatch,
     ans_loss,
     cmcl_total,
     hinge_loss,
-    infonce_loss,
-    mlm_loss,
     nst_loss,
     softmax_cross_entropy,
     tcl_loss,
-    voken_loss,
 )
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
@@ -141,13 +135,11 @@ def ans_run(world, ans_records):
 # ---------------------------------------------------------------------------
 
 
-def _batch(rng, n, d, modality):
-    return EmbeddingBatch(rng.normal(size=(n, d)), modality, tuple(range(n)))
-
-
-def _distributions(rng, n, k):
-    raw = rng.random(size=(n, k)) + 1e-3
-    return raw / raw.sum(axis=1, keepdims=True)
+def _head_probs(encoder, hidden, head):
+    """The oracle's softmax over a token head's logits, one row per
+    hidden state."""
+    w, b = encoder.params[head + "_w"], encoder.params[head + "_b"]
+    return [oracles.softmax(list(row @ w + b)) for row in hidden]
 
 
 def test_criterion_1_loss_oracles():
@@ -155,7 +147,7 @@ def test_criterion_1_loss_oracles():
         rng = np.random.default_rng(20240517)
         cases = 0
         start = time.perf_counter()
-        for _ in range(100):
+        for case in range(100):
             n = int(rng.integers(1, 9))
             d = int(rng.integers(1, 17))
             m = int(rng.integers(0, 5))
@@ -163,27 +155,26 @@ def test_criterion_1_loss_oracles():
             images = rng.normal(size=(n, d))
             texts = rng.normal(size=(n, d))
             negs = rng.normal(size=(n, m, d))
-            ib = EmbeddingBatch(images, IMAGE, tuple(range(n)))
-            tb = EmbeddingBatch(texts, TEXT, tuple(range(n)))
-            pb = _batch(rng, n, d, TEXT)
+            positives = rng.normal(size=(n, d))
 
-            got = infonce_loss(ib, tb, tau).total
+            # without hard negatives tcl_loss is one-direction InfoNCE
+            got = tcl_loss(images, texts, tau).total
             assert abs(got - oracles.infonce_sum(images, texts, tau)) < 1e-10
 
-            got = tcl_loss(tb, pb, tau, hard_negatives=negs if m else None).total
+            got = tcl_loss(texts, positives, tau, hard_negatives=negs if m else None).total
             if m:
                 want = sum(
-                    oracles.infonce_item_negs(tb.vectors, pb.vectors, negs, i, tau)
+                    oracles.infonce_item_negs(texts, positives, negs, i, tau)
                     for i in range(n)
                 )
             else:
-                want = oracles.infonce_sum(tb.vectors, pb.vectors, tau)
+                want = oracles.infonce_sum(texts, positives, tau)
             assert abs(got - want) < 1e-10
 
-            got = cmcl_total(ib, tb, tau).total
+            got = cmcl_total(images, texts, tau).total
             assert abs(got - oracles.bidirectional_mean(images, texts, tau)) < 1e-10
 
-            got = ans_loss(ib, tb, negs, tau).total
+            got = ans_loss(images, texts, negs, tau).total
             want = oracles.bidirectional_mean(
                 images, texts, tau, hard_negatives=negs if m else None
             )
@@ -192,25 +183,34 @@ def test_criterion_1_loss_oracles():
             margin = float(rng.uniform(0.1, 2.0))
             neg_images = rng.normal(size=(n, d))
             neg_texts = rng.normal(size=(n, d))
-            got = hinge_loss(
-                ib,
-                tb,
-                EmbeddingBatch(neg_images, IMAGE, tuple(range(n))),
-                EmbeddingBatch(neg_texts, TEXT, tuple(range(n))),
-                margin,
-            ).total
+            got = hinge_loss(images, texts, neg_images, neg_texts, margin).total
             want = oracles.hinge_sum(images, texts, neg_images, neg_texts, margin)
             assert abs(got - want) < 1e-10
 
+            # the MLM and voken heads, through the steps the trainer runs
             k = int(rng.integers(2, 12))
-            dists = _distributions(rng, n, k)
-            targets = rng.integers(0, k, size=n)
-            got = mlm_loss(dists, targets).total
-            assert abs(got - oracles.cross_entropy_mean(dists, targets)) < 1e-10
+            vocab = int(rng.integers(5, 12))
+            encoder = TextEncoder(
+                TextEncoderConfig(vocab_size=vocab, dim=d, ffn_dim=d, num_blocks=1, max_len=6,
+                                  dropout=0.0, voken_count=k, init_scale=0.5),
+                seed=case,
+            )
+            seqs = [rng.integers(4, vocab, size=int(rng.integers(1, 7))) for _ in range(n)]
+            tokens, mask = encoder.prepare_batch(seqs)
+            hidden = encoder.forward(tokens, mask, record=False)["hidden"]
 
-            vtargets = np.where(rng.random(n) < 0.3, -1, targets)
-            got = voken_loss(dists, vtargets).total
-            assert abs(got - oracles.voken_mean(dists, vtargets)) < 1e-10
+            selections = [(b, int(rng.integers(len(s))), int(rng.integers(vocab)))
+                          for b, s in enumerate(seqs)]
+            got, _ = encoder.mlm_step(tokens, mask, selections)
+            probs = _head_probs(encoder, [hidden[b, p] for b, p, _ in selections], "mlm")
+            want = oracles.cross_entropy_mean(probs, [t for _, _, t in selections])
+            assert abs(got - want) < 1e-10
+
+            vtargets = rng.integers(0, k, size=tokens.shape)
+            vtargets[(rng.random(tokens.shape) < 0.3) | (mask == 0)] = -1
+            got, _ = encoder.voken_step(tokens, mask, vtargets)
+            probs = _head_probs(encoder, hidden.reshape(-1, d), "voken")
+            assert abs(got - oracles.voken_mean(probs, vtargets.ravel())) < 1e-10
 
             teacher = rng.normal(size=(n, d))
             student = rng.normal(size=(n, d))
@@ -218,6 +218,7 @@ def test_criterion_1_loss_oracles():
             assert abs(got - oracles.mmd2_poly2(teacher, student)) < 1e-10
 
             # the cross-entropy the trainer and the fine-tuner run, on logits
+            targets = rng.integers(0, k, size=n)
             logits = rng.normal(scale=3.0, size=(n, k))
             got, d_logits = softmax_cross_entropy(logits, targets)
             probs = [oracles.softmax(list(row)) for row in logits]
@@ -264,79 +265,34 @@ def test_criterion_2_gradient_checks():
         images = rng.normal(size=(n, d))
         texts = rng.normal(size=(n, d))
         negs = rng.normal(size=(n, m, d))
-        ids = tuple(range(n))
 
-        res = cmcl_total(
-            EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-            tau,
-        )
-        _check_grad(
-            lambda x: cmcl_total(
-                EmbeddingBatch(x, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-                tau,
-            ).total,
-            images,
-            res.gradients["image"],
-        )
-        _check_grad(
-            lambda x: cmcl_total(
-                EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(x, TEXT, ids),
-                tau,
-            ).total,
-            texts,
-            res.gradients["text"],
-        )
+        res = cmcl_total(images, texts, tau)
+        _check_grad(lambda x: cmcl_total(x, texts, tau).total, images, res.gradients["image"])
+        _check_grad(lambda x: cmcl_total(images, x, tau).total, texts, res.gradients["text"])
 
         reps = rng.normal(size=(n, d))
         positives = rng.normal(size=(n, d))
-        res = tcl_loss(
-            EmbeddingBatch(reps, TEXT, ids),
-            EmbeddingBatch(positives, TEXT, ids),
-            tau,
-            hard_negatives=negs,
-        )
+        res = tcl_loss(reps, positives, tau, hard_negatives=negs)
         _check_grad(
-            lambda x: tcl_loss(
-                EmbeddingBatch(x, TEXT, ids), EmbeddingBatch(positives, TEXT, ids),
-                tau, hard_negatives=negs,
-            ).total,
+            lambda x: tcl_loss(x, positives, tau, hard_negatives=negs).total,
             reps,
             res.gradients["reps"],
         )
         _check_grad(
-            lambda x: tcl_loss(
-                EmbeddingBatch(reps, TEXT, ids), EmbeddingBatch(x, TEXT, ids),
-                tau, hard_negatives=negs,
-            ).total,
+            lambda x: tcl_loss(reps, x, tau, hard_negatives=negs).total,
             positives,
             res.gradients["dropout_positives"],
         )
         _check_grad(
-            lambda x: tcl_loss(
-                EmbeddingBatch(reps, TEXT, ids), EmbeddingBatch(positives, TEXT, ids),
-                tau, hard_negatives=x,
-            ).total,
+            lambda x: tcl_loss(reps, positives, tau, hard_negatives=x).total,
             negs,
             res.gradients["hard_negatives"],
         )
 
-        res = ans_loss(
-            EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-            negs, tau,
-        )
+        res = ans_loss(images, texts, negs, tau)
+        _check_grad(lambda x: ans_loss(x, texts, negs, tau).total, images, res.gradients["image"])
         _check_grad(
-            lambda x: ans_loss(
-                EmbeddingBatch(x, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-                negs, tau,
-            ).total,
-            images,
-            res.gradients["image"],
-        )
-        _check_grad(
-            lambda x: ans_loss(
-                EmbeddingBatch(images, IMAGE, ids), EmbeddingBatch(texts, TEXT, ids),
-                x, tau,
-            ).total,
+            lambda x: ans_loss(images, texts, x, tau).total,
             negs,
             res.gradients["hard_negatives"],
         )
@@ -361,11 +317,7 @@ def test_criterion_2_gradient_checks():
                 break
         else:
             pytest.fail("no kink-free hinge sample found")
-        res = hinge_loss(
-            EmbeddingBatch(hi, IMAGE, ids), EmbeddingBatch(ht, TEXT, ids),
-            EmbeddingBatch(hni, IMAGE, ids), EmbeddingBatch(hnt, TEXT, ids),
-            margin,
-        )
+        res = hinge_loss(hi, ht, hni, hnt, margin)
         for name, value in (
             ("image", hi), ("text", ht),
             ("negative_images", hni), ("negative_texts", hnt),
@@ -375,10 +327,8 @@ def test_criterion_2_gradient_checks():
                          "negative_images": _hni, "negative_texts": _hnt}
                 parts[_name] = x
                 return hinge_loss(
-                    EmbeddingBatch(parts["image"], IMAGE, ids),
-                    EmbeddingBatch(parts["text"], TEXT, ids),
-                    EmbeddingBatch(parts["negative_images"], IMAGE, ids),
-                    EmbeddingBatch(parts["negative_texts"], TEXT, ids),
+                    parts["image"], parts["text"],
+                    parts["negative_images"], parts["negative_texts"],
                     margin,
                 ).total
 
@@ -407,16 +357,12 @@ def test_criterion_3_reduction_identities():
     with criterion(3, "exact reduction identities"):
         rng = np.random.default_rng(5)
         n, d = 5, 12
-        ids = tuple(range(n))
-        images = EmbeddingBatch(rng.normal(size=(n, d)), IMAGE, ids)
-        texts = EmbeddingBatch(rng.normal(size=(n, d)), TEXT, ids)
+        images = rng.normal(size=(n, d))
+        texts = rng.normal(size=(n, d))
 
         # ans with zero hard negatives is cmcl, bit for bit
         plain = cmcl_total(images, texts, 0.05)
-        reduced = ans_loss(
-            images, texts, np.zeros((n, 0, d)),
-            0.05,
-        )
+        reduced = ans_loss(images, texts, np.zeros((n, 0, d)), 0.05)
         assert reduced.total == plain.total
         np.testing.assert_array_equal(reduced.per_item, plain.per_item)
 
@@ -438,21 +384,12 @@ def test_criterion_3_reduction_identities():
 
         # satisfied margins mean exactly zero hinge loss
         pos = np.eye(4, 6)
-        sat = hinge_loss(
-            EmbeddingBatch(pos, IMAGE, tuple(range(4))),
-            EmbeddingBatch(pos, TEXT, tuple(range(4))),
-            EmbeddingBatch(-pos, IMAGE, tuple(range(4))),
-            EmbeddingBatch(-pos, TEXT, tuple(range(4))),
-            1.0,
-        )
+        sat = hinge_loss(pos, pos, -pos, -pos, 1.0)
         assert sat.total == 0.0
 
-        # a single pair has no negatives, so InfoNCE is exactly zero
-        one = infonce_loss(
-            EmbeddingBatch(rng.normal(size=(1, d)), TEXT, (0,)),
-            EmbeddingBatch(rng.normal(size=(1, d)), TEXT, (0,)),
-            0.05,
-        )
+        # a single pair has no negatives, so InfoNCE (tcl_loss without hard
+        # negatives) is exactly zero
+        one = tcl_loss(rng.normal(size=(1, d)), rng.normal(size=(1, d)), 0.05)
         assert one.total == 0.0
 
 

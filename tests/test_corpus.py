@@ -10,10 +10,13 @@ from cmkt.corpus import (
     ACTIONS,
     KEEP_ACTION,
     MASK_ACTION,
+    PAD,
     RANDOM_ACTION,
+    SEP,
+    SPECIAL_IDS,
+    SPECIALS,
     CaptionPair,
     Vocab,
-    detokenize,
     load_pairs,
     plan_dynamic_masking,
     save_pairs,
@@ -33,10 +36,10 @@ def vocab():
 
 class TestVocab:
     def test_specials_occupy_first_four_ids(self, vocab):
-        assert vocab.pad_id == 0
+        assert [vocab.id_of(w) for w in SPECIALS] == [0, 1, 2, 3]
+        assert SPECIAL_IDS == {0, 1, 2, 3}
         assert vocab.unk_id == 1
         assert vocab.mask_id == 2
-        assert vocab.sep_id == 3
 
     def test_roundtrip_through_file(self, vocab, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -89,7 +92,7 @@ class TestTokenize:
         """Tokenizing the joined surface form of a tokenization changes
         nothing: the tokenizer is already in normal form."""
         first = tokenize("The DOG runs across a zeppelin", vocab)
-        again = tokenize(detokenize(first, vocab), vocab)
+        again = tokenize(" ".join(vocab.word_of(t) for t in first), vocab)
         assert first == again
 
     @given(st.lists(st.sampled_from(["girl", "dog", "apple", "runs", "FIELD"]), min_size=1, max_size=8))
@@ -97,7 +100,7 @@ class TestTokenize:
     def test_idempotence_property(self, words):
         v = Vocab.from_texts(["girl dog apple runs field"])
         first = tokenize(" ".join(words), v)
-        assert tokenize(detokenize(first, v), v) == first
+        assert tokenize(" ".join(v.word_of(t) for t in first), v) == first
 
 
 class TestPairsFile:
@@ -196,7 +199,7 @@ class TestMaskingPlan:
         assert abs(fracs[RANDOM_ACTION] - 0.1) < 0.01
 
     def test_specials_never_selected(self, vocab):
-        tokens = np.array([[vocab.pad_id, vocab.mask_id, vocab.sep_id] * 1000])
+        tokens = np.array([[vocab.id_of(PAD), vocab.mask_id, vocab.id_of(SEP)] * 1000])
         masked, selected, actions = plan(tokens, vocab, 0)
         assert not selected.any() and len(actions) == 0
         np.testing.assert_array_equal(masked, tokens)
@@ -208,7 +211,7 @@ class TestMaskingPlan:
         tokens = pad([short, tokenize("a girl puts an apple in her bag", vocab) * 4, short])
         masked, selected, actions = plan(tokens, vocab, 5, rate=0.5)
         assert selected.shape == tokens.shape
-        assert not selected[tokens == vocab.pad_id].any()
+        assert not selected[tokens == vocab.id_of(PAD)].any()
         assert len(actions) == selected.sum()
         is_masked = masked[selected] == vocab.mask_id
         np.testing.assert_array_equal(is_masked, actions == ACTIONS.index(MASK_ACTION))
@@ -246,13 +249,13 @@ class TestMaskingPlan:
         selection uniforms for every cell, then one action uniform per
         selected cell in row-major order, then the random content ids."""
         tokens = pad([tokenize("a girl puts an apple in her bag", vocab),
-                      tokenize("a man rides", vocab) + [vocab.sep_id, vocab.unk_id]] * 20)
+                      tokenize("a man rides", vocab) + [vocab.id_of(SEP), vocab.unk_id]] * 20)
         masked, selected, actions = plan(tokens, vocab, 8, rate=0.3)
 
         rng = np.random.default_rng(8)
         u_select = rng.random(tokens.shape)
         cells = [(i, j) for i in range(tokens.shape[0]) for j in range(tokens.shape[1])
-                 if tokens[i, j] not in vocab.special_ids and u_select[i, j] < 0.3]
+                 if tokens[i, j] not in SPECIAL_IDS and u_select[i, j] < 0.3]
         codes = [0 if u < 0.8 else 1 if u < 0.8 + 0.1 else 2 for u in rng.random(len(cells))]
         random_ids = iter(vocab.content_ids()[rng.integers(len(vocab.content_ids()),
                                                            size=codes.count(2))])

@@ -571,7 +571,8 @@ class TestKernelsMatchReference:
 class TestParamPlumbing:
     def test_roundtrip_and_clone(self):
         enc = TextEncoder(tiny_config(), seed=42)
-        twin = enc.clone()
+        twin = TextEncoder(enc.config)
+        twin.set_params(enc.params)
         np.testing.assert_array_equal(enc.encode(SEQS), twin.encode(SEQS))
         twin.params["tok_emb"][0, 0] += 1.0
         assert not np.array_equal(enc.params["tok_emb"], twin.params["tok_emb"])
@@ -605,8 +606,7 @@ class TestFeatureBank:
         bank.save(path)
         loaded = FeatureBank.load(path)
         assert loaded.ids == bank.ids
-        np.testing.assert_array_equal(loaded.vectors(bank.ids), bank.vectors(bank.ids))
-        assert loaded.checksum() == bank.checksum()
+        np.testing.assert_array_equal(loaded._features, bank._features)
 
     def test_save_bytes_deterministic(self, bank, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -655,7 +655,7 @@ class TestFeatureBank:
 
 class TestImageEncoder:
     def test_identity_returns_stored_features(self, bank):
-        enc = ImageEncoder.identity(bank)
+        enc = ImageEncoder(bank, np.eye(bank.dim), np.zeros(bank.dim))
         out = enc.encode(["img1", "img3"])
         np.testing.assert_allclose(out.vectors, bank.vectors(["img1", "img3"]))
         assert out.batch_ids == ("img1", "img3")
@@ -695,12 +695,13 @@ class TestImageEncoder:
 
     def test_bank_untouched_by_training_motions(self, bank):
         enc = ImageEncoder.initialized(bank, out_dim=3, seed=7)
-        before = bank.checksum()
+        ids, before = bank.ids, bank._features.copy()
         for _ in range(5):
             grads = enc.backward(["img0", "img1"], np.ones((2, 3)))
             enc.params["proj_w"] -= 0.1 * grads["proj_w"]
             enc.params["proj_b"] -= 0.1 * grads["proj_b"]
-        assert bank.checksum() == before
+        assert bank.ids == ids
+        np.testing.assert_array_equal(bank._features, before)
 
     def test_shape_validation(self, bank):
         with pytest.raises(ShapeError):

@@ -7,23 +7,10 @@ gradient with a relative tolerance of 1e-4.
 
 import numpy as np
 
-from cmkt import (
-    EmbeddingBatch,
-    ans_loss,
-    cmcl_total,
-    hinge_loss,
-    infonce_loss,
-    nst_loss_with_grad,
-    tcl_loss,
-)
+from cmkt import ans_loss, cmcl_total, hinge_loss, nst_loss_with_grad, tcl_loss
 
 STEP = 1e-5
 REL_TOL = 1e-4
-
-
-def batch(vectors, modality="text"):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    return EmbeddingBatch(vectors, modality, tuple(range(vectors.shape[0])))
 
 
 def rows(rng, n, d):
@@ -55,15 +42,15 @@ def check_gradient(total_fn, inputs, analytic, step=STEP, rel_tol=REL_TOL):
 
 
 class TestInfoNceGradients:
+    """``tcl_loss`` without hard negatives, on unrelated rows."""
+
     def test_both_inputs(self):
         rng = np.random.default_rng(42)
-        inputs = {"anchors": rows(rng, 4, 3), "targets": rows(rng, 4, 3)}
-        result = infonce_loss(
-            batch(inputs["anchors"]), batch(inputs["targets"], "image"), 0.05
-        )
+        inputs = {"reps": rows(rng, 4, 3), "dropout_positives": rows(rng, 4, 3)}
+        result = tcl_loss(inputs["reps"], inputs["dropout_positives"], 0.05)
         check_gradient(
-            lambda b: infonce_loss(
-                batch(b["anchors"]), batch(b["targets"], "image"), 0.05
+            lambda b: tcl_loss(
+                b["reps"], b["dropout_positives"], 0.05
             ).total,
             inputs,
             result.gradients,
@@ -71,13 +58,11 @@ class TestInfoNceGradients:
 
     def test_mild_temperature(self):
         rng = np.random.default_rng(7)
-        inputs = {"anchors": rows(rng, 3, 4), "targets": rows(rng, 3, 4)}
-        result = infonce_loss(
-            batch(inputs["anchors"]), batch(inputs["targets"], "image"), 1.0
-        )
+        inputs = {"reps": rows(rng, 3, 4), "dropout_positives": rows(rng, 3, 4)}
+        result = tcl_loss(inputs["reps"], inputs["dropout_positives"], 1.0)
         check_gradient(
-            lambda b: infonce_loss(
-                batch(b["anchors"]), batch(b["targets"], "image"), 1.0
+            lambda b: tcl_loss(
+                b["reps"], b["dropout_positives"], 1.0
             ).total,
             inputs,
             result.gradients,
@@ -89,9 +74,9 @@ class TestTclGradients:
         rng = np.random.default_rng(42)
         reps = rows(rng, 4, 3)
         inputs = {"reps": reps, "dropout_positives": reps + 0.3 * rng.normal(size=reps.shape)}
-        result = tcl_loss(batch(inputs["reps"]), batch(inputs["dropout_positives"]), 0.05)
+        result = tcl_loss(inputs["reps"], inputs["dropout_positives"], 0.05)
         check_gradient(
-            lambda b: tcl_loss(batch(b["reps"]), batch(b["dropout_positives"]), 0.05).total,
+            lambda b: tcl_loss(b["reps"], b["dropout_positives"], 0.05).total,
             inputs,
             result.gradients,
         )
@@ -105,15 +90,15 @@ class TestTclGradients:
             "hard_negatives": rng.normal(size=(3, 2, 4)),
         }
         result = tcl_loss(
-            batch(inputs["reps"]),
-            batch(inputs["dropout_positives"]),
+            inputs["reps"],
+            inputs["dropout_positives"],
             0.05,
             hard_negatives=inputs["hard_negatives"],
         )
         check_gradient(
             lambda b: tcl_loss(
-                batch(b["reps"]),
-                batch(b["dropout_positives"]),
+                b["reps"],
+                b["dropout_positives"],
                 0.05,
                 hard_negatives=b["hard_negatives"],
             ).total,
@@ -126,10 +111,10 @@ class TestCmclGradients:
     def test_both_inputs(self):
         rng = np.random.default_rng(42)
         inputs = {"image": rows(rng, 4, 3), "text": rows(rng, 4, 3)}
-        result = cmcl_total(batch(inputs["image"], "image"), batch(inputs["text"]), 0.05)
+        result = cmcl_total(inputs["image"], inputs["text"], 0.05)
         check_gradient(
             lambda b: cmcl_total(
-                batch(b["image"], "image"), batch(b["text"]), 0.05
+                b["image"], b["text"], 0.05
             ).total,
             inputs,
             result.gradients,
@@ -144,15 +129,10 @@ class TestAnsGradients:
             "text": rows(rng, 3, 4),
             "hard_negatives": rows(rng, 6, 4).reshape(3, 2, 4),
         }
-        result = ans_loss(
-            batch(inputs["image"], "image"),
-            batch(inputs["text"]),
-            inputs["hard_negatives"],
-            0.05,
-        )
+        result = ans_loss(inputs["image"], inputs["text"], inputs["hard_negatives"], 0.05)
         check_gradient(
             lambda b: ans_loss(
-                batch(b["image"], "image"), batch(b["text"]), b["hard_negatives"], 0.05
+                b["image"], b["text"], b["hard_negatives"], 0.05
             ).total,
             inputs,
             result.gradients,
@@ -172,18 +152,18 @@ class TestHingeGradients:
             "negative_texts": rows(rng, 4, 3),
         }
         result = hinge_loss(
-            batch(inputs["image"], "image"),
-            batch(inputs["text"]),
-            batch(inputs["negative_images"], "image"),
-            batch(inputs["negative_texts"]),
+            inputs["image"],
+            inputs["text"],
+            inputs["negative_images"],
+            inputs["negative_texts"],
             margin=1.0,
         )
         check_gradient(
             lambda b: hinge_loss(
-                batch(b["image"], "image"),
-                batch(b["text"]),
-                batch(b["negative_images"], "image"),
-                batch(b["negative_texts"]),
+                b["image"],
+                b["text"],
+                b["negative_images"],
+                b["negative_texts"],
                 margin=1.0,
             ).total,
             inputs,
@@ -221,21 +201,18 @@ class TestGradientAggregationScale:
         v = rows(rng, 3, 3)
         l = rows(rng, 3, 3)
         tau = 0.05
-        g = cmcl_total(batch(v, "image"), batch(l), tau).gradients
+        g = cmcl_total(v, l, tau).gradients
         eps = 1e-6
         v2 = v.copy()
         v2[0, 0] += eps
-        hi = cmcl_total(batch(v2, "image"), batch(l), tau).total
+        hi = cmcl_total(v2, l, tau).total
         v2[0, 0] -= 2 * eps
-        lo = cmcl_total(batch(v2, "image"), batch(l), tau).total
+        lo = cmcl_total(v2, l, tau).total
         np.testing.assert_allclose(g["image"][0, 0], (hi - lo) / (2 * eps), rtol=1e-3)
 
     def test_ans_zero_negative_gradient_is_zero_tensor(self):
         rng = np.random.default_rng(21)
         v = rows(rng, 3, 3)
         l = rows(rng, 3, 3)
-        result = ans_loss(
-            batch(v, "image"), batch(l), np.zeros((3, 0, 3)),
-            0.05,
-        )
+        result = ans_loss(v, l, np.zeros((3, 0, 3)), 0.05)
         assert result.gradients["hard_negatives"].shape == (3, 0, 3)

@@ -1,11 +1,14 @@
 """Lint check without a linter: every import in ``src/cmkt``, ``tests`` and
 ``demos``, at the top level or inside a function, is used, and no function in
 ``src/cmkt`` imports again from a module the file already imports at the top
-level. Also: what importing the CLI loads."""
+level. Every public function, class and method of ``src/cmkt`` is named by the
+package, a demo or the benchmark, not only by tests. Also: what importing the
+CLI loads."""
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +19,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cmkt"
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
 SCRIPTS = [path for folder in ("tests", "demos")
            for path in sorted((PACKAGE.parents[1] / folder).glob("*.py"))]
+# the code whose references keep a public name alive: the package without
+# its re-exports, the demos and the benchmark
+CALLERS = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"] + [
+    path for folder in ("demos", "perfbench")
+    for path in sorted((PACKAGE.parents[1] / folder).glob("*.py"))
+]
 
 # (module, name) pairs imported on purpose without a use in the module:
 # perfbench/tracing.py wraps each under that module's name
@@ -23,6 +32,13 @@ KEPT = {
     ("distillation", "bundle_text_encoder"),
     ("training", "restore_text_encoder"),
 }
+
+# public definitions that nothing but tests names, kept on purpose: the
+# readers of two on-disk formats, which criterion 8 and test_format_fuzz.py
+# round-trip against their writers
+UNCALLED_KEPT = {"evaluation.parse_report_csv", "synth.load_world"}
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 
 def bound_names(node: ast.AST) -> list[str]:
@@ -87,6 +103,52 @@ def local_reimports(source: str, module: str) -> list[str]:
     )
 
 
+def public_definitions(tree: ast.Module, module: str) -> list[str]:
+    """Top-level public functions and classes, and the public methods of
+    those classes, as ``module.name`` or ``module.Class.method``."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out.extend(f"{module}.{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name read, every attribute, and each part of a dotted string
+    such as the tracer's ``"TextEncoder.forward"``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def uncalled_definitions(definitions: dict[str, str], callers: list[str]) -> list[str]:
+    """Public definitions (module stem -> source) whose last name part no
+    caller source names."""
+    used = set().union(*(referenced_names(ast.parse(src)) for src in callers))
+    return sorted(
+        name
+        for module, src in definitions.items()
+        for name in public_definitions(ast.parse(src), module)
+        if name.rsplit(".", 1)[-1] not in used
+    )
+
+
+def package_uncalled() -> list[str]:
+    definitions = {path.stem: path.read_text(encoding="utf-8")
+                   for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    return uncalled_definitions(definitions, [path.read_text(encoding="utf-8") for path in CALLERS])
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.stem) == []
@@ -110,6 +172,36 @@ def test_every_kept_import_is_a_tracer_target():
     spec.loader.exec_module(tracing)
     patched = {(module.removeprefix("cmkt."), attr) for _, module, attr in tracing.TARGETS}
     assert KEPT <= patched
+
+
+def test_every_public_definition_has_a_caller():
+    """A public function, class or method that only tests call is dead API:
+    delete it, or build what the test needs inside the test."""
+    assert sorted(set(package_uncalled()) - UNCALLED_KEPT) == []
+
+
+def test_every_uncalled_exemption_is_still_uncalled():
+    """An exemption holds only while its definition exists and still has no
+    caller, so a stale one fails here."""
+    assert UNCALLED_KEPT <= set(package_uncalled())
+
+
+def test_uncalled_scan_counts_names_attributes_and_dotted_strings():
+    definitions = {"m": (
+        "def used_by_name(): pass\n"
+        "def used_as_attribute(): pass\n"
+        "def _private(): pass\n"
+        "def dead(): pass\n"
+        "class Box:\n"
+        "    def traced(self): pass\n"
+        "    def dead_method(self): pass\n"
+        "    def __len__(self): return 0\n"
+    )}
+    callers = [
+        "used_by_name()\nimport m\nm.used_as_attribute()\n",
+        'TARGETS = (("span", "m", "Box.traced"), "dead with spaces.dead_method")\n',
+    ]
+    assert uncalled_definitions(definitions, callers) == ["m.Box.dead_method", "m.dead"]
 
 
 def test_scan_finds_unused_and_counts_all():

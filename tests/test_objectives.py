@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from cmkt import (
-    AlignmentError,
     ConfigError,
     DomainError,
     EmbeddingBatch,
@@ -24,20 +23,11 @@ from cmkt import (
     ans_loss,
     cmcl_total,
     hinge_loss,
-    infonce_loss,
-    mlm_loss,
     nst_loss,
     tcl_loss,
-    voken_loss,
 )
-from cmkt.objectives import NO_VOKEN
-
-
-def batch(vectors, modality="text", ids=None):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if ids is None:
-        ids = tuple(range(vectors.shape[0]))
-    return EmbeddingBatch(vectors=vectors, modality=modality, batch_ids=ids)
+from cmkt.encoders import TextEncoder, TextEncoderConfig
+from cmkt.objectives import softmax_cross_entropy
 
 
 def random_rows(rng, n, d, scale=2.0):
@@ -55,33 +45,28 @@ finite_rows = hnp.arrays(
 
 
 class TestInfoNce:
+    """``tcl_loss`` without hard negatives: one-direction InfoNCE."""
+
     def test_orthonormal_pair_tau_one(self):
         """Identity similarity matrix at tau=1: each item pays
         -1 + log(e + 1) = log(1 + e^-1); the sum doubles it."""
-        b = batch(np.eye(2))
-        result = infonce_loss(b, batch(np.eye(2), "image"), temperature=1.0)
+        b = np.eye(2)
+        result = tcl_loss(b, np.eye(2), temperature=1.0)
         np.testing.assert_allclose(result.total, 2.0 * math.log1p(math.exp(-1.0)))
 
     def test_identical_rows_give_log_n(self):
         """All similarities equal, so the softmax is uniform and every
         item pays exactly log N regardless of temperature."""
         rows = np.tile([3.0, 4.0], (5, 1))
-        result = infonce_loss(batch(rows), batch(rows, "image"), temperature=0.05)
+        result = tcl_loss(rows, rows, temperature=0.05)
         np.testing.assert_allclose(result.per_item, np.full(5, math.log(5.0)))
         np.testing.assert_allclose(result.total, 5.0 * math.log(5.0))
-
-    def test_singleton_batch_is_zero(self):
-        """With one item the positive is the whole denominator."""
-        result = infonce_loss(
-            batch([[1.0, 2.0]]), batch([[0.5, -1.0]], "image"), temperature=0.05
-        )
-        np.testing.assert_allclose(result.total, 0.0, atol=1e-12)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(42)
         a = random_rows(rng, 6, 4)
         t = random_rows(rng, 6, 4)
-        result = infonce_loss(batch(a), batch(t, "image"), temperature=0.05)
+        result = tcl_loss(a, t, temperature=0.05)
         expected = oracles.infonce_sum(a.tolist(), t.tolist(), 0.05)
         np.testing.assert_allclose(result.total, expected)
         for i in range(6):
@@ -91,11 +76,7 @@ class TestInfoNce:
 
     def test_total_is_sum_of_items(self):
         rng = np.random.default_rng(7)
-        result = infonce_loss(
-            batch(random_rows(rng, 5, 3)),
-            batch(random_rows(rng, 5, 3), "image"),
-            temperature=0.1,
-        )
+        result = tcl_loss(random_rows(rng, 5, 3), random_rows(rng, 5, 3), temperature=0.1)
         np.testing.assert_allclose(result.total, np.sum(result.per_item))
 
     @given(finite_rows)
@@ -104,7 +85,7 @@ class TestInfoNce:
         """The positive term appears in its own denominator, so the
         per-item loss is a negative log of a probability."""
         assume(np.all(np.linalg.norm(rows, axis=1) > 0.1))
-        result = infonce_loss(batch(rows), batch(rows[::-1].copy(), "image"), 0.5)
+        result = tcl_loss(rows, rows[::-1].copy(), 0.5)
         assert np.all(result.per_item >= -1e-10)
 
     @given(st.floats(0.01, 5.0), st.integers(0, 2**31))
@@ -114,39 +95,23 @@ class TestInfoNce:
         rng = np.random.default_rng(seed)
         a = random_rows(rng, 4, 3)
         t = random_rows(rng, 4, 3)
-        base = infonce_loss(batch(a), batch(t, "image"), 0.05).total
+        base = tcl_loss(a, t, 0.05).total
         a2 = a.copy()
         a2[1] *= scale
-        scaled = infonce_loss(batch(a2), batch(t, "image"), 0.05).total
+        scaled = tcl_loss(a2, t, 0.05).total
         np.testing.assert_allclose(base, scaled, rtol=1e-9)
 
     def test_extreme_temperature_is_finite(self):
         rng = np.random.default_rng(3)
         a = random_rows(rng, 4, 3)
-        result = infonce_loss(batch(a), batch(a.copy(), "image"), temperature=1e-3)
+        result = tcl_loss(a, a.copy(), temperature=1e-3)
         assert np.isfinite(result.total)
 
     def test_bad_temperature_rejected(self):
-        b = batch(np.eye(2))
+        b = np.eye(2)
         for tau in (0.0, -1.0, float("nan")):
             with pytest.raises(ConfigError):
-                infonce_loss(b, batch(np.eye(2), "image"), temperature=tau)
-
-    def test_misaligned_ids_rejected(self):
-        a = batch(np.eye(2), ids=("a", "b"))
-        t = batch(np.eye(2), "image", ids=("b", "a"))
-        with pytest.raises(AlignmentError):
-            infonce_loss(a, t, temperature=0.05)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            infonce_loss(batch(np.eye(3)), batch(np.eye(2), "image"), 0.05)
-
-    def test_zero_row_rejected(self):
-        bad = np.eye(2)
-        bad[1] = 0.0
-        with pytest.raises(DomainError):
-            infonce_loss(batch(bad), batch(np.eye(2), "image"), 0.05)
+                tcl_loss(b, np.eye(2), temperature=tau)
 
 
 class TestTcl:
@@ -154,18 +119,18 @@ class TestTcl:
         rng = np.random.default_rng(42)
         reps = random_rows(rng, 5, 4)
         pos = reps + 0.1 * rng.normal(size=reps.shape)
-        result = tcl_loss(batch(reps), batch(pos), temperature=0.05)
+        result = tcl_loss(reps, pos, temperature=0.05)
         np.testing.assert_allclose(
             result.total, oracles.infonce_sum(reps.tolist(), pos.tolist(), 0.05)
         )
 
     def test_identical_views_still_pay_log_n_when_rows_collide(self):
         rows = np.tile([1.0, 2.0], (3, 1))
-        result = tcl_loss(batch(rows), batch(rows.copy()), temperature=0.05)
+        result = tcl_loss(rows, rows.copy(), temperature=0.05)
         np.testing.assert_allclose(result.total, 3.0 * math.log(3.0))
 
     def test_singleton_batch_is_zero(self):
-        result = tcl_loss(batch([[1.0, 1.0]]), batch([[1.0, 0.9]]), 0.05)
+        result = tcl_loss([[1.0, 1.0]], [[1.0, 0.9]], 0.05)
         np.testing.assert_allclose(result.total, 0.0, atol=1e-12)
 
     def test_separated_views_cost_less_than_colliding_views(self):
@@ -173,8 +138,8 @@ class TestTcl:
         rows, which force a uniform softmax."""
         sep = np.eye(4)
         collide = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
-        easy = tcl_loss(batch(sep), batch(sep.copy()), 0.05).total
-        hard = tcl_loss(batch(collide), batch(collide.copy()), 0.05).total
+        easy = tcl_loss(sep, sep.copy(), 0.05).total
+        hard = tcl_loss(collide, collide.copy(), 0.05).total
         assert easy < hard
 
     def test_hard_negatives_match_loop_reference(self):
@@ -182,7 +147,7 @@ class TestTcl:
         reps = random_rows(rng, 4, 3)
         pos = reps + 0.05 * rng.normal(size=reps.shape)
         negs = rng.normal(size=(4, 2, 3))
-        result = tcl_loss(batch(reps), batch(pos), 0.05, hard_negatives=negs)
+        result = tcl_loss(reps, pos, 0.05, hard_negatives=negs)
         expected = sum(
             oracles.infonce_item_negs(
                 reps.tolist(), pos.tolist(), negs.tolist(), i, 0.05
@@ -196,8 +161,8 @@ class TestTcl:
         reps = random_rows(rng, 3, 4)
         pos = random_rows(rng, 3, 4)
         negs = rng.normal(size=(3, 2, 4))
-        plain = tcl_loss(batch(reps), batch(pos), 0.05).total
-        harder = tcl_loss(batch(reps), batch(pos), 0.05, hard_negatives=negs).total
+        plain = tcl_loss(reps, pos, 0.05).total
+        harder = tcl_loss(reps, pos, 0.05, hard_negatives=negs).total
         assert harder > plain
 
     def test_zero_width_negatives_match_plain_loss_exactly(self):
@@ -205,14 +170,14 @@ class TestTcl:
         reps = random_rows(rng, 3, 4)
         pos = random_rows(rng, 3, 4)
         empty = np.zeros((3, 0, 4))
-        plain = tcl_loss(batch(reps), batch(pos), 0.05)
-        via_empty = tcl_loss(batch(reps), batch(pos), 0.05, hard_negatives=empty)
+        plain = tcl_loss(reps, pos, 0.05)
+        via_empty = tcl_loss(reps, pos, 0.05, hard_negatives=empty)
         assert plain.total == via_empty.total
         assert via_empty.gradients["hard_negatives"].shape == (3, 0, 4)
 
     def test_bad_negative_shape_rejected(self):
-        reps = batch(np.eye(3))
-        pos = batch(np.eye(3))
+        reps = np.eye(3)
+        pos = np.eye(3)
         with pytest.raises(ShapeError):
             tcl_loss(reps, pos, 0.05, hard_negatives=np.zeros((2, 1, 3)))
 
@@ -222,16 +187,14 @@ class TestCmcl:
         """Both directions are uniform over 2 items: total =
         mean_i(log 2 + log 2) = log 4."""
         rows = np.tile([1.0, 1.0], (2, 1))
-        result = cmcl_total(
-            batch(rows, "image"), batch(rows.copy()), 0.05
-        )
+        result = cmcl_total(rows, rows.copy(), 0.05)
         np.testing.assert_allclose(result.total, math.log(4.0))
 
     def test_orthonormal_pairs_near_zero(self):
         """Perfectly separated pairs at tau=0.05: each direction pays
         log(1 + e^-20) per item."""
         eye = np.eye(2)
-        result = cmcl_total(batch(eye, "image"), batch(eye.copy()), 0.05)
+        result = cmcl_total(eye, eye.copy(), 0.05)
         np.testing.assert_allclose(
             result.total, 2.0 * math.log1p(math.exp(-20.0)), rtol=1e-6
         )
@@ -240,18 +203,14 @@ class TestCmcl:
         rng = np.random.default_rng(42)
         v = random_rows(rng, 6, 5)
         l = random_rows(rng, 6, 5)
-        result = cmcl_total(batch(v, "image"), batch(l), 0.05)
+        result = cmcl_total(v, l, 0.05)
         np.testing.assert_allclose(
             result.total, oracles.bidirectional_mean(v.tolist(), l.tolist(), 0.05)
         )
 
     def test_total_is_mean_of_items(self):
         rng = np.random.default_rng(9)
-        result = cmcl_total(
-            batch(random_rows(rng, 4, 3), "image"),
-            batch(random_rows(rng, 4, 3)),
-            0.05,
-        )
+        result = cmcl_total(random_rows(rng, 4, 3), random_rows(rng, 4, 3), 0.05)
         np.testing.assert_allclose(result.total, np.mean(result.per_item))
 
     def test_symmetric_under_modality_swap(self):
@@ -260,8 +219,8 @@ class TestCmcl:
         rng = np.random.default_rng(11)
         v = random_rows(rng, 5, 4)
         l = random_rows(rng, 5, 4)
-        fwd = cmcl_total(batch(v, "image"), batch(l), 0.05).total
-        rev = cmcl_total(batch(l, "image"), batch(v), 0.05).total
+        fwd = cmcl_total(v, l, 0.05).total
+        rev = cmcl_total(l, v, 0.05).total
         np.testing.assert_allclose(fwd, rev)
 
     @given(st.integers(0, 2**31))
@@ -272,29 +231,24 @@ class TestCmcl:
         v = random_rows(rng, 5, 3)
         l = random_rows(rng, 5, 3)
         perm = rng.permutation(5)
-        base = cmcl_total(batch(v, "image"), batch(l), 0.05).total
-        ids = tuple(int(p) for p in perm)
-        shuffled = cmcl_total(
-            batch(v[perm], "image", ids=ids), batch(l[perm], ids=ids),
-            0.05,
-        ).total
+        base = cmcl_total(v, l, 0.05).total
+        shuffled = cmcl_total(v[perm], l[perm], 0.05).total
         np.testing.assert_allclose(base, shuffled, rtol=1e-9)
-
 
     @pytest.mark.parametrize("tau", [0.0, -0.05])
     def test_nonpositive_temperature_rejected(self, tau):
         eye = np.eye(2)
         with pytest.raises(ConfigError, match="temperature"):
-            cmcl_total(batch(eye, "image"), batch(eye.copy()), tau)
+            cmcl_total(eye, eye.copy(), tau)
         with pytest.raises(ConfigError, match="temperature"):
-            ans_loss(batch(eye, "image"), batch(eye.copy()), np.ones((2, 1, 2)), tau)
+            ans_loss(eye, eye.copy(), np.ones((2, 1, 2)), tau)
 
 
 class TestAns:
     def test_zero_negatives_bit_identical_to_cmcl(self):
         rng = np.random.default_rng(42)
-        v = batch(random_rows(rng, 5, 4), "image")
-        l = batch(random_rows(rng, 5, 4))
+        v = random_rows(rng, 5, 4)
+        l = random_rows(rng, 5, 4)
         empty = np.zeros((5, 0, 4))
         with_ans = ans_loss(v, l, empty, 0.05)
         without = cmcl_total(v, l, 0.05)
@@ -309,9 +263,7 @@ class TestAns:
         total is log 6."""
         rows = np.tile([2.0, 1.0], (2, 1))
         negs = np.tile([2.0, 1.0], (2, 1, 1))
-        result = ans_loss(
-            batch(rows, "image"), batch(rows.copy()), negs, 0.05
-        )
+        result = ans_loss(rows, rows.copy(), negs, 0.05)
         np.testing.assert_allclose(result.total, math.log(6.0))
 
     def test_matches_loop_reference(self):
@@ -319,7 +271,7 @@ class TestAns:
         v = random_rows(rng, 4, 5)
         l = random_rows(rng, 4, 5)
         negs = random_rows(rng, 4 * 3, 5).reshape(4, 3, 5)
-        result = ans_loss(batch(v, "image"), batch(l), negs, 0.05)
+        result = ans_loss(v, l, negs, 0.05)
         expected = oracles.bidirectional_mean(
             v.tolist(), l.tolist(), 0.05, hard_negatives=negs.tolist()
         )
@@ -331,8 +283,8 @@ class TestAns:
         """Every extra denominator term is a positive exponential, so the
         loss with negatives strictly exceeds the loss without."""
         rng = np.random.default_rng(seed)
-        v = batch(random_rows(rng, 4, 3), "image")
-        l = batch(random_rows(rng, 4, 3))
+        v = random_rows(rng, 4, 3)
+        l = random_rows(rng, 4, 3)
         negs = random_rows(rng, 4, 3).reshape(4, 1, 3)
         with_negs = ans_loss(v, l, negs, 0.05).total
         without = cmcl_total(v, l, 0.05).total
@@ -341,8 +293,8 @@ class TestAns:
     def test_negative_similar_to_image_costs_more_than_dissimilar(self):
         """A perturbed caption aligned with the image is the harder
         negative and must dominate an orthogonal one."""
-        v = batch(np.eye(2), "image")
-        l = batch(np.eye(2))
+        v = np.eye(2)
+        l = np.eye(2)
         aligned = np.stack([np.eye(2)[i].reshape(1, 2) for i in range(2)])
         orthogonal = np.stack([np.eye(2)[1 - i].reshape(1, 2) for i in range(2)])
         hard = ans_loss(v, l, aligned, 0.05).total
@@ -350,9 +302,9 @@ class TestAns:
         assert hard > easy
 
     def test_wrong_negative_rank_rejected(self):
-        v = batch(np.eye(2), "image")
+        v = np.eye(2)
         with pytest.raises(ShapeError):
-            ans_loss(v, batch(np.eye(2)), np.ones((2, 2)), 0.05)
+            ans_loss(v, np.eye(2), np.ones((2, 2)), 0.05)
 
 
 class TestHinge:
@@ -361,19 +313,13 @@ class TestHinge:
         margin terms sit exactly at the kink and contribute nothing."""
         eye = np.eye(2)
         swapped = eye[::-1].copy()
-        result = hinge_loss(
-            batch(eye, "image"), batch(eye.copy()),
-            batch(swapped, "image"), batch(swapped.copy()), margin=1.0,
-        )
+        result = hinge_loss(eye, eye.copy(), swapped, swapped.copy(), margin=1.0)
         np.testing.assert_allclose(result.total, 0.0)
 
     def test_identical_everything_pays_two_margins_each(self):
         """All similarities equal: each term reduces to the margin."""
         rows = np.tile([1.0, 2.0], (3, 1))
-        result = hinge_loss(
-            batch(rows, "image"), batch(rows.copy()),
-            batch(rows.copy(), "image"), batch(rows.copy()), margin=1.0,
-        )
+        result = hinge_loss(rows, rows.copy(), rows.copy(), rows.copy(), margin=1.0)
         np.testing.assert_allclose(result.per_item, np.full(3, 2.0))
         np.testing.assert_allclose(result.total, 6.0)
 
@@ -381,21 +327,17 @@ class TestHinge:
         """Only the caption-side negative is confusable: total is its
         similarity, margin - 1 + cos(45 degrees)."""
         result = hinge_loss(
-            batch([[1.0, 0.0]], "image"), batch([[1.0, 0.0]]),
-            batch([[0.0, 1.0]], "image"),
-            batch([[1.0, 1.0]]), margin=1.0,
+            [[1.0, 0.0]], [[1.0, 0.0]],
+            [[0.0, 1.0]],
+            [[1.0, 1.0]], margin=1.0,
         )
         np.testing.assert_allclose(result.total, 0.7071067811865476)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(42)
         v, l, vn, ln = (random_rows(rng, 5, 4) for _ in range(4))
-        result = hinge_loss(
-            batch(v, "image"), batch(l), batch(vn, "image"), batch(ln), margin=1.0
-        )
-        expected = oracles.hinge_sum(
-            v.tolist(), l.tolist(), vn.tolist(), ln.tolist(), 1.0
-        )
+        result = hinge_loss(v, l, vn, ln, margin=1.0)
+        expected = oracles.hinge_sum(v.tolist(), l.tolist(), vn.tolist(), ln.tolist(), 1.0)
         np.testing.assert_allclose(result.total, expected)
 
     @given(st.integers(0, 2**31), st.floats(0.0, 2.0))
@@ -405,111 +347,144 @@ class TestHinge:
         similarities lie in [-1, 1]."""
         rng = np.random.default_rng(seed)
         v, l, vn, ln = (random_rows(rng, 4, 3) for _ in range(4))
-        result = hinge_loss(
-            batch(v, "image"), batch(l), batch(vn, "image"), batch(ln), margin
-        )
+        result = hinge_loss(v, l, vn, ln, margin)
         assert np.all(result.per_item >= 0.0)
         assert np.all(result.per_item <= 2.0 * (margin + 2.0) + 1e-9)
 
     def test_negative_margin_rejected(self):
-        b = batch(np.eye(2))
+        b = np.eye(2)
         with pytest.raises(ConfigError):
             hinge_loss(b, b, b, b, margin=-0.5)
 
 
+SEQS = [[4, 5, 6], [5, 7, 4, 6, 5], [7, 4]]
+
+
+def tiny_encoder(**overrides):
+    """A one-block encoder over vocabulary 8 with a 3-voken head, scaled up
+    so that its heads' distributions are far from uniform; and ``SEQS``
+    padded for it."""
+    config = dict(vocab_size=8, dim=4, ffn_dim=6, num_blocks=1, max_len=6,
+                  dropout=0.0, voken_count=3, init_scale=0.5)
+    config.update(overrides)
+    enc = TextEncoder(TextEncoderConfig(**config), seed=42)
+    return enc, enc.prepare_batch(SEQS)
+
+
+def head_dists(enc, padded, head):
+    """Per-position distributions of the ``mlm`` or ``voken`` head, with
+    the oracle's softmax."""
+    hidden = enc.forward(*padded, record=False)["hidden"]
+    logits = hidden @ enc.params[head + "_w"] + enc.params[head + "_b"]
+    return [[oracles.softmax(list(row)) for row in seq] for seq in logits]
+
+
 class TestMlm:
+    """The masked-token cross-entropy the trainer runs: ``mlm_step`` feeds
+    the head's logits to ``softmax_cross_entropy``. The hand cases give it
+    log-probabilities, whose softmax is the distribution itself."""
+
     def test_hand_case(self):
         """-log 0.5 and -log 0.7 average to (log 2 + log(10/7)) / 2."""
         dists = np.array([[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
-        result = mlm_loss(dists, [0, 2])
-        np.testing.assert_allclose(
-            result.total, (math.log(2.0) + math.log(10.0 / 7.0)) / 2.0
-        )
+        loss, _ = softmax_cross_entropy(np.log(dists), np.array([0, 2]))
+        np.testing.assert_allclose(loss, (math.log(2.0) + math.log(10.0 / 7.0)) / 2.0)
 
     def test_uniform_pays_log_vocab(self):
         dists = np.full((4, 8), 1.0 / 8.0)
-        result = mlm_loss(dists, [0, 3, 7, 2])
-        np.testing.assert_allclose(result.per_item, np.full(4, math.log(8.0)))
+        loss, _ = softmax_cross_entropy(np.log(dists), np.array([0, 3, 7, 2]))
+        np.testing.assert_allclose(loss, math.log(8.0))
 
     def test_perfect_prediction_is_zero(self):
-        dists = np.eye(5)
-        result = mlm_loss(dists, np.arange(5))
-        np.testing.assert_allclose(result.total, 0.0, atol=1e-12)
+        """A target logit 50 above the other four pays log(1 + 4e^-50)."""
+        loss, _ = softmax_cross_entropy(50.0 * np.eye(5), np.arange(5))
+        np.testing.assert_allclose(loss, 0.0, atol=1e-12)
 
     def test_empty_input_is_zero(self):
-        result = mlm_loss(np.zeros((0, 7)), [])
-        assert result.total == 0.0
-        assert result.per_item.shape == (0,)
+        enc, padded = tiny_encoder()
+        assert enc.mlm_step(*padded, []) == (0.0, {})
 
     def test_matches_loop_reference(self):
-        rng = np.random.default_rng(42)
-        raw = rng.uniform(0.1, 1.0, size=(6, 9))
-        dists = raw / raw.sum(axis=1, keepdims=True)
-        targets = rng.integers(0, 9, size=6)
-        result = mlm_loss(dists, targets)
-        np.testing.assert_allclose(
-            result.total, oracles.cross_entropy_mean(dists.tolist(), targets.tolist())
+        enc, padded = tiny_encoder()
+        selections = [(0, 1, 3), (1, 4, 7), (1, 0, 0), (2, 1, 5)]
+        loss, _ = enc.mlm_step(*padded, selections)
+        dists = head_dists(enc, padded, "mlm")
+        expected = oracles.cross_entropy_mean(
+            [dists[b][p] for b, p, _ in selections], [t for _, _, t in selections]
         )
-
-    def test_unnormalized_rows_rejected(self):
-        with pytest.raises(ValidationError):
-            mlm_loss(np.array([[0.5, 0.6]]), [0])
-
-    def test_negative_probabilities_rejected(self):
-        with pytest.raises(ValidationError):
-            mlm_loss(np.array([[1.2, -0.2]]), [0])
+        np.testing.assert_allclose(loss, expected, rtol=1e-12)
 
     def test_out_of_range_target_rejected(self):
-        dists = np.full((1, 4), 0.25)
-        with pytest.raises(IndexError):
-            mlm_loss(dists, [4])
-        with pytest.raises(IndexError):
-            mlm_loss(dists, [-1])
+        enc, padded = tiny_encoder()
+        with pytest.raises(ValidationError, match="target"):
+            enc.mlm_step(*padded, [(0, 0, 8)])
+        with pytest.raises(ValidationError, match="target"):
+            enc.mlm_step(*padded, [(0, 0, -1)])
 
-    def test_target_count_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            mlm_loss(np.full((2, 4), 0.25), [0])
+
+def voken_targets(assigned):
+    """A padded voken target array for ``SEQS``: -1 everywhere except the
+    ``(row, position) -> voken`` entries of ``assigned``."""
+    targets = np.full((len(SEQS), max(map(len, SEQS))), -1, dtype=np.int64)
+    for (b, p), v in assigned.items():
+        targets[b, p] = v
+    return targets
 
 
 class TestVoken:
+    """Voken classification through ``voken_step``: targets of -1 mark
+    tokens without an assigned voken."""
+
     def test_unassigned_positions_excluded(self):
-        """The middle token has no voken: it contributes nothing and the
-        mean runs over the two assigned positions only."""
-        dists = np.array(
-            [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.0]]
-        )
-        result = voken_loss(dists, [2, NO_VOKEN, 0])
-        np.testing.assert_allclose(result.per_item[1], 0.0)
-        np.testing.assert_allclose(result.total, math.log(4.0) / 2.0)
+        """The -1 token contributes nothing: the mean runs over the two
+        assigned positions only."""
+        enc, padded = tiny_encoder()
+        both, _ = enc.voken_step(*padded, voken_targets({(0, 0): 2, (0, 2): 0}))
+        first, _ = enc.voken_step(*padded, voken_targets({(0, 0): 2}))
+        last, _ = enc.voken_step(*padded, voken_targets({(0, 2): 0}))
+        np.testing.assert_allclose(both, (first + last) / 2.0, rtol=1e-12)
 
     def test_all_unassigned_is_zero(self):
-        result = voken_loss(np.full((3, 4), 0.25), [NO_VOKEN] * 3)
-        assert result.total == 0.0
+        enc, padded = tiny_encoder()
+        assert enc.voken_step(*padded, voken_targets({})) == (0.0, {})
 
     def test_matches_loop_reference(self):
-        rng = np.random.default_rng(42)
-        raw = rng.uniform(0.1, 1.0, size=(8, 5))
-        dists = raw / raw.sum(axis=1, keepdims=True)
-        targets = [0, NO_VOKEN, 2, 4, NO_VOKEN, 1, 3, 0]
-        result = voken_loss(dists, targets)
+        enc, padded = tiny_encoder()
+        targets = voken_targets({(0, 0): 0, (0, 2): 2, (1, 1): 1, (1, 3): 0,
+                                 (1, 4): 2, (2, 0): 1})
+        loss, _ = enc.voken_step(*padded, targets)
+        dists = [row for seq in head_dists(enc, padded, "voken") for row in seq]
         np.testing.assert_allclose(
-            result.total, oracles.voken_mean(dists.tolist(), targets)
+            loss, oracles.voken_mean(dists, targets.ravel().tolist()), rtol=1e-12
         )
 
     def test_matches_mlm_when_all_assigned(self):
-        """With every token assigned, voken classification is ordinary
-        cross-entropy over the voken inventory."""
-        rng = np.random.default_rng(5)
-        raw = rng.uniform(0.1, 1.0, size=(4, 6))
-        dists = raw / raw.sum(axis=1, keepdims=True)
-        targets = [1, 5, 0, 3]
+        """With every token assigned and the voken head a copy of the MLM
+        head, voken classification is the masked-token loss at every
+        position."""
+        enc, padded = tiny_encoder(voken_count=8)
+        enc.params["voken_w"] = enc.params["mlm_w"].copy()
+        enc.params["voken_b"] = enc.params["mlm_b"].copy()
+        selections = [(b, p, (b + 3 * p) % 8) for b, seq in enumerate(SEQS)
+                      for p in range(len(seq))]
+        targets = voken_targets({(b, p): t for b, p, t in selections})
         np.testing.assert_allclose(
-            voken_loss(dists, targets).total, mlm_loss(dists, targets).total
+            enc.voken_step(*padded, targets)[0], enc.mlm_step(*padded, selections)[0],
+            rtol=1e-12,
         )
 
+    def test_target_shape_mismatch_rejected(self):
+        """One target per padded position, or the targets and the
+        positions they label disagree."""
+        enc, padded = tiny_encoder()
+        with pytest.raises(ShapeError):
+            enc.voken_step(*padded, voken_targets({(0, 0): 1})[:, :4])
+
     def test_out_of_range_target_rejected(self):
-        with pytest.raises(IndexError):
-            voken_loss(np.full((1, 4), 0.25), [-3])
+        enc, padded = tiny_encoder()
+        for bad in (-3, 3):
+            with pytest.raises(ValidationError, match="target"):
+                enc.voken_step(*padded, voken_targets({(0, 0): bad}))
 
 
 class TestNst:
@@ -577,9 +552,11 @@ class TestNst:
 
 
 class TestEmbeddingBatch:
+    """The image encoder's return type."""
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
-            batch([[1.0, float("nan")]])
+            EmbeddingBatch(np.array([[1.0, float("nan")]]), "image", (0,))
 
     def test_unknown_modality_rejected(self):
         with pytest.raises(ValidationError):
@@ -592,3 +569,50 @@ class TestEmbeddingBatch:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ShapeError):
             EmbeddingBatch(np.ones(4), "text", (0,))
+
+
+# each contrastive loss: how many (N, d) inputs it takes, and a call with
+# valid temperature, margin and hard negatives for N = 3, d = 2
+CONTRASTIVE = {
+    "tcl_loss": (2, lambda xs: tcl_loss(*xs, 0.05)),
+    "cmcl_total": (2, lambda xs: cmcl_total(*xs, 0.05)),
+    "ans_loss": (2, lambda xs: ans_loss(*xs, np.ones((3, 1, 2)), 0.05)),
+    "hinge_loss": (4, lambda xs: hinge_loss(*xs, 1.0)),
+}
+
+
+def _with_nan(x):
+    x = x.copy()
+    x[1, 0] = np.nan
+    return x
+
+
+def _with_zero_row(x):
+    x = x.copy()
+    x[1] = 0.0
+    return x
+
+
+# how one input is spoiled, and the error the loss must raise for it
+SPOILED = {
+    "1-D": (lambda x: x[0], ShapeError),
+    "N-mismatch": (lambda x: x[:2], ShapeError),
+    "d-mismatch": (lambda x: x[:, :1], ShapeError),
+    "NaN": (_with_nan, ValidationError),
+    "zero-row": (_with_zero_row, DomainError),
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILED)
+@pytest.mark.parametrize("loss", CONTRASTIVE)
+def test_contrastive_loss_rejects_bad_embeddings(loss, spoil):
+    """Spoiling any one embedding input, whichever position it holds,
+    raises the spoil's error."""
+    arity, call = CONTRASTIVE[loss]
+    transform, error = SPOILED[spoil]
+    rng = np.random.default_rng(0)
+    inputs = [random_rows(rng, 3, 2) for _ in range(arity)]
+    call(inputs)
+    for i in range(arity):
+        with pytest.raises(error):
+            call([transform(x) if j == i else x for j, x in enumerate(inputs)])

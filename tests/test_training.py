@@ -15,7 +15,6 @@ from cmkt import (
     ConfigError,
     DistillSpec,
     DomainError,
-    EmbeddingBatch,
     MethodSpec,
     ParseError,
     PretrainConfig,
@@ -41,7 +40,6 @@ from cmkt import training as training_module
 from cmkt.cli import _read_config
 from cmkt.corpus import CaptionPair, Vocab, plan_dynamic_masking
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder
-from cmkt.objectives import TEXT
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
     EQUIVALENT_POSITIVE,
@@ -383,13 +381,11 @@ class TestStepZeroHonesty:
         records, _ = assemble_records(MethodSpec.named("TCL+MLM"), data, config)
         order = epoch_order(config.seed, 1, len(records))
         batch = [records[int(i)] for i in order[: config.batch_size]]
-        ids = tuple(r.index for r in batch)
 
         encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
         padded = encoder.prepare_batch([r.tokens for r in batch])
         view_a, view_b = (
-            EmbeddingBatch(encoder.forward(*padded, derive_seed(config.seed, view, 1, 0))["pooled"],
-                           TEXT, ids)
+            encoder.forward(*padded, derive_seed(config.seed, view, 1, 0))["pooled"]
             for view in ("tcl-a", "tcl-b")
         )
         tcl = tcl_loss(view_a, view_b, config.temperature).total / len(batch)
@@ -638,7 +634,7 @@ class TestBuildVokenBank:
     def test_rows_follow_first_appearance_order(self):
         bank = self.make_bank()
         pairs = [CaptionPair(i, c, s) for i, c, s in PAIR_ROWS]
-        table = build_voken_bank(pairs, ImageEncoder.identity(bank), 3)
+        table = build_voken_bank(pairs, ImageEncoder(bank, np.eye(bank.dim), np.zeros(bank.dim)), 3)
         np.testing.assert_allclose(
             table, bank.vectors(["img00", "img01", "img02"])
         )
@@ -647,13 +643,13 @@ class TestBuildVokenBank:
         bank = self.make_bank()
         pairs = [CaptionPair(i, c, s) for i, c, s in PAIR_ROWS]
         with pytest.raises(ConfigError, match="distinct"):
-            build_voken_bank(pairs, ImageEncoder.identity(bank), 13)
+            build_voken_bank(pairs, ImageEncoder(bank, np.eye(bank.dim), np.zeros(bank.dim)), 13)
 
     def test_count_below_one_rejected(self):
         bank = self.make_bank()
         pairs = [CaptionPair(i, c, s) for i, c, s in PAIR_ROWS]
         with pytest.raises(ConfigError):
-            build_voken_bank(pairs, ImageEncoder.identity(bank), 0)
+            build_voken_bank(pairs, ImageEncoder(bank, np.eye(bank.dim), np.zeros(bank.dim)), 0)
 
 
 class TestSimilaritySetIO:
