@@ -62,6 +62,11 @@ class TestInfoNce:
         np.testing.assert_allclose(result.per_item, np.full(5, math.log(5.0)))
         np.testing.assert_allclose(result.total, 5.0 * math.log(5.0))
 
+    def test_singleton_batch_is_zero(self):
+        """With one item the positive is the whole denominator."""
+        result = tcl_loss([[1.0, 2.0]], [[0.5, -1.0]], temperature=0.05)
+        np.testing.assert_allclose(result.total, 0.0, atol=1e-12)
+
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(42)
         a = random_rows(rng, 6, 4)
