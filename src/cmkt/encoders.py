@@ -108,8 +108,12 @@ def _ln_backward(d_out, cache, ones):
 
 
 def _softmax_last(x):
-    """Softmax over the last axis, computed in place in ``x``."""
-    x -= np.max(x, axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in ``x``. The row max,
+    a running ``np.maximum`` over columns, is exact and beats ``np.max``."""
+    row_max = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(row_max, x[..., j], out=row_max)
+    x -= row_max[..., None]
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
@@ -163,17 +167,21 @@ def _drop(x, site, rng, p, saved):
 def _ffn_backward(d_x, blk, keep, p_drop, P, p, grads, ones, n):
     """Backward through the feed-forward half of block ``p`` over ``n``
     sequences: its second layer norm, dropout site and ReLU feed-forward.
-    Pops ``ln2`` and ``h`` from the block cache ``blk``, writes the
-    parameter gradients to ``grads`` and returns the gradient on the first
-    layer norm's output."""
+    Pops ``ln2`` from the block cache ``blk`` and rebuilds the first layer
+    norm's output and the ReLU activation with the forward's operations,
+    writes the parameter gradients to ``grads`` and returns the gradient
+    on the first layer norm's output."""
     d_r2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk.pop("ln2"), ones)
     d_ffn = _undrop(d_r2, keep, p_drop)
-    h = blk.pop("h")
+    y = _ln_output(blk["ln1"], P[p + "ln1_b"])
+    h = y @ P[p + "w1"]
+    h += P[p + "b1"]
+    np.maximum(h, 0.0, out=h)
     grads[p + "w2"] = _row_wgrad(h, d_ffn, n)
     grads[p + "b2"] = ones @ d_ffn
     d_pre = d_ffn @ P[p + "w2"].T
     d_pre *= h > 0
-    grads[p + "w1"] = _row_wgrad(_ln_output(blk["ln1"], P[p + "ln1_b"]), d_pre, n)
+    grads[p + "w1"] = _row_wgrad(y, d_pre, n)
     grads[p + "b1"] = ones @ d_pre
     d_y = d_pre @ P[p + "w1"].T
     d_y += d_r2
@@ -183,31 +191,34 @@ def _ffn_backward(d_x, blk, keep, p_drop, P, p, grads, ones, n):
 def _attention_backward(d_y, blk, keep, p_drop, x_in, P, p, grads, ones):
     """Backward through the attention half of block ``p``: its first layer
     norm, dropout site, output projection and single-head attention over
-    the input ``x_in``. Pops the rest of the block cache ``blk``, writes
-    the parameter gradients to ``grads`` and returns the gradient on
-    ``x_in``."""
+    the input ``x_in``, from which it rebuilds Q/K/V with the forward's
+    operations. Pops the rest of the block cache ``blk``, writes the
+    parameter gradients to ``grads`` and returns the gradient on ``x_in``."""
     d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_y, blk.pop("ln1"), ones)
     d_proj = _undrop(d_r1, keep, p_drop)
-    qkv, attn = blk.pop("qkv"), blk.pop("attn")
-    n, length, d = qkv.shape[0], qkv.shape[1], qkv.shape[2] // 3
+    attn, w_qkv = blk.pop("attn"), blk.pop("w_qkv")
+    n, length, d = attn.shape[0], attn.shape[1], x_in.shape[1]
+    qkv = x_in @ w_qkv
+    qkv += blk.pop("b_qkv")
+    qkv = qkv.reshape(n, length, 3 * d)
     q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
     grads[p + "wo"] = _row_wgrad((attn @ v).reshape(n * length, d), d_proj, n)
     grads[p + "bo"] = ones @ d_proj
     d_ctx = (d_proj @ P[p + "wo"].T).reshape(n, length, d)
     d_attn = d_ctx @ v.transpose(0, 2, 1)
     d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-    scale = 1.0 / np.sqrt(d)
-    d_qkv = np.concatenate(
-        [d_scores @ k * scale, d_scores.transpose(0, 2, 1) @ q * scale,
-         attn.transpose(0, 2, 1) @ d_ctx],
-        axis=-1,
-    ).reshape(n * length, 3 * d)
+    d_qkv = np.empty_like(qkv)
+    np.matmul(d_scores, k, out=d_qkv[..., :d])
+    np.matmul(d_scores.transpose(0, 2, 1), q, out=d_qkv[..., d : 2 * d])
+    d_qkv[..., : 2 * d] *= 1.0 / np.sqrt(d)
+    np.matmul(attn.transpose(0, 2, 1), d_ctx, out=d_qkv[..., 2 * d :])
+    d_qkv = d_qkv.reshape(n * length, 3 * d)
     g_qkv = _row_wgrad(x_in, d_qkv, n)
     b_qkv = ones @ d_qkv
     for j, side in enumerate("qkv"):
         grads[p + "w" + side] = g_qkv[:, j * d : (j + 1) * d]
         grads[p + "b" + side] = b_qkv[j * d : (j + 1) * d]
-    d_x = d_qkv @ blk.pop("w_qkv").T
+    d_x = d_qkv @ w_qkv.T
     d_x += d_r1
     return d_x
 
@@ -303,8 +314,8 @@ class TextEncoder:
         Returns a cache holding pooled output, hidden states, per-block
         pooled activations and, when ``record`` is true, what the backward
         pass needs: each dropout site's bool keep-mask, the first block's
-        input, and per block the Q/K/V projections, attention weights, ReLU
-        activations and both layer norms' normalized rows. Backward rebuilds
+        input, and per block the fused Q/K/V weights and bias, attention
+        weights and both layer norms' normalized rows. Backward rebuilds
         the rest and consumes this part, so the cache goes to
         :meth:`backward` once. Inference passes ``record=False``: each
         block's intermediates are then freed as the next block starts, and
@@ -359,7 +370,7 @@ class TextEncoder:
             x_in = x
             x, ln2 = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
             if record:
-                cache[f"blk{i}"] = dict(w_qkv=w_qkv, qkv=qkv, attn=attn, h=h, ln1=ln1, ln2=ln2)
+                cache[f"blk{i}"] = dict(w_qkv=w_qkv, b_qkv=b_qkv, attn=attn, ln1=ln1, ln2=ln2)
                 if i == 0:  # a later block's input is rebuilt from the block before it
                     cache["blk0"]["x_in"] = x_in
             cache["block_pooled"].append(self._pool(x.reshape(n, length, d), pool_weights))
@@ -605,6 +616,9 @@ class FeatureBank:
         if len(raw) != expected:
             raise ParseError(f"{path}: expected {expected} bytes, found {len(raw)}")
         features = np.frombuffer(raw[20:], dtype="<f4").reshape(count, dim)
+        bad = ~np.isfinite(features).all(axis=1)
+        if bad.any():
+            raise ParseError(f"{path}: feature row {int(np.argmax(bad))} holds a non-finite entry")
         sidecar = str(path) + ".ids"
         ids: list[Optional[str]] = [None] * count
         for where, line in read_lines(sidecar):
@@ -646,10 +660,13 @@ class ImageEncoder:
     def dim(self) -> int:
         return self.params["proj_w"].shape[1]
 
+    def project(self, image_ids: Sequence[str]) -> np.ndarray:
+        """The ``(n, dim)`` projected features, not checked: a loaded bank's
+        rows are finite, so a non-finite output means the projection diverged."""
+        return self.bank.vectors(image_ids) @ self.params["proj_w"] + self.params["proj_b"]
+
     def encode(self, image_ids: Sequence[str]) -> EmbeddingBatch:
-        feats = self.bank.vectors(image_ids)
-        out = feats @ self.params["proj_w"] + self.params["proj_b"]
-        return EmbeddingBatch(out, IMAGE, tuple(image_ids))
+        return EmbeddingBatch(self.project(image_ids), IMAGE, tuple(image_ids))
 
     def backward(self, image_ids: Sequence[str], d_out: np.ndarray) -> dict[str, np.ndarray]:
         feats = self.bank.vectors(image_ids)

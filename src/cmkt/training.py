@@ -388,7 +388,7 @@ class _ComponentEngine:
         return cache
 
     def _images(self, image_ids, step):
-        return _check_finite(self.image_encoder.encode(image_ids).vectors, "image", step)
+        return _check_finite(self.image_encoder.project(image_ids), "image", step)
 
     def _embed_negatives(self, batch, epoch, step, purpose):
         """Forward pass over the batch's hard negatives; returns the

@@ -148,9 +148,9 @@ class TestForwardBehaviour:
 
     def test_recorded_cache_is_lean_and_backward_consumes_it(self):
         """At the acceptance width a recording forward keeps bool keep-masks,
-        no first layer-norm output (``y``), no attention context (``ctx``)
-        and at most 4,800 bytes per token row. Backward leaves only the
-        outputs."""
+        no first layer-norm output (``y``), attention context (``ctx``),
+        Q/K/V projections (``qkv``) or ReLU activations (``h``), and at most
+        2,200 bytes per token row. Backward leaves only the outputs."""
         enc = TextEncoder(tiny_config(vocab_size=40, dim=32, ffn_dim=64, max_len=16,
                                       dropout=0.1), seed=0)
         rng = np.random.default_rng(0)
@@ -164,8 +164,8 @@ class TestForwardBehaviour:
 
         masks = [v for k, v in cache.items() if k.startswith("drop.")]
         assert len(masks) == 5 and all(m.dtype == bool for m in masks)
-        assert not {"y", "ctx"} & {key for i in range(2) for key in cache[f"blk{i}"]}
-        assert nbytes(cache) <= 4_800 * tokens.size
+        assert not {"y", "ctx", "qkv", "h"} & {key for i in range(2) for key in cache[f"blk{i}"]}
+        assert nbytes(cache) <= 2_200 * tokens.size
         enc.backward(cache, d_pooled=np.ones((64, 32)))
         assert set(cache) == {"tokens", "mask", "hidden", "pooled", "block_pooled"}
 
@@ -550,6 +550,21 @@ class TestKernelsMatchReference:
         scale = cache["drop.emb"] * (1.0 / (1.0 - 0.3))
         np.testing.assert_array_equal(cache["blk0"]["x_in"], emb.reshape(-1, 4) * scale)
 
+    @pytest.mark.parametrize("length", [1, 5, 16])
+    def test_softmax_row_max_matches_np_max(self, length):
+        """The running row max is exact: bit-equal to the ``np.max`` form,
+        with masked columns and a NaN row."""
+        rng = np.random.default_rng(length)
+        x = rng.normal(scale=4.0, size=(7, 3, length))
+        x[:, :, length // 2 :] += encoders.MASK_BIAS
+        x[2, 1, length - 1] = np.nan
+        want = x - np.max(x, axis=-1, keepdims=True)
+        np.exp(want, out=want)
+        want /= want.sum(axis=-1, keepdims=True)
+        got = encoders._softmax_last(x.copy())
+        assert np.isnan(got[2, 1]).all()
+        assert got.tobytes() == want.tobytes()
+
     def test_undrop_matches_float_scale(self):
         rng = np.random.default_rng(6)
         d_out = rng.normal(size=(30, 4))
@@ -647,6 +662,19 @@ class TestFeatureBank:
     def test_features_immutable(self, bank):
         with pytest.raises(ValueError):
             bank._features[0, 0] = 9.9
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bank, tmp_path, value):
+        """A feature file with a non-finite entry is bad input, not a
+        projection that diverged in training."""
+        path = tmp_path / "feats.bin"
+        bank.save(path)
+        raw = bytearray(path.read_bytes())
+        row = 20 + 3 * bank.dim * 4
+        raw[row : row + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="feats.bin: feature row 3 holds a non-finite entry"):
+            FeatureBank.load(path)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):

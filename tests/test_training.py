@@ -340,6 +340,22 @@ class TestLoopBookkeeping:
             pretrain("MLM", make_data(), config)
         assert err.value.step == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_image_projection_raises_training_error(self):
+        """A projection that overflows is divergence (CLI exit 3), reported
+        with its step, not a bad-input error about the batch."""
+        data, config = make_data(), small_config()
+        records, pool = assemble_records(MethodSpec.named("CMCL"), data, config)
+        encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=0)
+        images = ImageEncoder(data.bank, np.full((5, config.dim), np.finfo(float).max),
+                              np.zeros(config.dim))
+        engine = training_module._ComponentEngine(config, encoder, images, data.vocab, pool)
+        batch = records[:4]
+        padded = encoder.prepare_batch([rec.tokens for rec in batch])
+        with pytest.raises(TrainingError, match="non-finite image embeddings at step 7") as err:
+            engine.run("cmcl", batch, padded, 0, 7)
+        assert err.value.step == 7
+
     @pytest.mark.parametrize("batch_size", [1, 16, 64])
     def test_one_mask_generator_per_step(self, batch_size, monkeypatch):
         data = make_data()
