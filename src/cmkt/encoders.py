@@ -109,7 +109,8 @@ def _ln_backward(d_out, cache, ones):
 
 def _softmax_last(x):
     """Softmax over the last axis, computed in place in ``x``. The row max,
-    a running ``np.maximum`` over columns, is exact and beats ``np.max``."""
+    a running ``np.maximum`` over columns, is exact, and faster than
+    ``np.max`` on batches of about 32 sequences or more."""
     row_max = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
         np.maximum(row_max, x[..., j], out=row_max)
