@@ -13,7 +13,6 @@ failures. Relative input paths are also tried against $CMKT_DATA_DIR.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import hashlib
 import json
@@ -71,34 +70,6 @@ DATA_DIR_VAR = "CMKT_DATA_DIR"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
-
-# glibc mallopt parameters (malloc.h) and the values main sets.
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-TRIM_THRESHOLD_BYTES = 128 << 20
-MMAP_THRESHOLD_BYTES = 32 << 20
-
-
-def _keep_freed_heap() -> None:
-    """Stop glibc from returning freed activation buffers to the kernel.
-
-    Every training step allocates and frees the same few MB. By default
-    glibc trims those pages off the heap (or unmaps them) and the next
-    step faults each one back in: after its first epoch, a 30-epoch
-    CMCL+ANS pretrain on a 2-core x86_64 VM takes about 259,000 minor
-    faults and 3.1-3.2 s without this hook, 95 faults and 2.4-2.8 s with
-    it. A fixed 128 MiB trim threshold and a 32 MiB mmap threshold keep them
-    mapped. Where libc.so.6 is missing (not glibc) this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-
 
 def _resolve_input(raw: str) -> Path:
     """Input paths are taken as given, falling back to $CMKT_DATA_DIR."""
@@ -357,7 +328,7 @@ def cmd_finetune(args) -> int:
         "train_size": args.train_size,
         "learning_rate": args.learning_rate,
         "test_accuracy": accuracy,
-        "final_loss": model.loss_rows[-1]["loss"] if model.loss_rows else None,
+        "final_loss": model.loss_rows[-1]["total"] if model.loss_rows else None,
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -620,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

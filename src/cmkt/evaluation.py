@@ -34,6 +34,7 @@ from .errors import ConfigError, ParseError, ReportError, ShapeError, TrainingEr
 from .objectives import softmax_cross_entropy
 from .seeding import derive_seed, rng_for
 from .textio import fits, parse_errors, read_lines, write_lines
+from .training import sgd_loop
 
 SPLITS = ("train", "dev", "test")
 
@@ -153,8 +154,7 @@ class TaskModel:
 
     encoder: TextEncoder
     vocab: Vocab
-    head_w: np.ndarray
-    head_b: float
+    head: dict  # "w": (dim,) weights, "b": the bias
     loss_rows: tuple[dict, ...] = ()
     # (question, choice) -> token ids, filled on first use; finetune hands
     # in the dataset's table so every model tuned on it shares one
@@ -186,7 +186,7 @@ class TaskModel:
         seqs = [toks for item in items for toks in self._choice_tokens(item)]
         padded = self.encoder.prepare_batch(seqs)
         cache = self.encoder.forward(*padded, dropout_seed, record=record)
-        scores = cache["pooled"] @ self.head_w + self.head_b
+        scores = cache["pooled"] @ self.head["w"] + self.head["b"]
         return scores.reshape(len(items), n_choices), cache
 
     def predict(self, items: Sequence[MCQAItem]) -> list[int]:
@@ -202,8 +202,8 @@ def build_task_model(checkpoint: Checkpoint, seed: int) -> TaskModel:
     """Fresh head on a restored encoder; the starting point of fine-tuning."""
     encoder, vocab = restore_text_encoder(checkpoint)
     rng = rng_for(seed, "head")
-    head_w = rng.normal(scale=0.02, size=encoder.config.dim)
-    return TaskModel(encoder=encoder, vocab=vocab, head_w=head_w, head_b=0.0)
+    head = {"w": rng.normal(scale=0.02, size=encoder.config.dim), "b": 0.0}
+    return TaskModel(encoder=encoder, vocab=vocab, head=head)
 
 
 def finetune(
@@ -212,11 +212,10 @@ def finetune(
     subset: Sequence[MCQAItem],
     learning_rate: float,
     config: FinetuneConfig,
-    max_epochs: Optional[int] = None,
 ) -> TaskModel:
     """Train encoder and head on the subset with cross-choice softmax
     cross-entropy; deterministic given the config seed. A non-finite loss
-    raises :class:`TrainingError` with its step."""
+    or parameter raises :class:`TrainingError` with its step."""
     subset = list(subset)
     if not subset:
         raise ConfigError("fine-tuning subset is empty")
@@ -227,39 +226,27 @@ def finetune(
         )
     if not learning_rate > 0:
         raise ConfigError(f"learning rate must be positive, got {learning_rate}")
-    epochs = max_epochs if max_epochs is not None else config.epochs_for(len(subset))
 
     model = build_task_model(checkpoint, config.seed)
     encoder = model.encoder
     model.token_ids = dataset.token_tables.setdefault(
         (tuple(checkpoint.meta["vocab"]), encoder.config.max_len), {}
     )
-    loss_rows = []
-    step = 0
-    for epoch in range(1, epochs + 1):
-        order = rng_for(config.seed, "ft-order", epoch).permutation(len(subset))
-        for start in range(0, len(subset), config.batch_size):
-            batch = [subset[int(i)] for i in order[start : start + config.batch_size]]
-            scores, cache = model.score_items(
-                batch, derive_seed(config.seed, "ft-dropout", epoch, step)
-            )
-            gold = np.array([item.gold for item in batch])
-            loss, d_scores = softmax_cross_entropy(scores, gold)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite fine-tuning loss {loss} at step {step}",
-                                    step=step)
-            d_flat = d_scores.reshape(-1)
-            d_pooled = np.outer(d_flat, model.head_w)
-            grads = encoder.backward(cache, d_pooled=d_pooled)
-            d_head_w = cache["pooled"].T @ d_flat
-            d_head_b = float(d_flat.sum())
-            for name, g in grads.items():
-                encoder.params[name] -= learning_rate * g
-            model.head_w = model.head_w - learning_rate * d_head_w
-            model.head_b = model.head_b - learning_rate * d_head_b
-            loss_rows.append({"step": step, "epoch": epoch, "loss": loss})
-            step += 1
-    model.loss_rows = tuple(loss_rows)
+
+    def step_fn(batch, epoch, step):
+        scores, cache = model.score_items(
+            batch, derive_seed(config.seed, "ft-dropout", epoch, step)
+        )
+        loss, d_scores = softmax_cross_entropy(scores, np.array([item.gold for item in batch]))
+        d_flat = d_scores.reshape(-1)
+        grads = encoder.backward(cache, d_pooled=np.outer(d_flat, model.head["w"]))
+        head_grads = {"w": cache["pooled"].T @ d_flat, "b": float(d_flat.sum())}
+        return {"total": loss}, (grads, head_grads)
+
+    model.loss_rows = tuple(sgd_loop(
+        subset, config.seed, "ft-order", config.epochs_for(len(subset)), config.batch_size,
+        learning_rate, step_fn, (encoder.params, model.head),
+    ))
     return model
 
 

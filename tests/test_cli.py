@@ -12,9 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cmkt import cli
+from cmkt import cli, training
 from cmkt.checkpoint import load_checkpoint
 from cmkt.cli import main
+from cmkt.corpus import Vocab, load_pairs
 from cmkt.evaluation import (
     EvalRun,
     FinetuneConfig,
@@ -661,7 +662,7 @@ class TestFinetuneCommand:
                 ]
             )
         assert rc == 3
-        assert "non-finite fine-tuning loss" in capsys.readouterr().err
+        assert "non-finite loss" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -971,27 +972,43 @@ class TestPathResolution:
 
 
 class TestAllocatorHook:
-    def test_every_main_call_sets_both_thresholds(self, tmp_path, monkeypatch):
+    """Training sets both malloc thresholds where its loop starts, so CLI
+    commands and library calls alike keep freed activation buffers."""
+
+    @staticmethod
+    def pretrain_argv(world_dir, config, out):
+        return ["pretrain", "--method", "MLM", "--pairs", str(world_dir / "pairs.tsv"),
+                "--vocab", str(world_dir / "vocab.txt"), "--config", str(config),
+                "--out", str(out)]
+
+    def test_every_training_run_sets_both_thresholds(self, world_dir, tiny_pretrain_config,
+                                                     tmp_path, monkeypatch):
         calls = []
 
         def mallopt(param, value):
             calls.append((param, value))
             return 1
 
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-        for name in ("a", "b"):
-            assert main(["synth", "--out", str(tmp_path / name), "--seed", "1"]) == 0
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert main(["synth", "--out", str(tmp_path / "w"), "--seed", "1"]) == 0
+        assert calls == []
+        assert main(self.pretrain_argv(world_dir, tiny_pretrain_config, tmp_path / "o")) == 0
+        data = training.TrainingData(load_pairs(world_dir / "pairs.tsv"),
+                                     Vocab.load(world_dir / "vocab.txt"))
+        config = PretrainConfig(**json.loads(tiny_pretrain_config.read_text()))
+        training.pretrain("MLM", data, config)
         assert calls == [(-1, 128 << 20), (-3, 32 << 20)] * 2
 
     def test_real_libc_call_is_repeatable(self):
-        assert cli._keep_freed_heap() is None
-        assert cli._keep_freed_heap() is None
+        assert training._keep_freed_heap() is None
+        assert training._keep_freed_heap() is None
 
-    def test_missing_glibc_is_a_silent_no_op(self, tmp_path, monkeypatch, capsys):
+    def test_missing_glibc_is_a_silent_no_op(self, world_dir, tiny_pretrain_config, tmp_path,
+                                             monkeypatch, capsys):
         def no_libc(name):
             raise OSError(f"{name}: cannot open shared object file")
 
-        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
-        assert cli._keep_freed_heap() is None
-        assert main(["synth", "--out", str(tmp_path / "w"), "--seed", "1"]) == 0
+        monkeypatch.setattr(training.ctypes, "CDLL", no_libc)
+        assert training._keep_freed_heap() is None
+        assert main(self.pretrain_argv(world_dir, tiny_pretrain_config, tmp_path / "o")) == 0
         assert capsys.readouterr().err == ""

@@ -240,10 +240,11 @@ class TestFinetune:
     def test_overfits_single_item(self):
         ds = make_dataset()
         one = ds.split("train")[:1]
-        cfg = FinetuneConfig(learning_rates=(0.5,), batch_size=4, seed=0)
-        model = finetune(make_checkpoint(), ds, one, 0.5, cfg, max_epochs=60)
+        cfg = FinetuneConfig(learning_rates=(0.5,), batch_size=4, seed=0,
+                             max_epochs_low_resource=60)
+        model = finetune(make_checkpoint(), ds, one, 0.5, cfg)
         assert model.predict(one) == [one[0].gold]
-        assert model.loss_rows[-1]["loss"] < 0.1
+        assert model.loss_rows[-1]["total"] < 0.1
 
     def test_predict_keeps_no_backward_cache(self, monkeypatch):
         ds = make_dataset()
@@ -262,19 +263,49 @@ class TestFinetune:
     def test_non_finite_loss_raises_training_error_with_step(self):
         ds = make_dataset()
         sub = ds.split("train")[:6]
-        cfg = FinetuneConfig(learning_rates=(1e250,), batch_size=4, seed=0)
+        cfg = FinetuneConfig(learning_rates=(1e250,), batch_size=4, seed=0,
+                             max_epochs_low_resource=3)
         with pytest.warns(RuntimeWarning), pytest.raises(TrainingError, match="non-finite") as info:
-            finetune(make_checkpoint(), ds, sub, 1e250, cfg, max_epochs=3)
+            finetune(make_checkpoint(), ds, sub, 1e250, cfg)
+        assert info.value.step == 1
+
+    @pytest.mark.parametrize("where, name", [("encoder", "tok_emb"), ("head", "w")])
+    def test_non_finite_parameter_raises_training_error_with_step(self, where, name,
+                                                                   monkeypatch):
+        """The last step's update makes one parameter infinite while its loss
+        is finite: the run stops at that step instead of returning a model
+        that can only score NaN."""
+        ds = make_dataset()
+        sub = ds.split("train")[:8]
+        cfg = FinetuneConfig(learning_rates=(0.1,), batch_size=4, seed=0,
+                             max_epochs_low_resource=1)
+        real = TextEncoder.backward
+        steps = []
+
+        def backward(self, cache, **kwargs):
+            grads = real(self, cache, **kwargs)
+            steps.append(len(steps))
+            if len(steps) == 2:  # the last of the two steps
+                if where == "encoder":
+                    grads[name] = np.full_like(grads[name], np.inf)
+                else:  # the head's weight gradient is pooled.T @ d_scores
+                    cache["pooled"][0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(TextEncoder, "backward", backward)
+        with pytest.raises(TrainingError, match=f"non-finite parameter {name} at step 1") as info:
+            finetune(make_checkpoint(), ds, sub, 0.1, cfg)
         assert info.value.step == 1
 
     def test_identical_seeds_identical_models(self):
         ds = make_dataset()
         sub = ds.split("train")[:6]
-        cfg = FinetuneConfig(learning_rates=(0.1,), batch_size=4, seed=5)
-        a = finetune(make_checkpoint(), ds, sub, 0.1, cfg, max_epochs=3)
-        b = finetune(make_checkpoint(), ds, sub, 0.1, cfg, max_epochs=3)
-        np.testing.assert_array_equal(a.head_w, b.head_w)
-        assert a.head_b == b.head_b
+        cfg = FinetuneConfig(learning_rates=(0.1,), batch_size=4, seed=5,
+                             max_epochs_low_resource=3)
+        a = finetune(make_checkpoint(), ds, sub, 0.1, cfg)
+        b = finetune(make_checkpoint(), ds, sub, 0.1, cfg)
+        np.testing.assert_array_equal(a.head["w"], b.head["w"])
+        assert a.head["b"] == b.head["b"]
         for name in a.encoder.params:
             np.testing.assert_array_equal(a.encoder.params[name], b.encoder.params[name])
 
@@ -282,12 +313,12 @@ class TestFinetune:
         ds = make_dataset()
         sub = ds.split("train")[:6]
         a = finetune(make_checkpoint(), ds, sub, 0.1,
-                     FinetuneConfig(learning_rates=(0.1,), batch_size=4, seed=0),
-                     max_epochs=3)
+                     FinetuneConfig(learning_rates=(0.1,), batch_size=4, seed=0,
+                                    max_epochs_low_resource=3))
         b = finetune(make_checkpoint(), ds, sub, 0.1,
-                     FinetuneConfig(learning_rates=(0.1,), batch_size=4, seed=1),
-                     max_epochs=3)
-        assert not np.array_equal(a.head_w, b.head_w)
+                     FinetuneConfig(learning_rates=(0.1,), batch_size=4, seed=1,
+                                    max_epochs_low_resource=3))
+        assert not np.array_equal(a.head["w"], b.head["w"])
 
     def test_first_batch_loss_matches_oracle(self):
         """Replay step 0 by hand: same head init, same batch order, same
@@ -297,8 +328,9 @@ class TestFinetune:
 
         ds = make_dataset()
         sub = ds.split("train")[:8]
-        cfg = FinetuneConfig(learning_rates=(0.05,), batch_size=4, seed=9)
-        model = finetune(make_checkpoint(), ds, sub, 0.05, cfg, max_epochs=1)
+        cfg = FinetuneConfig(learning_rates=(0.05,), batch_size=4, seed=9,
+                             max_epochs_low_resource=1)
+        model = finetune(make_checkpoint(), ds, sub, 0.05, cfg)
 
         fresh = build_task_model(make_checkpoint(), seed=9)
         order = rng_for(9, "ft-order", 1).permutation(len(sub))
@@ -311,14 +343,14 @@ class TestFinetune:
         ]
         cache = fresh.encoder.forward(*fresh.encoder.prepare_batch(seqs),
                                       derive_seed(9, "ft-dropout", 1, 0))
-        scores = (cache["pooled"] @ fresh.head_w + fresh.head_b).reshape(4, 4)
+        scores = (cache["pooled"] @ fresh.head["w"] + fresh.head["b"]).reshape(4, 4)
         expected = 0.0
         for row, item in zip(scores, batch):
             shifted = row - row.max()
             log_probs = shifted - np.log(np.exp(shifted).sum())
             expected -= log_probs[item.gold]
         expected /= 4
-        assert model.loss_rows[0]["loss"] == pytest.approx(expected, abs=1e-12)
+        assert model.loss_rows[0]["total"] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_huge_learning_rate_logs_finite_loss(self):
@@ -327,17 +359,19 @@ class TestFinetune:
         gives inf and a divide-by-zero warning; logsumexp stays finite."""
         ds = make_dataset()
         sub = ds.split("train")[:8]
-        cfg = FinetuneConfig(learning_rates=(1e3,), batch_size=4, seed=0)
-        model = finetune(make_checkpoint(), ds, sub, 1e3, cfg, max_epochs=3)
-        losses = [row["loss"] for row in model.loss_rows]
+        cfg = FinetuneConfig(learning_rates=(1e3,), batch_size=4, seed=0,
+                             max_epochs_low_resource=3)
+        model = finetune(make_checkpoint(), ds, sub, 1e3, cfg)
+        losses = [row["total"] for row in model.loss_rows]
         assert len(losses) == 6
         assert all(np.isfinite(losses)), losses
 
     def test_learns_the_toy_task(self):
         ds = make_dataset(n_train=40, n_test=20)
         sub = ds.split("train")
-        cfg = FinetuneConfig(learning_rates=(0.3,), batch_size=8, seed=0)
-        model = finetune(make_checkpoint(), ds, sub, 0.3, cfg, max_epochs=40)
+        cfg = FinetuneConfig(learning_rates=(0.3,), batch_size=8, seed=0,
+                             max_epochs_low_resource=40)
+        model = finetune(make_checkpoint(), ds, sub, 0.3, cfg)
         assert evaluate(model, sub, cfg.batch_size) >= 0.9
 
 
@@ -389,7 +423,7 @@ class TestEvaluate:
         choice 0 for every item and report the share of gold-0 items."""
         ds = make_dataset()
         model = build_task_model(make_checkpoint(), seed=0)
-        model.head_w = np.full_like(model.head_w, np.nan)
+        model.head["w"] = np.full_like(model.head["w"], np.nan)
         with pytest.raises(TrainingError, match="non-finite"):
             evaluate(model, ds.split("test"), 16)
 
@@ -512,7 +546,7 @@ class TestGridSearch:
         dev_scores = {0.01: 0.4, 0.1: 0.9, 1.0: 0.6}
         monkeypatch.setattr(
             evaluation_module, "finetune",
-            lambda ckpt, ds, sub, lr, cfg, max_epochs=None: ("model", lr),
+            lambda ckpt, ds, sub, lr, cfg: ("model", lr),
         )
         monkeypatch.setattr(
             evaluation_module, "evaluate",
@@ -527,7 +561,7 @@ class TestGridSearch:
     def test_tie_goes_to_smaller_rate(self, monkeypatch):
         monkeypatch.setattr(
             evaluation_module, "finetune",
-            lambda ckpt, ds, sub, lr, cfg, max_epochs=None: ("model", lr),
+            lambda ckpt, ds, sub, lr, cfg: ("model", lr),
         )
         monkeypatch.setattr(
             evaluation_module, "evaluate", lambda model, items, batch_size: 0.5,
@@ -666,7 +700,7 @@ class TestProtocolReuse:
         subset = ds.split("train")
         grid = grid_search(make_checkpoint(), ds, subset, config)
         again = finetune(make_checkpoint(), ds, subset, grid.best_learning_rate, config)
-        np.testing.assert_array_equal(grid.best_model.head_w, again.head_w)
+        np.testing.assert_array_equal(grid.best_model.head["w"], again.head["w"])
         for name, value in again.encoder.params.items():
             np.testing.assert_array_equal(grid.best_model.encoder.params[name], value)
 
@@ -685,7 +719,8 @@ class TestProtocolReuse:
         calls = self.count_calls(monkeypatch, "tokenize")
         ds = make_dataset(n_train=8)
         sub = ds.split("train")
-        model = finetune(make_checkpoint(), ds, sub, 0.1, tiny_protocol_config(), max_epochs=3)
+        model = finetune(make_checkpoint(), ds, sub, 0.1,
+                         tiny_protocol_config(max_epochs_low_resource=3))
         assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})
         evaluate(model, sub, 4)
         assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})

@@ -40,6 +40,7 @@ from cmkt import training as training_module
 from cmkt.cli import _read_config
 from cmkt.corpus import CaptionPair, Vocab, plan_dynamic_masking
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder
+from cmkt.evaluation import FinetuneConfig, MCQADataset, MCQAItem, finetune
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
     EQUIVALENT_POSITIVE,
@@ -48,8 +49,8 @@ from cmkt.perturbation import (
 from cmkt.seeding import rng_for
 from cmkt.training import (
     assemble_records,
-    epoch_order,
     mlm_batch_step,
+    run_training_loop,
 )
 
 PAIR_ROWS = [
@@ -140,18 +141,6 @@ class TestMethodSpec:
         assert MethodSpec.named("CMCL").needs_images
         assert MethodSpec.named("VOKEN+MLM").needs_images
         assert not MethodSpec.named("TCL+PSA+ANS").needs_images
-
-    def test_weight_count_must_match(self):
-        with pytest.raises(ConfigError, match="weights"):
-            MethodSpec.named("TCL+MLM", weights=[1.0])
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ConfigError, match="positive"):
-            MethodSpec.named("TCL+MLM", weights=[1.0, 0.0])
-
-    def test_custom_weights_kept(self):
-        spec = MethodSpec.named("TCL+MLM", weights=[0.5, 2.0])
-        assert spec.weights == (0.5, 2.0)
 
 
 class TestPretrainConfig:
@@ -277,11 +266,55 @@ class TestLoopBookkeeping:
         assert row["epoch"] == 1
 
     def test_total_is_weighted_component_sum_every_step(self):
-        spec = MethodSpec.named("TCL+MLM", weights=[0.5, 2.0])
-        result = pretrain(spec, make_data(), small_config())
+        data, config = make_data(), small_config()
+        records, pool = assemble_records(MethodSpec.named("TCL+MLM"), data, config)
+        encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
+        result = run_training_loop(config, encoder, None, data.vocab, records, pool,
+                                   ("tcl", "mlm"), (0.5, 2.0), {"method": "mix"})
+        assert len(result.loss_rows) == 2 * math.ceil(10 / 4)
         for row in result.loss_rows:
             recombined = 0.5 * row["tcl"] + 2.0 * row["mlm"]
             assert abs(row["total"] - recombined) < 1e-10
+
+    def test_sgd_sees_every_update_of_every_trainer(self, monkeypatch):
+        """pretrain, the teacher, distillation and fine-tuning all update
+        through the one loop's ``_sgd``: once per step and parameter dict,
+        with a gradient for every parameter the run changes."""
+        seen = []
+        real = training_module._sgd
+
+        def spy(params, grads, lr, step):
+            seen.append((step, set(grads)))
+            real(params, grads, lr, step)
+
+        monkeypatch.setattr(training_module, "_sgd", spy)
+
+        def updates(rows, n_dicts):
+            steps = [step for step, _ in seen]
+            assert steps == [row["step"] for row in rows for _ in range(n_dicts)]
+            names = set().union(*(grads for _, grads in seen))
+            seen.clear()
+            return names
+
+        data, config = make_data(), small_config(epochs=1)
+        mlm = pretrain("MLM", data, config)
+        assert updates(mlm.loss_rows, 1)
+        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        assert {"proj_w", "proj_b"} <= updates(teacher.loss_rows, 2)
+        student = distill(teacher.final, data, DistillSpec(), config)
+        assert updates(student.loss_rows, 1)
+
+        items = [MCQAItem(question=p.caption, choices=(p.caption, "a red block"), gold=0,
+                          split="train") for p in data.pairs[:6]]
+        cfg = FinetuneConfig(learning_rates=(0.1,), batch_size=4, max_epochs_low_resource=2)
+        model = finetune(mlm.final, MCQADataset.from_items("toy", items), items, 0.1, cfg)
+        start, _ = restore_text_encoder(mlm.final)
+        changed = {"w", "b"} | {
+            name for name, value in model.encoder.params.items()
+            if not np.array_equal(value, start.params[name])
+        }
+        assert changed <= updates(model.loss_rows, 2)
+        assert {"w", "b"} < changed
 
     def test_one_checkpoint_per_epoch_plus_final(self):
         series = []
@@ -395,7 +428,7 @@ class TestStepZeroHonesty:
         row = result.loss_rows[0]
 
         records, _ = assemble_records(MethodSpec.named("TCL+MLM"), data, config)
-        order = epoch_order(config.seed, 1, len(records))
+        order = rng_for(config.seed, "order", 1).permutation(len(records))
         batch = [records[int(i)] for i in order[: config.batch_size]]
 
         encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
@@ -420,7 +453,7 @@ class TestStepZeroHonesty:
         result = pretrain("MLM", data, config)
 
         records, _ = assemble_records(MethodSpec.named("MLM"), data, config)
-        order = epoch_order(config.seed, 1, len(records))
+        order = rng_for(config.seed, "order", 1).permutation(len(records))
         batch = [records[int(i)].tokens for i in order[: config.batch_size]]
         tokens = np.zeros((len(batch), max(map(len, batch))), dtype=np.int64)
         for b, toks in enumerate(batch):
@@ -468,7 +501,7 @@ class TestStepZeroHonesty:
         data = make_data()
         config = small_config(batch_size=10, epochs=1, dropout=0.0)
         full = pretrain("TCL", data, config).loss_rows[0]["tcl"]
-        order = epoch_order(config.seed, 1, 10)
+        order = rng_for(config.seed, "order", 1).permutation(10)
         assert len(order) == 10  # one batch holds the whole corpus
         assert np.isfinite(full)
 
