@@ -113,9 +113,11 @@ def _write_manifest(
 ) -> None:
     """Writes the command's manifest: inputs (hashed), outputs, config and
     seed, then provenance: the wall seconds since ``started`` (a
-    ``time.perf_counter`` reading), the process's peak RSS in MB and the
-    python and numpy versions. Like the timestamp, the times vary between
-    re-runs, so no byte comparison reads a manifest."""
+    ``time.perf_counter`` reading), the process's peak RSS in MB, the
+    largest peak RSS of a reaped child process (the protocols' fine-tune
+    workers; 0 when none ran) and the python and numpy versions. Like the
+    timestamp, the times vary between re-runs, so no byte comparison reads
+    a manifest."""
     manifest = {
         "command": command,
         "config": config,
@@ -128,6 +130,7 @@ def _write_manifest(
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_s": time.perf_counter() - started,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

@@ -13,14 +13,24 @@ Work done once: each (question, choice) text is tokenized once per
 dataset object, vocabulary and max_len, and the grid search's fine-tune of
 the first subsample at the chosen learning rate is the model that
 subsample is scored with.
+
+Work done side by side: a protocol's fine-tunes that do not depend on each
+other (the grid's learning rates, then the subsamples or run seeds at the
+chosen rate) run in forked worker processes, one per usable core; see
+:func:`_run_finetunes`.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import io
 import json
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -33,7 +43,7 @@ from .encoders import TextEncoder
 from .errors import ConfigError, ParseError, ReportError, ShapeError, TrainingError
 from .objectives import softmax_cross_entropy
 from .seeding import derive_seed, rng_for
-from .textio import fits, parse_errors, read_lines, write_lines
+from .textio import fits, parse_errors, read_lines, read_text, write_lines
 from .training import sgd_loop
 
 SPLITS = ("train", "dev", "test")
@@ -206,6 +216,16 @@ def build_task_model(checkpoint: Checkpoint, seed: int) -> TaskModel:
     return TaskModel(encoder=encoder, vocab=vocab, head=head)
 
 
+def _task_model(checkpoint: Checkpoint, dataset: MCQADataset, seed: int) -> TaskModel:
+    """:func:`build_task_model` whose token table is the dataset's table for
+    the checkpoint's vocabulary and max_len."""
+    model = build_task_model(checkpoint, seed)
+    model.token_ids = dataset.token_tables.setdefault(
+        (tuple(checkpoint.meta["vocab"]), model.encoder.config.max_len), {}
+    )
+    return model
+
+
 def finetune(
     checkpoint: Checkpoint,
     dataset: MCQADataset,
@@ -227,11 +247,8 @@ def finetune(
     if not learning_rate > 0:
         raise ConfigError(f"learning rate must be positive, got {learning_rate}")
 
-    model = build_task_model(checkpoint, config.seed)
+    model = _task_model(checkpoint, dataset, config.seed)
     encoder = model.encoder
-    model.token_ids = dataset.token_tables.setdefault(
-        (tuple(checkpoint.meta["vocab"]), encoder.config.max_len), {}
-    )
 
     def step_fn(batch, epoch, step):
         scores, cache = model.score_items(
@@ -321,12 +338,160 @@ def load_runs(path: str | Path) -> list[EvalRun]:
     return runs
 
 
+# (train subset, learning rate, config): one independent fine-tune
+Job = tuple[Sequence[MCQAItem], float, FinetuneConfig]
+
+# OpenBLAS's thread-count setter under the names its builds export: numpy's
+# bundled ILP64 build, a plain ILP64 build, a plain LP64 build
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _blas_thread_setter():
+    """OpenBLAS's set-num-threads function in this process, or None when no
+    loaded library exports one."""
+    try:
+        maps = read_text("/proc/self/maps").splitlines()
+    except (OSError, ParseError):
+        return None
+    # a mapped file's path is a line's last field ("(deleted)" when unlinked)
+    paths = sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1].lower()})
+    for path in paths:
+        library = ctypes.CDLL(path)  # already loaded: the same handle
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def _job_scores(checkpoint: Checkpoint, dataset: MCQADataset, jobs: Sequence[Job],
+                splits: Sequence[Sequence[MCQAItem]]):
+    """Yields, job by job, the accuracies on each split of the model the
+    job fine-tunes; each model is freed before the next fine-tune."""
+    for subset, learning_rate, config in jobs:
+        model = finetune(checkpoint, dataset, subset, learning_rate, config)
+        scores = tuple(evaluate(model, split, config.batch_size) for split in splits)
+        del model
+        yield scores
+
+
+def _worker(write_fd: int, set_blas_threads, checkpoint: Checkpoint, dataset: MCQADataset,
+            jobs: Sequence[Job], splits: Sequence[Sequence[MCQAItem]]) -> None:
+    """A forked worker's whole life; it never returns into the caller's
+    stack. It pins OpenBLAS to one thread, runs its jobs in order until one
+    raises, and pipes back (the scores of the jobs that finished, the error
+    or None, the warnings shown)."""
+    code = 1
+    try:
+        set_blas_threads(1)
+        shown = []
+        # replacing showwarning, unlike catch_warnings, keeps the inherited
+        # filters' record of what was already shown
+        warnings.showwarning = lambda message, category, filename, lineno, *_: shown.append(
+            (message, category, filename, lineno))
+        done, error = [], None
+        try:
+            for scores in _job_scores(checkpoint, dataset, jobs, splits):
+                done.append(scores)
+        except Exception as exc:  # the parent raises it
+            error = exc
+        payload = memoryview(pickle.dumps((done, error, shown)))
+        while payload:
+            payload = payload[os.write(write_fd, payload):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_finetunes(checkpoint: Checkpoint, dataset: MCQADataset, jobs: Sequence[Job],
+                   splits: Sequence[Sequence[MCQAItem]]) -> list[tuple[float, ...]]:
+    """The accuracies on each split of the model each job fine-tunes, in
+    job order, exactly as running the jobs one after another gives them.
+
+    The jobs are independent, so they run side by side in forked workers,
+    one per usable core and at most one per job. Worker ``w`` runs jobs
+    ``w, w + workers, ...`` with OpenBLAS pinned to one thread (at these
+    shapes a second thread only spins) and pipes back their accuracies;
+    the parent fills the dataset's token table first, so no worker
+    tokenizes, and then only waits. Each fine-tune is a deterministic
+    function of its inputs, so the worker count changes no result. The
+    parent re-emits the warnings the workers showed and raises the error
+    of the first job that failed, as a serial run would; a worker that
+    ends without sending its results is a :class:`TrainingError`. On
+    every path, interrupts included, all workers are killed and reaped.
+
+    The parent runs the jobs itself when there is one job, one usable
+    core, no ``os.fork`` or no OpenBLAS thread setter. Workers are forked,
+    not spawned: they read the parent's checkpoint, dataset and token
+    table without pickling them."""
+    jobs = list(jobs)
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    set_blas_threads = _blas_thread_setter() if workers > 1 else None
+    if set_blas_threads is None:
+        return list(_job_scores(checkpoint, dataset, jobs, splits))
+
+    tokenizer = _task_model(checkpoint, dataset, 0)
+    for items in (*splits, *(subset for subset, _, _ in jobs)):
+        for item in items:
+            tokenizer._choice_tokens(item)
+    del tokenizer
+    running, pipes, reports = [], [], []  # pids, then the read end of each one's pipe
+    try:
+        for first in range(workers):
+            pipes += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(pipes[-1], set_blas_threads, checkpoint, dataset,
+                        jobs[first::workers], splits)
+            running.append(pid)
+            os.close(pipes.pop())  # the write end is the worker's alone
+        for pid, read_fd in zip(list(running), pipes):
+            chunks = []
+            while chunk := os.read(read_fd, 1 << 16):
+                chunks.append(chunk)
+            payload = b"".join(chunks)
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            if status or not payload:
+                raise TrainingError(
+                    f"fine-tune worker {pid} ended with exit status "
+                    f"{os.waitstatus_to_exitcode(status)} before sending its results"
+                )
+            reports.append(pickle.loads(payload))
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read_fd in pipes:
+            os.close(read_fd)
+
+    results, failures = [None] * len(jobs), {}
+    for first, (done, error, shown) in enumerate(reports):
+        for message, category, filename, lineno in shown:
+            warnings.warn_explicit(message, category, filename, lineno)
+        for k, scores in enumerate(done):
+            results[first + k * workers] = scores
+        if error is not None:
+            failures[first + len(done) * workers] = error
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 @dataclass(frozen=True)
 class GridResult:
     best_learning_rate: float
     table: tuple[tuple[float, float], ...]  # (learning rate, dev accuracy)
-    # the fine-tune at the best rate: what finetune(..., best rate, config) returns
-    best_model: Optional[TaskModel] = dataclasses.field(default=None, compare=False, repr=False)
+    # the accuracies on grid_search's ``score`` splits of the fine-tune at
+    # the best rate: what finetune(..., best rate, config) scores there
+    best_scores: tuple[float, ...] = ()
 
 
 def grid_search(
@@ -334,22 +499,23 @@ def grid_search(
     dataset: MCQADataset,
     subset: Sequence[MCQAItem],
     config: FinetuneConfig,
+    score: Sequence[Sequence[MCQAItem]] = (),
 ) -> GridResult:
-    """One fine-tune per grid learning rate, scored on the dev split;
-    ties resolve to the smaller rate. Only the best model so far is kept."""
+    """One fine-tune per grid learning rate, scored on the dev split and on
+    each split of ``score``; ties resolve to the smaller rate."""
     dev = dataset.split("dev")
     if not dev:
         raise ConfigError(f"dataset {dataset.name!r} has no dev split")
-    table = []
-    best = None
-    for lr in sorted(config.learning_rates):
-        model = finetune(checkpoint, dataset, subset, lr, config)
-        acc = evaluate(model, dev, config.batch_size)
-        table.append((lr, acc))
-        if best is None or acc > best[1]:
-            best = (lr, acc, model)
-        del model  # a non-best model is freed before the next fine-tune
-    return GridResult(best_learning_rate=best[0], table=tuple(table), best_model=best[2])
+    rates = sorted(config.learning_rates)
+    results = _run_finetunes(
+        checkpoint, dataset, [(subset, lr, config) for lr in rates], (dev, *score)
+    )
+    best = max(range(len(rates)), key=lambda i: results[i][0])  # the first of equals
+    return GridResult(
+        best_learning_rate=rates[best],
+        table=tuple((lr, scores[0]) for lr, scores in zip(rates, results)),
+        best_scores=results[best][1:],
+    )
 
 
 def _subsample(
@@ -371,7 +537,8 @@ def low_resource_protocol(
 ) -> list[EvalRun]:
     """For each size: seeded subsamples, one grid search on the first,
     fine-tune each, score the fixed test split. The first subsample's
-    model is the grid's, which already trained it at the chosen rate."""
+    test accuracy is the grid's, which already trained it at the chosen
+    rate."""
     train = dataset.split("train")
     test = dataset.split("test")
     if not test:
@@ -392,19 +559,17 @@ def low_resource_protocol(
         subsets = [
             _subsample(dataset, size, config.seed, s) for s in range(n_subsamples)
         ]
-        grid = grid_search(checkpoint, dataset, subsets[0], config)
-        accuracies = [evaluate(grid.best_model, test, config.batch_size)]
-        for subset in subsets[1:]:
-            model = finetune(
-                checkpoint, dataset, subset, grid.best_learning_rate, config
-            )
-            accuracies.append(evaluate(model, test, config.batch_size))
+        grid = grid_search(checkpoint, dataset, subsets[0], config, score=(test,))
+        rest = _run_finetunes(
+            checkpoint, dataset,
+            [(subset, grid.best_learning_rate, config) for subset in subsets[1:]], (test,),
+        )
         runs.append(
             EvalRun(
                 dataset=dataset.name,
                 method=method,
                 size=str(size),
-                accuracies=tuple(accuracies),
+                accuracies=(*grid.best_scores, *(accuracy for accuracy, in rest)),
                 seeds=tuple(range(n_subsamples)),
                 learning_rate=grid.best_learning_rate,
             )
@@ -428,20 +593,17 @@ def supervised_protocol(
         raise ConfigError(f"dataset {dataset.name!r} has no test split")
     method = method or str(checkpoint.meta.get("method", "unknown"))
     grid = grid_search(checkpoint, dataset, train, config)
-    accuracies = []
-    for run_seed in range(n_seeds):
-        run_config = dataclasses.replace(
-            config, seed=derive_seed(config.seed, "run", run_seed)
-        )
-        model = finetune(
-            checkpoint, dataset, train, grid.best_learning_rate, run_config
-        )
-        accuracies.append(evaluate(model, test, config.batch_size))
+    runs = [
+        (train, grid.best_learning_rate,
+         dataclasses.replace(config, seed=derive_seed(config.seed, "run", run_seed)))
+        for run_seed in range(n_seeds)
+    ]
+    scores = _run_finetunes(checkpoint, dataset, runs, (test,))
     return EvalRun(
         dataset=dataset.name,
         method=method,
         size="full",
-        accuracies=tuple(accuracies),
+        accuracies=tuple(accuracy for accuracy, in scores),
         seeds=tuple(range(n_seeds)),
         learning_rate=grid.best_learning_rate,
     )

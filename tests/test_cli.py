@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import os
 import platform
 import re
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cmkt import cli, training
+from cmkt import cli, evaluation, training
 from cmkt.checkpoint import load_checkpoint
 from cmkt.cli import main
 from cmkt.corpus import Vocab, load_pairs
@@ -28,6 +31,12 @@ from cmkt.evaluation import (
 from cmkt.perturbation import load_records
 from cmkt.synth import SynthConfig, generate_world, save_world
 from cmkt.training import PretrainConfig
+
+
+MULTI_CORE = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="eval forks fine-tune workers only with two or more usable cores",
+)
 
 
 @pytest.fixture(scope="module")
@@ -755,6 +764,64 @@ class TestEvalCommand:
         assert manifest["peak_rss_mb"] > 0
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
+
+    @MULTI_CORE
+    def test_manifest_records_worker_peak(self, world_dir, cmcl_dir, tiny_eval_config,
+                                          tmp_path):
+        """A fresh ``eval`` process records the peak RSS of its largest
+        fine-tune worker; a ``finetune``, which forks none, records 0."""
+        common = ["--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                  "--dataset", str(world_dir / "mcqa.jsonl"), "--config", str(tiny_eval_config)]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        peaks = {}
+        for command, extra in (("eval", ["--protocol", "low64"]),
+                               ("finetune", ["--train-size", "64", "--learning-rate", "0.1"])):
+            out = tmp_path / f"{command}.json"
+            subprocess.run([sys.executable, "-m", "cmkt.cli", command, *common, *extra,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            peaks[command] = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert peaks["eval"]["peak_rss_children_mb"] > 10
+        assert peaks["finetune"]["peak_rss_children_mb"] == 0
+
+    @MULTI_CORE
+    def test_worker_divergence_exits_3_as_one_process_does(self, world_dir, cmcl_dir,
+                                                          tmp_path, monkeypatch, capsys):
+        config = tmp_path / "diverge.json"
+        config.write_text(json.dumps({"learning_rates": [0.1, 1e250], "batch_size": 16,
+                                      "max_epochs_low_resource": 2}))
+        argv = ["eval", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                "--dataset", str(world_dir / "mcqa.jsonl"), "--protocol", "low64",
+                "--config", str(config), "--out", str(tmp_path / "runs.jsonl")]
+        errors = []
+        for forked in (True, False):
+            if not forked:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            with pytest.warns(RuntimeWarning):
+                assert main(argv) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "non-finite" in errors[0]
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    @MULTI_CORE
+    def test_dead_worker_exits_3(self, world_dir, cmcl_dir, tiny_eval_config, tmp_path,
+                                 monkeypatch, capsys):
+        parent = os.getpid()
+        real = evaluation.finetune
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "finetune", dying)
+        rc = main(["eval", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                   "--dataset", str(world_dir / "mcqa.jsonl"), "--protocol", "low64",
+                   "--config", str(tiny_eval_config), "--out", str(tmp_path / "runs.jsonl")])
+        assert rc == 3
+        assert "before sending its results" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_full_protocol_three_seeds(self, world_dir, cmcl_dir,
                                        tiny_eval_config, tmp_path):

@@ -1,7 +1,10 @@
 """Downstream harness tests: datasets, fine-tuning, protocols, report."""
 
 import json
+import os
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +87,43 @@ def make_items(n_train=20, n_dev=6, n_test=8, n_choices=4, seed=3):
 
 def make_dataset(**kwargs):
     return MCQADataset.from_items("animals", make_items(**kwargs))
+
+
+class CallLog:
+    """What a spy saw, one JSON line per call appended to a file, so that
+    calls made in forked fine-tune workers count too."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def add(self, value=None):
+        with open(self.path, "a", encoding="utf-8") as log:
+            log.write(json.dumps([os.getpid(), value]) + "\n")
+
+    def entries(self):
+        return [json.loads(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+    def values(self):
+        return [value for _, value in self.entries()]
+
+    def pids(self):
+        return {pid for pid, _ in self.entries()}
+
+    def clear(self):
+        self.path.write_text("", encoding="utf-8")
+
+
+def spy_on(monkeypatch, log, name, key=lambda args: None):
+    """Replaces evaluation.<name> with a wrapper that logs key(args)."""
+    real = getattr(evaluation_module, name)
+
+    def spy(*args, **kwargs):
+        log.add(key(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation_module, name, spy)
+    return log
 
 
 class TestMCQAItem:
@@ -446,35 +486,36 @@ class TestEvaluate:
 
 
     @staticmethod
-    def forward_rows(monkeypatch):
-        """Batch row count of every TextEncoder.forward call from now on."""
-        rows = []
+    def forward_rows(monkeypatch, tmp_path):
+        """Batch row count of every TextEncoder.forward call from now on,
+        in this process and in fine-tune workers."""
+        log = CallLog(tmp_path / "rows.jsonl")
         real = TextEncoder.forward
 
         def spy(self, tokens, *args, **kwargs):
-            rows.append(tokens.shape[0])
+            log.add(tokens.shape[0])
             return real(self, tokens, *args, **kwargs)
 
         monkeypatch.setattr(TextEncoder, "forward", spy)
-        return rows
+        return log
 
-    def test_forward_rows_bounded_by_batch(self, monkeypatch):
+    def test_forward_rows_bounded_by_batch(self, monkeypatch, tmp_path):
         ds = make_dataset(n_test=37)
         model = build_task_model(make_checkpoint(), seed=0)
-        rows = self.forward_rows(monkeypatch)
+        rows = self.forward_rows(monkeypatch, tmp_path)
         evaluate(model, ds.split("test"), 5)
-        assert rows == [5 * 4] * 7 + [2 * 4]
+        assert rows.values() == [5 * 4] * 7 + [2 * 4]
 
-    def test_protocol_scoring_bounded_by_finetune_batch(self, monkeypatch):
+    def test_protocol_scoring_bounded_by_finetune_batch(self, monkeypatch, tmp_path):
         """Every forward of the protocols, scoring included, holds at most
         one fine-tune batch of (question, choice) sequences."""
         ds = make_dataset(n_train=8, n_dev=9, n_test=37)
         config = tiny_protocol_config(batch_size=3, max_epochs_low_resource=1,
                                       max_epochs_full=1)
-        rows = self.forward_rows(monkeypatch)
+        rows = self.forward_rows(monkeypatch, tmp_path)
         low_resource_protocol(make_checkpoint(), ds, config, sizes=(4,), n_subsamples=2)
         supervised_protocol(make_checkpoint(), ds, config, n_seeds=1)
-        assert rows and max(rows) == 3 * 4
+        assert rows.values() and max(rows.values()) == 3 * 4
 
     def test_chunked_scoring_matches_one_forward(self, monkeypatch):
         """An untrained model's near-tied scores on choices of one to eight
@@ -668,24 +709,12 @@ class TestProtocolReuse:
     """The protocol scores the first subsample with the grid's own model and
     tokenizes each (question, choice) once per call."""
 
-    @staticmethod
-    def count_calls(monkeypatch, name):
-        calls = []
-        real = getattr(evaluation_module, name)
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation_module, name, counting)
-        return calls
-
-    def test_finetunes_per_size(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "finetune")
+    def test_finetunes_per_size(self, monkeypatch, tmp_path):
+        calls = spy_on(monkeypatch, CallLog(tmp_path / "calls.jsonl"), "finetune")
         ds = make_dataset(n_train=24, n_dev=4, n_test=6)
         config = tiny_protocol_config(learning_rates=(0.03, 0.1, 0.3))
         low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8), n_subsamples=4)
-        assert len(calls) == 2 * (3 + 4 - 1)
+        assert len(calls.entries()) == 2 * (3 + 4 - 1)
 
     @pytest.mark.parametrize("rates", [(0.1,), (0.03, 0.1, 0.3)])
     def test_runs_equal_reference_that_refits_first_subsample(self, rates):
@@ -695,35 +724,37 @@ class TestProtocolReuse:
         assert runs == reference_low_resource(make_checkpoint(), ds, config, sizes=(4, 8))
 
     def test_grid_keeps_the_best_rate_model(self):
-        ds = make_dataset(n_train=8, n_dev=4)
+        """The grid's scores of its best rate are those of a fresh
+        fine-tune at that rate, on every split it was asked to score."""
+        ds = make_dataset(n_train=8, n_dev=4, n_test=7)
         config = tiny_protocol_config(learning_rates=(0.03, 0.3))
-        subset = ds.split("train")
-        grid = grid_search(make_checkpoint(), ds, subset, config)
+        subset, test = ds.split("train"), ds.split("test")
+        grid = grid_search(make_checkpoint(), ds, subset, config, score=(test, subset))
         again = finetune(make_checkpoint(), ds, subset, grid.best_learning_rate, config)
-        np.testing.assert_array_equal(grid.best_model.head["w"], again.head["w"])
-        for name, value in again.encoder.params.items():
-            np.testing.assert_array_equal(grid.best_model.encoder.params[name], value)
+        assert grid.best_scores == (evaluate(again, test, 4), evaluate(again, subset, 4))
+        assert dict(grid.table)[grid.best_learning_rate] == evaluate(again, ds.split("dev"), 4)
 
-    def test_each_choice_tokenized_once_per_protocol_call(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "tokenize")
+    def test_each_choice_tokenized_once_per_protocol_call(self, monkeypatch, tmp_path):
+        calls = spy_on(monkeypatch, CallLog(tmp_path / "calls.jsonl"), "tokenize",
+                       key=lambda args: args[0])
         ds = make_dataset(n_train=24, n_dev=4, n_test=6)
         config = tiny_protocol_config(learning_rates=(0.03, 0.1))
         for _ in range(2):
             calls.clear()
             low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8))
-            texts = [args[0] for args in calls]
+            texts = calls.values()
             assert len(texts) == len(set(texts))
             assert len(texts) <= len({(i.question, c) for i in ds.items for c in i.choices})
 
-    def test_each_choice_tokenized_once_per_finetune_call(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "tokenize")
+    def test_each_choice_tokenized_once_per_finetune_call(self, monkeypatch, tmp_path):
+        calls = spy_on(monkeypatch, CallLog(tmp_path / "calls.jsonl"), "tokenize")
         ds = make_dataset(n_train=8)
         sub = ds.split("train")
         model = finetune(make_checkpoint(), ds, sub, 0.1,
                          tiny_protocol_config(max_epochs_low_resource=3))
-        assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})
+        assert len(calls.entries()) == len({(i.question, c) for i in sub for c in i.choices})
         evaluate(model, sub, 4)
-        assert len(calls) == len({(i.question, c) for i in sub for c in i.choices})
+        assert len(calls.entries()) == len({(i.question, c) for i in sub for c in i.choices})
 
     def test_diverging_grid_rate_raises(self):
         ds = make_dataset(n_train=8, n_dev=4)
@@ -731,6 +762,109 @@ class TestProtocolReuse:
         with pytest.warns(RuntimeWarning), pytest.raises(TrainingError) as info:
             grid_search(make_checkpoint(), ds, ds.split("train"), config)
         assert info.value.step is not None
+
+
+MULTI_CORE = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="fine-tunes run in workers only with two or more usable cores",
+)
+
+
+def one_core(monkeypatch):
+    """From now on the protocols see one usable core and fork no worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@MULTI_CORE
+class TestSideBySideFinetunes:
+    """A protocol's independent fine-tunes run in forked workers and give
+    what one process gives, failures included."""
+
+    @staticmethod
+    def protocol_bytes(tmp_path, name, rates):
+        ds = make_dataset(n_train=24, n_dev=4, n_test=6)
+        config = tiny_protocol_config(learning_rates=rates)
+        low = tmp_path / f"{name}-low.jsonl"
+        full = tmp_path / f"{name}-full.jsonl"
+        save_runs(low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8)), low)
+        save_runs([supervised_protocol(make_checkpoint(), ds, config, n_seeds=3)], full)
+        return low.read_bytes(), full.read_bytes()
+
+    @pytest.mark.parametrize("rates", [(0.1,), (0.03, 0.1, 0.3)])
+    def test_outputs_match_one_worker(self, monkeypatch, tmp_path, rates):
+        calls = spy_on(monkeypatch, CallLog(tmp_path / "calls.jsonl"), "finetune")
+        side_by_side = self.protocol_bytes(tmp_path, "workers", rates)
+        assert calls.pids() - {os.getpid()}, "no fine-tune ran in a worker"
+        calls.clear()
+        one_core(monkeypatch)
+        assert self.protocol_bytes(tmp_path, "one", rates) == side_by_side
+        assert calls.pids() == {os.getpid()}
+        assert_no_children_left()
+
+    def test_worker_training_error_matches_one_process(self, monkeypatch):
+        """Diverging rates fail their fine-tunes in workers; the parent
+        raises the error a serial run raises, with its step, after the
+        warnings. Job 1 (rate 1e55, second worker) fails at step 4, job 2
+        (rate 1e100, first worker) at step 1: job order decides, not the
+        order in which the workers are read."""
+        ds = make_dataset(n_train=8, n_dev=4, n_test=4)
+        config = tiny_protocol_config(learning_rates=(0.1, 1e55, 1e100),
+                                      max_epochs_low_resource=8)
+        raised = []
+        for forked in (True, False):
+            if not forked:
+                one_core(monkeypatch)
+            with pytest.warns(RuntimeWarning), pytest.raises(TrainingError) as info:
+                low_resource_protocol(make_checkpoint(), ds, config, sizes=(4,))
+            raised.append((type(info.value), str(info.value), info.value.step))
+            assert_no_children_left()
+        assert raised[0] == raised[1]
+        assert raised[0][2] is not None
+
+    def test_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+        real = evaluation_module.finetune
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation_module, "finetune", dying)
+        ds = make_dataset(n_train=8, n_dev=4, n_test=4)
+        with pytest.raises(TrainingError, match="worker .* exit status 7 before sending"):
+            supervised_protocol(make_checkpoint(), ds, tiny_protocol_config())
+        assert_no_children_left()
+
+    def test_interrupt_kills_and_reaps_workers(self, monkeypatch):
+        """Ctrl-C while the parent waits: both workers, one of them still
+        fine-tuning, are killed and reaped before KeyboardInterrupt leaves
+        the call."""
+        parent = os.getpid()
+
+        def stuck(checkpoint, dataset, subset, learning_rate, config):
+            if learning_rate == 0.3:
+                time.sleep(0.2)
+                os.kill(parent, signal.SIGINT)
+            time.sleep(60)
+
+        monkeypatch.setattr(evaluation_module, "finetune", stuck)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            ds = make_dataset(n_train=8, n_dev=4)
+            started = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                grid_search(make_checkpoint(), ds, ds.split("train"),
+                            tiny_protocol_config(learning_rates=(0.1, 0.3)))
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert time.monotonic() - started < 30
+        assert_no_children_left()
 
 
 class TestSupervisedProtocol:
