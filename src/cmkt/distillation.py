@@ -26,7 +26,7 @@ import numpy as np
 # bundle_text_encoder is not called here, but perfbench/tracing.py wraps it
 # under this module's name as well and fails if the name is missing
 from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
-from .encoders import ImageEncoder, TextEncoder
+from .encoders import TextEncoder
 from .errors import ConfigError
 from .objectives import nst_loss_with_grad
 from .training import (
@@ -36,6 +36,7 @@ from .training import (
     PretrainResult,
     TrainingData,
     assemble_records,
+    pretrain,
     run_training_loop,
 )
 
@@ -74,32 +75,12 @@ class DistillSpec:
             raise ConfigError("at least one of mlm_weight, nst_weight must be positive")
 
 
-def train_teacher(
-    spec: TeacherSpec,
-    data: TrainingData,
-    config: PretrainConfig,
-    on_epoch: Optional[EpochSink] = None,
-) -> PretrainResult:
-    """Pre-train the fusion teacher on image/caption pairs; each epoch's
-    checkpoint goes to ``on_epoch``."""
-    if data.bank is None:
-        raise ConfigError("teacher training needs an image feature bank")
-    records, _ = assemble_records(MethodSpec.named("CMCL"), data, config)
-    encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
-    image_encoder = ImageEncoder.initialized(data.bank, config.dim, config.seed)
-    return run_training_loop(
-        config,
-        encoder,
-        image_encoder,
-        vocab=data.vocab,
-        records=records,
-        global_pool=[],
-        components=(spec.objective,),
-        weights=(1.0,),
-        meta_base={"method": f"teacher:{spec.objective}", "seed": config.seed,
-                   "objective": spec.objective},
-        on_epoch=on_epoch,
-    )
+def train_teacher(spec: TeacherSpec, data: TrainingData, config: PretrainConfig,
+                  on_epoch: Optional[EpochSink] = None) -> PretrainResult:
+    """The fusion teacher: pre-training on image/caption pairs with the one
+    component ``spec.objective``; each epoch's checkpoint goes to ``on_epoch``."""
+    return pretrain(MethodSpec(f"teacher:{spec.objective}", (spec.objective,)), data, config,
+                    on_epoch)
 
 
 def nst_step(

@@ -16,21 +16,16 @@ subsample is scored with.
 
 Work done side by side: a protocol's fine-tunes that do not depend on each
 other (the grid's learning rates, then the subsamples or run seeds at the
-chosen rate) run in forked worker processes, one per usable core; see
-:func:`_run_finetunes`.
+chosen rate) run in forked workers, one per usable core, through
+:func:`cmkt.parallel.map_forked`, which gives what one process gives.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import dataclasses
 import io
 import json
-import os
-import pickle
-import signal
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,8 +37,9 @@ from .corpus import SEP, Vocab, tokenize
 from .encoders import TextEncoder
 from .errors import ConfigError, ParseError, ReportError, ShapeError, TrainingError
 from .objectives import softmax_cross_entropy
+from .parallel import map_forked
 from .seeding import derive_seed, rng_for
-from .textio import fits, parse_errors, read_lines, read_text, write_lines
+from .textio import fits, parse_errors, read_lines, write_lines
 from .training import sgd_loop
 
 SPLITS = ("train", "dev", "test")
@@ -341,148 +337,25 @@ def load_runs(path: str | Path) -> list[EvalRun]:
 # (train subset, learning rate, config): one independent fine-tune
 Job = tuple[Sequence[MCQAItem], float, FinetuneConfig]
 
-# OpenBLAS's thread-count setter under the names its builds export: numpy's
-# bundled ILP64 build, a plain ILP64 build, a plain LP64 build
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _blas_thread_setter():
-    """OpenBLAS's set-num-threads function in this process, or None when no
-    loaded library exports one."""
-    try:
-        maps = read_text("/proc/self/maps").splitlines()
-    except (OSError, ParseError):
-        return None
-    # a mapped file's path is a line's last field ("(deleted)" when unlinked)
-    paths = sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1].lower()})
-    for path in paths:
-        library = ctypes.CDLL(path)  # already loaded: the same handle
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
-    return None
-
-
-def _job_scores(checkpoint: Checkpoint, dataset: MCQADataset, jobs: Sequence[Job],
-                splits: Sequence[Sequence[MCQAItem]]):
-    """Yields, job by job, the accuracies on each split of the model the
-    job fine-tunes; each model is freed before the next fine-tune."""
-    for subset, learning_rate, config in jobs:
-        model = finetune(checkpoint, dataset, subset, learning_rate, config)
-        scores = tuple(evaluate(model, split, config.batch_size) for split in splits)
-        del model
-        yield scores
-
-
-def _worker(write_fd: int, set_blas_threads, checkpoint: Checkpoint, dataset: MCQADataset,
-            jobs: Sequence[Job], splits: Sequence[Sequence[MCQAItem]]) -> None:
-    """A forked worker's whole life; it never returns into the caller's
-    stack. It pins OpenBLAS to one thread, runs its jobs in order until one
-    raises, and pipes back (the scores of the jobs that finished, the error
-    or None, the warnings shown)."""
-    code = 1
-    try:
-        set_blas_threads(1)
-        shown = []
-        # replacing showwarning, unlike catch_warnings, keeps the inherited
-        # filters' record of what was already shown
-        warnings.showwarning = lambda message, category, filename, lineno, *_: shown.append(
-            (message, category, filename, lineno))
-        done, error = [], None
-        try:
-            for scores in _job_scores(checkpoint, dataset, jobs, splits):
-                done.append(scores)
-        except Exception as exc:  # the parent raises it
-            error = exc
-        payload = memoryview(pickle.dumps((done, error, shown)))
-        while payload:
-            payload = payload[os.write(write_fd, payload):]
-        code = 0
-    finally:
-        os._exit(code)
-
 
 def _run_finetunes(checkpoint: Checkpoint, dataset: MCQADataset, jobs: Sequence[Job],
                    splits: Sequence[Sequence[MCQAItem]]) -> list[tuple[float, ...]]:
-    """The accuracies on each split of the model each job fine-tunes, in
-    job order, exactly as running the jobs one after another gives them.
-
-    The jobs are independent, so they run side by side in forked workers,
-    one per usable core and at most one per job. Worker ``w`` runs jobs
-    ``w, w + workers, ...`` with OpenBLAS pinned to one thread (at these
-    shapes a second thread only spins) and pipes back their accuracies;
-    the parent fills the dataset's token table first, so no worker
-    tokenizes, and then only waits. Each fine-tune is a deterministic
-    function of its inputs, so the worker count changes no result. The
-    parent re-emits the warnings the workers showed and raises the error
-    of the first job that failed, as a serial run would; a worker that
-    ends without sending its results is a :class:`TrainingError`. On
-    every path, interrupts included, all workers are killed and reaped.
-
-    The parent runs the jobs itself when there is one job, one usable
-    core, no ``os.fork`` or no OpenBLAS thread setter. Workers are forked,
-    not spawned: they read the parent's checkpoint, dataset and token
-    table without pickling them."""
-    jobs = list(jobs)
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    set_blas_threads = _blas_thread_setter() if workers > 1 else None
-    if set_blas_threads is None:
-        return list(_job_scores(checkpoint, dataset, jobs, splits))
-
+    """The accuracies on each split of the model each job fine-tunes, in job
+    order, from :func:`map_forked`; the dataset's token table is filled
+    first, so no worker tokenizes. A fine-tune is a deterministic function
+    of its inputs, so the worker count changes no result."""
     tokenizer = _task_model(checkpoint, dataset, 0)
     for items in (*splits, *(subset for subset, _, _ in jobs)):
         for item in items:
             tokenizer._choice_tokens(item)
     del tokenizer
-    running, pipes, reports = [], [], []  # pids, then the read end of each one's pipe
-    try:
-        for first in range(workers):
-            pipes += os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(pipes[-1], set_blas_threads, checkpoint, dataset,
-                        jobs[first::workers], splits)
-            running.append(pid)
-            os.close(pipes.pop())  # the write end is the worker's alone
-        for pid, read_fd in zip(list(running), pipes):
-            chunks = []
-            while chunk := os.read(read_fd, 1 << 16):
-                chunks.append(chunk)
-            payload = b"".join(chunks)
-            _, status = os.waitpid(pid, 0)
-            running.remove(pid)
-            if status or not payload:
-                raise TrainingError(
-                    f"fine-tune worker {pid} ended with exit status "
-                    f"{os.waitstatus_to_exitcode(status)} before sending its results"
-                )
-            reports.append(pickle.loads(payload))
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for read_fd in pipes:
-            os.close(read_fd)
 
-    results, failures = [None] * len(jobs), {}
-    for first, (done, error, shown) in enumerate(reports):
-        for message, category, filename, lineno in shown:
-            warnings.warn_explicit(message, category, filename, lineno)
-        for k, scores in enumerate(done):
-            results[first + k * workers] = scores
-        if error is not None:
-            failures[first + len(done) * workers] = error
-    if failures:
-        raise failures[min(failures)]
-    return results
+    def scores(job: Job) -> tuple[float, ...]:
+        subset, learning_rate, config = job
+        model = finetune(checkpoint, dataset, subset, learning_rate, config)
+        return tuple(evaluate(model, split, config.batch_size) for split in splits)
+
+    return map_forked(scores, jobs)
 
 
 @dataclass(frozen=True)

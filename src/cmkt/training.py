@@ -163,7 +163,6 @@ class TrainRecord:
     """One assembled training item: a tokenized caption with its image id,
     optional precomputed voken targets, and its own hard-negative pool."""
 
-    index: int
     image_id: str
     tokens: tuple[int, ...]
     voken_targets: Optional[tuple[int, ...]] = None
@@ -218,7 +217,6 @@ def assemble_records(
         negatives = tuple(ans_by_key.get(_caption_key(caption), ())) if method.use_ans else ()
         records.append(
             TrainRecord(
-                index=len(records),
                 image_id=image_id,
                 tokens=tuple(tokenize(caption, data.vocab, config.max_len)),
                 negatives=negatives,
@@ -541,8 +539,8 @@ def run_training_loop(
     extra_components: Optional[dict[str, Callable]] = None,
     on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
-    """Pretrain, the teacher trainer and distillation: a weighted mix of
-    components on :func:`sgd_loop`, with checkpoint bundling.
+    """Pretrain (the teacher trainer too) and distillation: a weighted mix
+    of components on :func:`sgd_loop`, with checkpoint bundling.
 
     ``meta_base["method"]`` names the run; hard negatives come from a
     non-empty ``global_pool``. Each step pads its captions once and hands

@@ -3,8 +3,7 @@
 import json
 import os
 import re
-import signal
-import time
+import warnings
 
 import numpy as np
 import pytest
@@ -826,45 +825,27 @@ class TestSideBySideFinetunes:
         assert raised[0] == raised[1]
         assert raised[0][2] is not None
 
-    def test_dead_worker_raises(self, monkeypatch):
-        parent = os.getpid()
-        real = evaluation_module.finetune
-
-        def dying(*args):
-            if os.getpid() != parent:
-                os._exit(7)
-            return real(*args)
-
-        monkeypatch.setattr(evaluation_module, "finetune", dying)
+    @pytest.mark.parametrize("rates", [(0.1, 1e55, 1e56), (0.1, 1e55, 1e100),
+                                       (0.1, 0.3, 1e55, 1e56)])
+    def test_warnings_match_one_process(self, monkeypatch, rates):
+        """Under a filter that shows a warning once per location, a forked
+        protocol shows the warnings, in order, that a one-process run
+        shows: an overflow both workers hit shows once, and a job after the
+        first failing one (which one process never starts) shows none."""
         ds = make_dataset(n_train=8, n_dev=4, n_test=4)
-        with pytest.raises(TrainingError, match="worker .* exit status 7 before sending"):
-            supervised_protocol(make_checkpoint(), ds, tiny_protocol_config())
-        assert_no_children_left()
-
-    def test_interrupt_kills_and_reaps_workers(self, monkeypatch):
-        """Ctrl-C while the parent waits: both workers, one of them still
-        fine-tuning, are killed and reaped before KeyboardInterrupt leaves
-        the call."""
-        parent = os.getpid()
-
-        def stuck(checkpoint, dataset, subset, learning_rate, config):
-            if learning_rate == 0.3:
-                time.sleep(0.2)
-                os.kill(parent, signal.SIGINT)
-            time.sleep(60)
-
-        monkeypatch.setattr(evaluation_module, "finetune", stuck)
-        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
-        try:
-            ds = make_dataset(n_train=8, n_dev=4)
-            started = time.monotonic()
-            with pytest.raises(KeyboardInterrupt):
-                grid_search(make_checkpoint(), ds, ds.split("train"),
-                            tiny_protocol_config(learning_rates=(0.1, 0.3)))
-        finally:
-            signal.signal(signal.SIGINT, previous)
-        assert time.monotonic() - started < 30
-        assert_no_children_left()
+        config = tiny_protocol_config(learning_rates=rates, max_epochs_low_resource=8)
+        shown = []
+        for forked in (True, False):
+            if not forked:
+                one_core(monkeypatch)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                with pytest.raises(TrainingError):
+                    low_resource_protocol(make_checkpoint(), ds, config, sizes=(4,))
+            shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+            assert_no_children_left()
+        assert shown[0] == shown[1]
+        assert shown[1]
 
 
 class TestSupervisedProtocol:

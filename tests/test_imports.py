@@ -2,8 +2,8 @@
 ``demos``, at the top level or inside a function, is used, and no function in
 ``src/cmkt`` imports again from a module the file already imports at the top
 level. Every public function, class and method of ``src/cmkt`` is named by the
-package, a demo or the benchmark, not only by tests. Also: what importing the
-CLI loads."""
+package, a demo or the benchmark, not only by tests. Only ``cmkt/parallel.py``
+forks, in the package and in ``scripts``. Also: what importing the CLI loads."""
 
 import ast
 import importlib.util
@@ -37,6 +37,11 @@ KEPT = {
 # readers of two on-disk formats, which criterion 8 and test_format_fuzz.py
 # round-trip against their writers
 UNCALLED_KEPT = {"evaluation.parse_report_csv", "synth.load_world"}
+
+# the one file allowed to fork: everything else runs side by side through
+# its map_forked
+FORK_POOL = PACKAGE / "parallel.py"
+FORK_SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
@@ -149,6 +154,18 @@ def package_uncalled() -> list[str]:
     return uncalled_definitions(definitions, [path.read_text(encoding="utf-8") for path in CALLERS])
 
 
+def fork_uses(source: str, module: str) -> list[str]:
+    """Every ``os.fork`` reference and every ``fork`` imported from ``os``."""
+    return sorted(
+        f"{module}.py:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name == "fork" for alias in node.names))
+    )
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.stem) == []
@@ -162,6 +179,29 @@ def test_no_unused_imports_in_tests_and_demos(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_function_reimports_a_top_level_module(path):
     assert local_reimports(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+@pytest.mark.parametrize("path", FORK_SCANNED, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_only_the_fork_pool_forks(path):
+    """Work that runs side by side goes through ``parallel.map_forked``,
+    which kills and reaps its workers on every path, instead of forking on
+    its own."""
+    uses = fork_uses(path.read_text(encoding="utf-8"), path.stem)
+    if path == FORK_POOL:
+        assert uses, "the pool no longer forks: update FORK_POOL"
+    else:
+        assert uses == []
+
+
+def test_fork_scan_finds_calls_and_imports():
+    source = (
+        "import os\n"
+        "from os import fork, getpid\n"
+        "if hasattr(os, 'fork'):\n"
+        "    pid = os.fork()\n"
+        "run = os.forkpty\n"
+    )
+    assert fork_uses(source, "m") == ["m.py:2", "m.py:4"]
 
 
 def test_every_kept_import_is_a_tracer_target():

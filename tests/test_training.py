@@ -38,7 +38,7 @@ from cmkt import (
 )
 from cmkt import training as training_module
 from cmkt.cli import _read_config
-from cmkt.corpus import CaptionPair, Vocab, plan_dynamic_masking
+from cmkt.corpus import CaptionPair, Vocab, plan_dynamic_masking, tokenize
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder
 from cmkt.evaluation import FinetuneConfig, MCQADataset, MCQAItem, finetune
 from cmkt.perturbation import (
@@ -244,11 +244,13 @@ class TestRecordAssembly:
         # the first negative of caption 0 swaps word 1 to "blue"
         assert records[0].negatives[0][1] == data.vocab.id_of("blue")
 
-    def test_indices_are_positions(self):
-        records, _ = assemble_records(
-            MethodSpec.named("MLM"), make_data(), small_config()
-        )
-        assert [r.index for r in records] == list(range(10))
+    def test_records_follow_train_pair_order(self):
+        data, config = make_data(), small_config()
+        records, _ = assemble_records(MethodSpec.named("MLM"), data, config)
+        assert [(r.image_id, r.tokens) for r in records] == [
+            (image_id, tuple(tokenize(caption, data.vocab, config.max_len)))
+            for image_id, caption, split in PAIR_ROWS if split == "train"
+        ]
 
 
 class TestLoopBookkeeping:
