@@ -115,9 +115,15 @@ def _write_manifest(
     seed, then provenance: the wall seconds since ``started`` (a
     ``time.perf_counter`` reading), the process's peak RSS in MB, the
     largest peak RSS of a reaped child process (the protocols' fine-tune
-    workers; 0 when none ran) and the python and numpy versions. Like the
+    workers and the training step worker; 0, or what the launcher ran
+    before ``exec``, when none ran), the user plus
+    system CPU seconds of the process and of its reaped children, the
+    python and numpy versions and numpy's BLAS library. Like the
     timestamp, the times vary between re-runs, so no byte comparison reads
     a manifest."""
+    own, children = (resource.getrusage(who)
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "config": config,
@@ -129,10 +135,13 @@ def _write_manifest(
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_s": time.perf_counter() - started,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+        "peak_rss_mb": own.ru_maxrss / 1024.0,
+        "peak_rss_children_mb": children.ru_maxrss / 1024.0,
+        "cpu_s": own.ru_utime + own.ru_stime,
+        "cpu_children_s": children.ru_utime + children.ru_stime,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     write_lines(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True)])

@@ -36,8 +36,10 @@ a zero-transfer-weight distillation run matches an MLM run step for step.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -49,6 +51,7 @@ from .corpus import CaptionPair, Vocab, plan_dynamic_masking, tokenize
 from .encoders import FeatureBank, ImageEncoder, TextEncoder, TextEncoderConfig
 from .errors import ConfigError, DomainError, ParseError, ShapeError, TrainingError
 from .objectives import ans_loss, cmcl_total, hinge_loss, tcl_loss
+from .parallel import step_worker
 from .perturbation import ADVERSARIAL_NEGATIVE, PerturbationRecord
 from .seeding import derive_seed, rng_for
 from .textio import parse_errors, read_lines, tab_fields, write_lines
@@ -550,6 +553,12 @@ def run_training_loop(
     A component of weight 0 is not run and logs 0.0. Each epoch's
     checkpoint goes to ``on_epoch`` when the epoch ends and is not kept,
     so a run holds one checkpoint at a time whatever its length.
+
+    With exactly two components of non-zero weight, each step runs them
+    side by side, one in this process and one in a
+    :func:`~cmkt.parallel.step_worker` forked for the loop (they swap
+    processes every step). The step then combines, warns and fails in
+    component order, so the outputs are those of one process.
     """
     engine = _ComponentEngine(config, encoder, image_encoder, vocab, global_pool)
     engine.fns.update(extra_components or {})
@@ -557,8 +566,28 @@ def run_training_loop(
     if image_encoder is not None:
         params.append(image_encoder.params)
 
+    live = [c for c, w in zip(components, weights) if w != 0]
+    position = {id(rec): i for i, rec in enumerate(records)}  # the worker's records too
+
+    def component_step(request):
+        component, rows, padded, epoch, step = request
+        return engine.run(component, [records[i] for i in rows], padded, epoch, step)
+
     def step_fn(batch, epoch, step):
         padded = encoder.prepare_batch([rec.tokens for rec in batch])
+        if side_by_side is None:
+            outcomes = {c: functools.partial(engine.run, c, batch, padded, epoch, step)
+                        for c in live}
+        else:
+            # The components swap processes every step only so that
+            # perfbench's tracer, which sees no worker's spans, still sees
+            # both run here; once it collects the worker's spans this
+            # becomes ``mine, theirs = live``.
+            rows = [position[id(rec)] for rec in batch]
+            mine, theirs = live[step % 2], live[1 - step % 2]
+            outcomes = dict(zip((mine, theirs), side_by_side(
+                (mine, rows, padded, epoch, step), (theirs, rows, padded, epoch, step),
+                f"component {theirs} at step {step}")))
         text_grads: dict[str, np.ndarray] = {}
         image_grads: dict[str, np.ndarray] = {}
         row = {}
@@ -567,7 +596,7 @@ def run_training_loop(
             if weight == 0:
                 row[component] = 0.0
                 continue
-            loss, tg, ig = engine.run(component, batch, padded, epoch, step)
+            loss, tg, ig = outcomes.pop(component)()
             row[component] = loss
             total += weight * loss
             _accumulate(text_grads, tg, weight)
@@ -586,8 +615,13 @@ def run_training_loop(
         if on_epoch is not None:
             on_epoch(bundle(epoch, "epoch", step))
 
-    loss_rows = sgd_loop(records, config.seed, "order", config.epochs, config.batch_size,
-                         config.learning_rate, step_fn, params, end_epoch)
+    worker = contextlib.nullcontext()
+    if len(live) == 2:
+        _keep_freed_heap()  # before the fork, so the worker keeps its freed heap too
+        worker = step_worker(component_step, params)
+    with worker as side_by_side:
+        loss_rows = sgd_loop(records, config.seed, "order", config.epochs, config.batch_size,
+                             config.learning_rate, step_fn, params, end_epoch)
     return PretrainResult(
         method=meta_base["method"],
         config=config,

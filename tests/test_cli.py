@@ -784,6 +784,30 @@ class TestEvalCommand:
         assert peaks["finetune"]["peak_rss_children_mb"] == 0
 
     @MULTI_CORE
+    def test_manifest_records_cpu_seconds_and_blas(self, world_dir, cmcl_dir,
+                                                   tiny_pretrain_config, tmp_path):
+        """A fresh ``distill`` process, whose two components run side by
+        side, records its step worker's CPU seconds; an MLM ``pretrain``,
+        which forks none, records 0. Both name numpy's BLAS library."""
+        data = ["--pairs", str(world_dir / "pairs.tsv"), "--vocab", str(world_dir / "vocab.txt"),
+                "--config", str(tiny_pretrain_config)]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        manifests = {}
+        for name, command in (("distill", ["distill", "--teacher",
+                                           str(cmcl_dir / "checkpoint-final.ckpt")]),
+                              ("mlm", ["pretrain", "--method", "MLM"])):
+            subprocess.run([sys.executable, "-m", "cmkt.cli", *command, *data,
+                            "--out", str(tmp_path / name)], env=env, check=True,
+                           capture_output=True)
+            manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        for manifest in manifests.values():
+            assert manifest["cpu_s"] > 0
+            assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+        assert manifests["distill"]["cpu_children_s"] > 0
+        assert manifests["mlm"]["cpu_children_s"] == 0
+
+    @MULTI_CORE
     def test_worker_divergence_exits_3_as_one_process_does(self, world_dir, cmcl_dir,
                                                           tmp_path, monkeypatch, capsys):
         config = tmp_path / "diverge.json"

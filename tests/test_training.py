@@ -5,7 +5,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from cmkt.cli import _read_config
 from cmkt.corpus import CaptionPair, Vocab, plan_dynamic_masking, tokenize
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder
 from cmkt.evaluation import FinetuneConfig, MCQADataset, MCQAItem, finetune
+from cmkt.parallel import map_forked
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
     EQUIVALENT_POSITIVE,
@@ -761,3 +764,146 @@ class TestLossLogIO:
         path.write_text(f"step,epoch,mlm,total\n0,1,0.5,0.5\n{row}\n")
         with pytest.raises(ParseError, match=":3:"):
             read_loss_log(path)
+
+
+MULTI_CORE = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the step worker forks only with two or more usable cores",
+)
+
+
+def one_core(monkeypatch):
+    """From now on the loop sees one usable core and runs in one process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def probe_loop(probe, weights=(1.0, 1.0)):
+    """Three epochs of 10 captions in batches of 4 (9 steps) over the
+    components ``a`` and ``b``, each ``probe(name, step)`` -> its loss."""
+    data, config = make_data(), small_config(epochs=3)
+    records, pool = assemble_records(MethodSpec.named("MLM"), data, config)
+    encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
+    components = {name: lambda batch, padded, epoch, step, name=name: (probe(name, step), {}, {})
+                  for name in ("a", "b")}
+    result = run_training_loop(config, encoder, None, data.vocab, records, pool, ("a", "b"),
+                               weights, {"method": "probe"}, extra_components=components)
+    return result, encoder
+
+
+def pid_probe(name, step):
+    return float(os.getpid())
+
+
+def diverging(at):
+    """A probe whose component ``name`` diverges at step ``at[name]``."""
+    def probe(name, step):
+        if at.get(name) == step:
+            raise TrainingError(f"non-finite {name} embeddings at step {step}", step=step)
+        return 1.0
+    return probe
+
+
+def outcome(run):
+    """(type, message, step) of the error ``run`` raises."""
+    with pytest.raises(TrainingError) as info:
+        run()
+    return type(info.value), str(info.value), info.value.step
+
+
+@MULTI_CORE
+class TestStepWorkerLoop:
+    """Two live components run side by side in a forked step worker and
+    give exactly what one process gives."""
+
+    @pytest.mark.parametrize("method", ["TCL+MLM", "VOKEN+MLM", "CMKD"])
+    def test_outputs_match_one_process(self, method, tmp_path, monkeypatch):
+        data, config = make_data(), small_config(epochs=3)
+        teacher = train_teacher(TeacherSpec(), data, config).final if method == "CMKD" else None
+
+        def run(name):
+            series = []
+            if teacher is None:
+                result = pretrain(method, data, config, on_epoch=series.append)
+            else:
+                result = distill(teacher, data, DistillSpec(), config, on_epoch=series.append)
+            paths = [tmp_path / f"{name}-{k}.ckpt" for k in range(len(series) + 1)]
+            for checkpoint, path in zip([*series, result.final], paths):
+                save_checkpoint(checkpoint, path)
+            return list(result.loss_rows), [path.read_bytes() for path in paths]
+
+        forked = run("forked")
+        assert_no_children_left()
+        one_core(monkeypatch)
+        assert forked == run("one-process")
+
+    def test_components_swap_processes_every_step(self):
+        result, _ = probe_loop(pid_probe)
+        parent = float(os.getpid())
+        assert [row["a" if row["step"] % 2 == 0 else "b"] for row in result.loss_rows] == \
+            [parent] * 9
+        worker = {row["b" if row["step"] % 2 == 0 else "a"] for row in result.loss_rows}
+        assert len(worker) == 1 and parent not in worker  # one worker for the loop
+        assert_no_children_left()
+
+    def test_one_live_component_forks_no_worker(self):
+        result, _ = probe_loop(pid_probe, weights=(1.0, 0.0))
+        assert {row["a"] for row in result.loss_rows} == {float(os.getpid())}
+        assert {row["b"] for row in result.loss_rows} == {0.0}
+
+    def test_loop_in_a_map_worker_forks_no_grandchild(self):
+        def pids(_):
+            result, _ = probe_loop(pid_probe)
+            return os.getpid(), {row[c] for row in result.loss_rows for c in ("a", "b")}
+
+        for worker, seen in map_forked(pids, range(2)):
+            assert seen == {float(worker)}
+        assert_no_children_left()
+
+    def test_parameters_end_in_private_arrays(self):
+        _, encoder = probe_loop(pid_probe)
+        assert all(value.flags.owndata for value in encoder.params.values())
+
+    @pytest.mark.parametrize("at", [{"b": 2}, {"b": 3}, {"a": 3, "b": 3}, {"a": 2, "b": 2}],
+                             ids=["worker", "parent", "worker-first", "parent-first"])
+    def test_divergence_raises_the_one_process_error(self, at, monkeypatch):
+        """On step s the parent runs component ``[a, b][s % 2]``; whichever
+        process ran it, the first failing component in order raises."""
+        forked = outcome(lambda: probe_loop(diverging(at)))
+        assert_no_children_left()
+        one_core(monkeypatch)
+        assert forked == outcome(lambda: probe_loop(diverging(at)))
+        assert forked[1:] == (f"non-finite {min(at)} embeddings at step {at[min(at)]}",
+                              at[min(at)])
+
+    def test_dead_worker_is_a_training_error(self):
+        parent = os.getpid()
+
+        def dying(name, step):
+            if os.getpid() != parent:
+                os._exit(9)
+            return 1.0
+
+        with pytest.raises(TrainingError, match="exit status 9"):
+            probe_loop(dying)
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_in_component_order(self, action, monkeypatch):
+        def warning(name, step):
+            warnings.warn(f"{name} at step {step % 3}")
+            return 1.0
+
+        def shown():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                probe_loop(warning)
+            return [str(w.message) for w in caught]
+
+        forked = shown()
+        one_core(monkeypatch)
+        assert forked == shown()
