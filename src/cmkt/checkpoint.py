@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import Vocab
 from .encoders import TextEncoder, TextEncoderConfig
 from .errors import ParseError, ValidationError
-from .textio import parse_errors, write_bytes
+from .textio import fits, parse_errors, write_bytes
 
 CHECKPOINT_MAGIC = b"CMKTCKPT"
 CHECKPOINT_VERSION = 1
@@ -148,18 +148,29 @@ def bundle_text_encoder(
     return Checkpoint(params=params, meta=full_meta)
 
 
-def restore_text_encoder(ckpt: Checkpoint) -> tuple[TextEncoder, Vocab]:
-    """Rebuild the encoder and vocabulary a bundle describes."""
+def bundled_config(ckpt: Checkpoint) -> tuple[TextEncoderConfig, Vocab]:
+    """The encoder config and vocabulary a bundle describes, checked
+    against each other; no encoder is built."""
     if "encoder_config" not in ckpt.meta or "vocab" not in ckpt.meta:
         raise ValidationError("checkpoint does not carry an encoder bundle")
     with parse_errors("checkpoint encoder_config", ValidationError):
-        encoder = TextEncoder(TextEncoderConfig(**ckpt.meta["encoder_config"]), seed=0)
+        config = TextEncoderConfig(**ckpt.meta["encoder_config"])
+        if not fits(0, config.max_len):  # tokenizers slice by it
+            raise TypeError(f"max_len must be an integer, got {config.max_len!r}")
     with parse_errors("checkpoint vocab", ValidationError):
         vocab = Vocab(ckpt.meta["vocab"])
-    if len(vocab) != encoder.config.vocab_size:
+    if len(vocab) != config.vocab_size:
         raise ValidationError(
             f"checkpoint vocab: {len(vocab)} words, but encoder_config.vocab_size is "
-            f"{encoder.config.vocab_size}"
+            f"{config.vocab_size}"
         )
+    return config, vocab
+
+
+def restore_text_encoder(ckpt: Checkpoint) -> tuple[TextEncoder, Vocab]:
+    """Rebuild the encoder and vocabulary a bundle describes."""
+    config, vocab = bundled_config(ckpt)
+    with parse_errors("checkpoint encoder_config", ValidationError):
+        encoder = TextEncoder(config, seed=0)
     encoder.set_params(ckpt.text_params())
     return encoder, vocab

@@ -92,14 +92,9 @@ def _require_file(raw: str, what: str) -> Path:
 
 
 def _hash_path(path: Path) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    if path.is_dir():
-        for member in sorted(p for p in path.rglob("*") if p.is_file()):
-            h.update(str(member.relative_to(path)).encode())
-            h.update(member.read_bytes())
-    else:
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    """Digest of an input file; every input has been read as a file by its
+    loader before the manifest is written."""
+    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
 
 
 def _write_manifest(

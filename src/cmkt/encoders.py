@@ -150,29 +150,34 @@ def _undrop(d_out, keep, p):
     return d_in
 
 
-def _drop(x, site, rng, p, saved):
-    """Dropout at ``site``, in place on ``x``: the bool keep-mask is the next
-    ``x.shape`` uniforms of ``rng`` at or above ``p`` (None when dropout is
-    off). ``x`` is multiplied by the mask, then by ``1 / (1 - p)``. The mask
-    goes to ``saved`` unless that is None."""
-    keep = None
-    if rng is not None:
-        keep = rng.random(x.shape) >= p
+def _apply_keep(x, keep, p):
+    """``x`` times the keep-mask ``keep``, then times ``1 / (1 - p)``, in
+    place; unchanged when ``keep`` is None."""
+    if keep is not None:
         x *= keep
         x *= 1.0 / (1.0 - p)
-    if saved is not None:
-        saved["drop." + site] = keep
     return x
 
 
-def _ffn_backward(d_x, blk, keep, p_drop, P, p, grads, ones, n):
+def _drop(x, site, rng, p, saved):
+    """Dropout at ``site``, in place on ``x``: the bool keep-mask is the next
+    ``x.shape`` uniforms of ``rng`` at or above ``p`` (None when dropout is
+    off), applied by :func:`_apply_keep`. The mask goes to ``saved`` unless
+    that is None."""
+    keep = None if rng is None else rng.random(x.shape) >= p
+    if saved is not None:
+        saved["drop." + site] = keep
+    return _apply_keep(x, keep, p)
+
+
+def _ffn_backward(d_r2, blk, keep, p_drop, P, p, grads, ones, n):
     """Backward through the feed-forward half of block ``p`` over ``n``
-    sequences: its second layer norm, dropout site and ReLU feed-forward.
-    Pops ``ln2`` from the block cache ``blk`` and rebuilds the first layer
-    norm's output and the ReLU activation with the forward's operations,
-    writes the parameter gradients to ``grads`` and returns the gradient
-    on the first layer norm's output."""
-    d_r2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk.pop("ln2"), ones)
+    sequences, from the gradient ``d_r2`` on its second layer norm's
+    input: its dropout site and ReLU feed-forward. Rebuilds the first
+    layer norm's output and the ReLU activation from the block cache
+    ``blk`` with the forward's operations, writes the parameter gradients
+    to ``grads`` and returns the gradient on the first layer norm's
+    output. Each temporary is freed after its last read."""
     d_ffn = _undrop(d_r2, keep, p_drop)
     y = _ln_output(blk["ln1"], P[p + "ln1_b"])
     h = y @ P[p + "w1"]
@@ -181,21 +186,28 @@ def _ffn_backward(d_x, blk, keep, p_drop, P, p, grads, ones, n):
     grads[p + "w2"] = _row_wgrad(h, d_ffn, n)
     grads[p + "b2"] = ones @ d_ffn
     d_pre = d_ffn @ P[p + "w2"].T
+    del d_ffn
     d_pre *= h > 0
+    del h
     grads[p + "w1"] = _row_wgrad(y, d_pre, n)
+    del y
     grads[p + "b1"] = ones @ d_pre
     d_y = d_pre @ P[p + "w1"].T
+    del d_pre
     d_y += d_r2
     return d_y
 
 
-def _attention_backward(d_y, blk, keep, p_drop, x_in, P, p, grads, ones):
-    """Backward through the attention half of block ``p``: its first layer
-    norm, dropout site, output projection and single-head attention over
-    the input ``x_in``, from which it rebuilds Q/K/V with the forward's
-    operations. Pops the rest of the block cache ``blk``, writes the
-    parameter gradients to ``grads`` and returns the gradient on ``x_in``."""
-    d_r1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_y, blk.pop("ln1"), ones)
+def _attention_backward(d_r1, blk, keep, p_drop, x_in, P, p, grads, ones):
+    """Backward through the attention half of block ``p``, from the
+    gradient ``d_r1`` on its first layer norm's input: its dropout site,
+    output projection and single-head attention over the input ``x_in``,
+    from which it rebuilds Q/K/V with the forward's operations. Pops the
+    attention entries of the block cache ``blk``, writes the parameter
+    gradients to ``grads`` and returns the gradient on ``x_in``.
+    Each temporary is freed after its last read, and the Q/K/V gradient
+    overwrites the rebuilt Q/K/V: V's slot first, since ``v`` is spent once
+    ``d_attn`` exists, then K's, once ``d_scores @ k`` is taken."""
     d_proj = _undrop(d_r1, keep, p_drop)
     attn, w_qkv = blk.pop("attn"), blk.pop("w_qkv")
     n, length, d = attn.shape[0], attn.shape[1], x_in.shape[1]
@@ -206,15 +218,21 @@ def _attention_backward(d_y, blk, keep, p_drop, x_in, P, p, grads, ones):
     grads[p + "wo"] = _row_wgrad((attn @ v).reshape(n * length, d), d_proj, n)
     grads[p + "bo"] = ones @ d_proj
     d_ctx = (d_proj @ P[p + "wo"].T).reshape(n, length, d)
+    del d_proj
     d_attn = d_ctx @ v.transpose(0, 2, 1)
     d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-    d_qkv = np.empty_like(qkv)
-    np.matmul(d_scores, k, out=d_qkv[..., :d])
-    np.matmul(d_scores.transpose(0, 2, 1), q, out=d_qkv[..., d : 2 * d])
-    d_qkv[..., : 2 * d] *= 1.0 / np.sqrt(d)
-    np.matmul(attn.transpose(0, 2, 1), d_ctx, out=d_qkv[..., 2 * d :])
-    d_qkv = d_qkv.reshape(n * length, 3 * d)
+    del d_attn
+    np.matmul(attn.transpose(0, 2, 1), d_ctx, out=v)
+    del attn, d_ctx
+    d_q = d_scores @ k
+    np.matmul(d_scores.transpose(0, 2, 1), q, out=k)
+    del d_scores
+    q[...] = d_q
+    del d_q
+    qkv[..., : 2 * d] *= 1.0 / np.sqrt(d)
+    d_qkv = qkv.reshape(n * length, 3 * d)
     g_qkv = _row_wgrad(x_in, d_qkv, n)
+    del x_in
     b_qkv = ones @ d_qkv
     for j, side in enumerate("qkv"):
         grads[p + "w" + side] = g_qkv[:, j * d : (j + 1) * d]
@@ -314,13 +332,13 @@ class TextEncoder:
         Neither array is written, so one pair can serve several forwards.
         Returns a cache holding pooled output, hidden states, per-block
         pooled activations and, when ``record`` is true, what the backward
-        pass needs: each dropout site's bool keep-mask, the first block's
-        input, and per block the fused Q/K/V weights and bias, attention
-        weights and both layer norms' normalized rows. Backward rebuilds
-        the rest and consumes this part, so the cache goes to
-        :meth:`backward` once. Inference passes ``record=False``: each
-        block's intermediates are then freed as the next block starts, and
-        the cache cannot go to :meth:`backward`."""
+        pass needs: each dropout site's bool keep-mask and, per block, the
+        fused Q/K/V weights and bias, attention weights and both layer
+        norms' normalized rows. Backward rebuilds the rest, block inputs
+        included, and consumes this part, so the cache goes to
+        :meth:`backward` once. Every other intermediate is freed after its
+        last read. Inference passes ``record=False``: the cache then holds
+        no backward state and cannot go to :meth:`backward`."""
         P = self.params
         cache: dict = {"tokens": tokens, "mask": mask}
         saved = cache if record else None  # where keep-masks go
@@ -336,8 +354,7 @@ class TextEncoder:
         # dropout masks, residuals and the ReLU are applied in place on fresh
         # GEMM outputs; softmax overwrites the scores and layer norm the
         # residual sum.
-        emb = (P["tok_emb"][tokens] + P["pos_emb"][:length]).reshape(n * length, d)
-        x = _drop(emb, "emb", rng, p_drop, saved)
+        x = _drop(self._embed(tokens), "emb", rng, p_drop, saved)
         pool_weights = self._pool_weights(mask)
         cache["block_pooled"] = []
         scale = 1.0 / np.sqrt(d)
@@ -356,24 +373,26 @@ class TextEncoder:
             scores += col_bias
             attn = _softmax_last(scores)
             ctx = (attn @ v).reshape(n * length, d)
+            del qkv, q, k, v
             proj = ctx @ P[p + "wo"]
+            del ctx
             proj += P[p + "bo"]
             r1 = _drop(proj, p + "attn", rng, p_drop, saved)
             r1 += x
+            del x
             y, ln1 = _ln_forward(r1, P[p + "ln1_g"], P[p + "ln1_b"])
             h = y @ P[p + "w1"]
             h += P[p + "b1"]
             np.maximum(h, 0.0, out=h)
             ffn = h @ P[p + "w2"]
+            del h
             ffn += P[p + "b2"]
             r2 = _drop(ffn, p + "ffn", rng, p_drop, saved)
             r2 += y
-            x_in = x
+            del y
             x, ln2 = _ln_forward(r2, P[p + "ln2_g"], P[p + "ln2_b"])
             if record:
                 cache[f"blk{i}"] = dict(w_qkv=w_qkv, b_qkv=b_qkv, attn=attn, ln1=ln1, ln2=ln2)
-                if i == 0:  # a later block's input is rebuilt from the block before it
-                    cache["blk0"]["x_in"] = x_in
             cache["block_pooled"].append(self._pool(x.reshape(n, length, d), pool_weights))
 
         cache["hidden"] = x.reshape(n, length, d)
@@ -440,10 +459,12 @@ class TextEncoder:
                 d_x += self._pool_backward(d_block_pooled[i], pool_weights).reshape(n * length, d)
             p = f"blk{i}."
             blk = cache.pop(f"blk{i}")
-            # each half returns the gradient on its input; assigning it to
-            # d_x frees the gradient the half took
+            # each layer norm backward and each half returns the gradient
+            # on its input; assigning it to d_x frees the gradient it took
+            d_x, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk.pop("ln2"), ones)
             d_x = _ffn_backward(d_x, blk, cache.pop(f"drop.{p}ffn"), p_drop,
                                 P, p, grads, ones, n)
+            d_x, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_x, blk.pop("ln1"), ones)
             d_x = _attention_backward(d_x, blk, cache.pop(f"drop.{p}attn"), p_drop,
                                       self._block_input(cache, blk, i), P, p, grads, ones)
 
@@ -453,11 +474,19 @@ class TextEncoder:
         grads["pos_emb"][:length] = d_emb.sum(axis=0)
         return grads
 
+    def _embed(self, tokens):
+        """The ``(n * length, dim)`` token plus position embeddings of ``tokens``."""
+        n, length = tokens.shape
+        P = self.params
+        return (P["tok_emb"][tokens] + P["pos_emb"][:length]).reshape(n * length, self.dim)
+
     def _block_input(self, cache, blk, i):
-        """Block ``i``'s input: the first block's is cached in ``blk``; a
-        later block's is rebuilt from the second layer norm before it."""
+        """Block ``i``'s input, rebuilt with the forward's operations: the
+        first block's from the tokens and the embedding keep-mask, a later
+        block's from the second layer norm before it."""
         if i == 0:
-            return blk.pop("x_in")
+            return _apply_keep(self._embed(cache["tokens"]), cache["drop.emb"],
+                               self.config.dropout)
         return _ln_output(cache[f"blk{i - 1}"]["ln2"], self.params[f"blk{i - 1}.ln2_b"])
 
     # ---------------------------------------------------------- public API

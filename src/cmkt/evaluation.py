@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, restore_text_encoder
+from .checkpoint import Checkpoint, bundled_config, restore_text_encoder
 from .corpus import SEP, Vocab, tokenize
 from .encoders import TextEncoder
 from .errors import ConfigError, ParseError, ReportError, ShapeError, TrainingError
@@ -153,6 +153,18 @@ class FinetuneConfig:
         return self.max_epochs_full
 
 
+def _choice_tokens(table: dict, vocab: Vocab, max_len: int, item: MCQAItem) -> list[list[int]]:
+    """The token ids of each (question, choice) text of ``item``, from
+    ``table``, which gets the texts it lacks."""
+    out = []
+    for choice in item.choices:
+        key = (item.question, choice)
+        if key not in table:
+            table[key] = tokenize(f"{item.question} {SEP} {choice}", vocab, max_len)
+        out.append(table[key])
+    return out
+
+
 @dataclass
 class TaskModel:
     """Encoder plus a scalar scoring head over pooled (question, choice)
@@ -165,16 +177,6 @@ class TaskModel:
     # (question, choice) -> token ids, filled on first use; finetune hands
     # in the dataset's table so every model tuned on it shares one
     token_ids: dict = dataclasses.field(default_factory=dict, repr=False)
-
-    def _choice_tokens(self, item: MCQAItem) -> list[list[int]]:
-        out = []
-        for choice in item.choices:
-            key = (item.question, choice)
-            if key not in self.token_ids:
-                text = f"{item.question} {SEP} {choice}"
-                self.token_ids[key] = tokenize(text, self.vocab, self.encoder.config.max_len)
-            out.append(self.token_ids[key])
-        return out
 
     def score_items(
         self,
@@ -189,7 +191,9 @@ class TaskModel:
         if not items:
             raise ConfigError("no items to score")
         n_choices = len(items[0].choices)
-        seqs = [toks for item in items for toks in self._choice_tokens(item)]
+        max_len = self.encoder.config.max_len
+        seqs = [toks for item in items
+                for toks in _choice_tokens(self.token_ids, self.vocab, max_len, item)]
         padded = self.encoder.prepare_batch(seqs)
         cache = self.encoder.forward(*padded, dropout_seed, record=record)
         scores = cache["pooled"] @ self.head["w"] + self.head["b"]
@@ -212,13 +216,16 @@ def build_task_model(checkpoint: Checkpoint, seed: int) -> TaskModel:
     return TaskModel(encoder=encoder, vocab=vocab, head=head)
 
 
+def _token_table(checkpoint: Checkpoint, dataset: MCQADataset, max_len: int) -> dict:
+    """The dataset's token table for the checkpoint's vocabulary and ``max_len``."""
+    return dataset.token_tables.setdefault((tuple(checkpoint.meta["vocab"]), max_len), {})
+
+
 def _task_model(checkpoint: Checkpoint, dataset: MCQADataset, seed: int) -> TaskModel:
     """:func:`build_task_model` whose token table is the dataset's table for
     the checkpoint's vocabulary and max_len."""
     model = build_task_model(checkpoint, seed)
-    model.token_ids = dataset.token_tables.setdefault(
-        (tuple(checkpoint.meta["vocab"]), model.encoder.config.max_len), {}
-    )
+    model.token_ids = _token_table(checkpoint, dataset, model.encoder.config.max_len)
     return model
 
 
@@ -342,13 +349,14 @@ def _run_finetunes(checkpoint: Checkpoint, dataset: MCQADataset, jobs: Sequence[
                    splits: Sequence[Sequence[MCQAItem]]) -> list[tuple[float, ...]]:
     """The accuracies on each split of the model each job fine-tunes, in job
     order, from :func:`map_forked`; the dataset's token table is filled
-    first, so no worker tokenizes. A fine-tune is a deterministic function
-    of its inputs, so the worker count changes no result."""
-    tokenizer = _task_model(checkpoint, dataset, 0)
+    first, from the checkpoint's vocabulary and max_len, so no worker
+    tokenizes. A fine-tune is a deterministic function of its inputs, so
+    the worker count changes no result."""
+    encoder_config, vocab = bundled_config(checkpoint)
+    table = _token_table(checkpoint, dataset, encoder_config.max_len)
     for items in (*splits, *(subset for subset, _, _ in jobs)):
         for item in items:
-            tokenizer._choice_tokens(item)
-    del tokenizer
+            _choice_tokens(table, vocab, encoder_config.max_len, item)
 
     def scores(job: Job) -> tuple[float, ...]:
         subset, learning_rate, config = job

@@ -729,6 +729,21 @@ class TestFinetuneCommand:
 
 
 class TestEvalCommand:
+    @pytest.mark.parametrize("key, value", [("dim", 4.0), ("max_len", 16.0), ("init_scale", "x")])
+    def test_bad_bundle_config_exit_2(self, world_dir, cmcl_dir, tiny_eval_config, key, value,
+                                      tmp_path, capsys):
+        """The protocol tokenizes from the bundle's config before any encoder
+        is restored; a bad field still exits 2 and names encoder_config."""
+        raw = (cmcl_dir / "checkpoint-final.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(raw, lambda header: header["meta"]["encoder_config"]
+                                    .update({key: value})))
+        code = main(["eval", "--checkpoint", str(bad), "--dataset", str(world_dir / "mcqa.jsonl"),
+                     "--protocol", "low64", "--config", str(tiny_eval_config),
+                     "--out", str(tmp_path / "runs.jsonl")])
+        assert code == 2
+        assert "checkpoint encoder_config:" in capsys.readouterr().err
+
     def test_low64_writes_five_run_seeds(self, world_dir, cmcl_dir,
                                          tiny_eval_config, tmp_path):
         out = tmp_path / "runs.jsonl"

@@ -1,5 +1,7 @@
 """Behaviour and gradient checks for the text and image encoders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,15 +148,22 @@ class TestForwardBehaviour:
         assert len(caches) == 2
         assert not any(key.startswith(("blk", "drop.")) for c in caches for key in c)
 
-    def test_recorded_cache_is_lean_and_backward_consumes_it(self):
-        """At the acceptance width a recording forward keeps bool keep-masks,
-        no first layer-norm output (``y``), attention context (``ctx``),
-        Q/K/V projections (``qkv``) or ReLU activations (``h``), and at most
-        2,200 bytes per token row. Backward leaves only the outputs."""
+    @staticmethod
+    def acceptance_batch():
+        """An encoder at the acceptance width and a batch of 64 captions of
+        14 tokens."""
         enc = TextEncoder(tiny_config(vocab_size=40, dim=32, ffn_dim=64, max_len=16,
                                       dropout=0.1), seed=0)
         rng = np.random.default_rng(0)
-        tokens, mask = enc.prepare_batch([list(rng.integers(4, 40, size=14)) for _ in range(64)])
+        return enc, enc.prepare_batch([list(rng.integers(4, 40, size=14)) for _ in range(64)])
+
+    def test_recorded_cache_is_lean_and_backward_consumes_it(self):
+        """At the acceptance width a recording forward keeps bool keep-masks,
+        no block input, first layer-norm output (``y``), attention context
+        (``ctx``), Q/K/V projections (``qkv``) or ReLU activations (``h``),
+        and at most 1,900 bytes per token row. Backward leaves only the
+        outputs."""
+        enc, (tokens, mask) = self.acceptance_batch()
         cache = enc.forward(tokens, mask, dropout_seed=3)
 
         def nbytes(obj):  # every array in the cache, through its dicts, lists and tuples
@@ -164,10 +173,31 @@ class TestForwardBehaviour:
 
         masks = [v for k, v in cache.items() if k.startswith("drop.")]
         assert len(masks) == 5 and all(m.dtype == bool for m in masks)
-        assert not {"y", "ctx", "qkv", "h"} & {key for i in range(2) for key in cache[f"blk{i}"]}
-        assert nbytes(cache) <= 2_200 * tokens.size
+        assert not ({"x_in", "y", "ctx", "qkv", "h"}
+                    & {key for i in range(2) for key in cache[f"blk{i}"]})
+        assert nbytes(cache) <= 1_900 * tokens.size
         enc.backward(cache, d_pooled=np.ones((64, 32)))
         assert set(cache) == {"tokens", "mask", "hidden", "pooled", "block_pooled"}
+
+    def test_recording_step_peak_is_bounded(self):
+        """At the acceptance width one recording forward plus backward peaks
+        at most 3,800 bytes per token row above its start under
+        ``tracemalloc``: each intermediate is freed after its last read."""
+        enc, (tokens, mask) = self.acceptance_batch()
+        d_pooled = np.ones((64, 32))
+
+        def step():
+            enc.backward(enc.forward(tokens, mask, dropout_seed=3), d_pooled=d_pooled)
+
+        step()  # first-use allocations land outside the measured step
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_800 * tokens.size
 
     @pytest.mark.parametrize("how", ["record-false", "consumed"])
     def test_backward_needs_an_unused_recording_cache(self, how):
@@ -537,8 +567,8 @@ class TestKernelsMatchReference:
         """One generator, rng_for(seed, "dropout"), per forward: each site's
         cached bool keep-mask is the next (n * length, dim) block of its
         uniforms at or above p, in the order emb, blk0.attn, blk0.ffn,
-        blk1.attn, blk1.ffn. The first block's input is the embedding times
-        the mask's float scale, bit for bit."""
+        blk1.attn, blk1.ffn. The first block's input, which backward rebuilds,
+        is the embedding times the mask's float scale, bit for bit."""
         enc = TextEncoder(tiny_config(dropout=0.3), seed=0)
         cache = enc.forward(*enc.prepare_batch(SEQS), dropout_seed=9)
         rng = encoders.rng_for(9, "dropout")
@@ -548,7 +578,8 @@ class TestKernelsMatchReference:
             np.testing.assert_array_equal(cache["drop." + site], keep)
         emb = enc.params["tok_emb"][cache["tokens"]] + enc.params["pos_emb"][:5]
         scale = cache["drop.emb"] * (1.0 / (1.0 - 0.3))
-        np.testing.assert_array_equal(cache["blk0"]["x_in"], emb.reshape(-1, 4) * scale)
+        np.testing.assert_array_equal(enc._block_input(cache, cache["blk0"], 0),
+                                      emb.reshape(-1, 4) * scale)
 
     @pytest.mark.parametrize("length", [1, 5, 16])
     def test_softmax_row_max_matches_np_max(self, length):

@@ -715,6 +715,14 @@ class TestProtocolReuse:
         low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8), n_subsamples=4)
         assert len(calls.entries()) == 2 * (3 + 4 - 1)
 
+    def test_one_restore_per_finetune(self, monkeypatch, tmp_path):
+        """Filling the token table before the fine-tunes restores no encoder."""
+        calls = spy_on(monkeypatch, CallLog(tmp_path / "calls.jsonl"), "restore_text_encoder")
+        ds = make_dataset(n_train=24, n_dev=4, n_test=6)
+        config = tiny_protocol_config(learning_rates=(0.03, 0.1, 0.3))
+        low_resource_protocol(make_checkpoint(), ds, config, sizes=(4, 8), n_subsamples=4)
+        assert len(calls.entries()) == 2 * (3 + 4 - 1)
+
     @pytest.mark.parametrize("rates", [(0.1,), (0.03, 0.1, 0.3)])
     def test_runs_equal_reference_that_refits_first_subsample(self, rates):
         ds = make_dataset(n_train=24, n_dev=4, n_test=6)
