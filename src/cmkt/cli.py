@@ -4,7 +4,9 @@ Subcommands: synth, perturb, pretrain, teacher, distill, finetune, eval,
 report. Every command derives its randomness from --seed, writes exactly
 one JSON manifest recording inputs (hashed), outputs, config, seed and
 run provenance, and produces byte-identical outputs when re-run (the
-manifest's timestamp, wall time and peak memory aside).
+manifest's timestamp and its timing and provenance fields aside). The
+manifest goes inside a directory --out (``out/manifest.json``) and beside
+a file --out (``<out>.manifest.json``); a failed command writes none.
 
 Exit codes: 0 success; 2 usage or input errors; 3 runtime or training
 failures. Relative input paths are also tried against $CMKT_DATA_DIR.
@@ -98,7 +100,7 @@ def _hash_path(path: Path) -> str:
 
 
 def _write_manifest(
-    manifest_path: Path,
+    out: Path,
     command: str,
     config: dict,
     inputs: dict[str, Path],
@@ -106,8 +108,9 @@ def _write_manifest(
     seed: int,
     started: float,
 ) -> None:
-    """Writes the command's manifest: inputs (hashed), outputs, config and
-    seed, then provenance: the wall seconds since ``started`` (a
+    """Writes the command's manifest, inside ``out`` when the command left a
+    directory there and beside it otherwise: inputs (hashed), outputs,
+    config and seed, then provenance: the wall seconds since ``started`` (a
     ``time.perf_counter`` reading), the process's peak RSS in MB, the
     largest peak RSS of a reaped child process (the protocols' fine-tune
     workers and the training step worker; 0, or what the launcher ran
@@ -138,8 +141,8 @@ def _write_manifest(
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
     }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    write_lines(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True)])
+    path = out / "manifest.json" if out.is_dir() else Path(f"{out}.manifest.json")
+    write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _read_config(cls, args):
@@ -155,29 +158,21 @@ def _read_config(cls, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns what its manifest records, (config snapshot,
+# inputs, outputs, seed), and main writes the manifest
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     config = _read_config(SynthConfig, args)
     out = Path(args.out)
     artifacts = generate_world(config)
     paths = save_world(artifacts, out)
-    _write_manifest(
-        out / "manifest.json",
-        "synth",
-        dataclasses.asdict(config),
-        {},
-        list(paths.values()),
-        config.seed,
-        args.started,
-    )
     print(f"world written to {out} ({len(artifacts.pairs)} pairs)")
-    return EXIT_OK
+    return dataclasses.asdict(config), {}, list(paths.values()), config.seed
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args):
     seed = args.seed if args.seed is not None else 0
     pairs_path = _require_file(args.pairs, "pairs file")
     lexicon_path = _require_file(args.lexicon, "lexicon file")
@@ -206,116 +201,79 @@ def cmd_perturb(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_records(records, out)
-    _write_manifest(
-        Path(str(out) + ".manifest.json"),
-        "perturb",
-        {"oracle": args.oracle, "captions": len(train)},
-        inputs,
-        [out],
-        seed,
-        args.started,
-    )
     print(f"{len(records)} perturbation records from {len(train)} captions -> {out}")
-    return EXIT_OK
+    return {"oracle": args.oracle, "captions": len(train)}, inputs, [out], seed
 
 
-def _load_training_data(args) -> tuple[TrainingData, dict[str, Path]]:
+def _train(args, train, settings: dict, inputs: dict[str, Path]):
+    """The body of pretrain, teacher and distill: reads the config and the
+    training data, runs ``train(data, config, on_epoch)``, then writes the
+    final checkpoint and the loss log. ``on_epoch`` replaces
+    ``out/checkpoint-last.ckpt`` as soon as each epoch ends, creating
+    ``out`` on the first one, so a failed run keeps the checkpoint of its
+    last completed epoch. ``settings`` joins the config in the manifest,
+    ``inputs`` joins the pairs, vocab, bank and perturbation files."""
+    config = _read_config(PretrainConfig, args)
     pairs_path = _require_file(args.pairs, "pairs file")
     vocab_path = _require_file(args.vocab, "vocab file")
-    inputs = {"pairs": pairs_path, "vocab": vocab_path}
+    inputs = {**inputs, "pairs": pairs_path, "vocab": vocab_path}
     bank = None
     if getattr(args, "bank", None):
-        bank_path = _require_file(args.bank, "feature bank")
-        bank = FeatureBank.load(bank_path)
-        inputs["bank"] = bank_path
+        inputs["bank"] = _require_file(args.bank, "feature bank")
+        bank = FeatureBank.load(inputs["bank"])
     perturbations = None
     if getattr(args, "perturbations", None):
-        records_path = _require_file(args.perturbations, "perturbation file")
-        perturbations = load_records(records_path)
-        inputs["perturbations"] = records_path
-    data = TrainingData(
-        pairs=load_pairs(pairs_path),
-        vocab=Vocab.load(vocab_path),
-        bank=bank,
-        perturbations=perturbations,
-    )
-    return data, inputs
+        inputs["perturbations"] = _require_file(args.perturbations, "perturbation file")
+        perturbations = load_records(inputs["perturbations"])
+    data = TrainingData(pairs=load_pairs(pairs_path), vocab=Vocab.load(vocab_path),
+                        bank=bank, perturbations=perturbations)
+    out = Path(args.out)
+    outputs = [out / "checkpoint-last.ckpt", out / "checkpoint-final.ckpt", out / "loss.csv"]
 
-
-def _epoch_writer(out: Path):
-    """The training sink of pretrain, teacher and distill: replaces
-    ``out/checkpoint-last.ckpt`` with each epoch's checkpoint as soon as
-    the epoch ends, creating ``out`` on the first one. A failed run keeps
-    the checkpoint of its last completed epoch."""
-
-    def write(ckpt) -> None:
+    def on_epoch(ckpt) -> None:
         out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(ckpt, out / "checkpoint-last.ckpt")
+        save_checkpoint(ckpt, outputs[0])
 
-    return write
-
-
-def _write_final_outputs(result, out: Path) -> list[Path]:
-    """Writes the final checkpoint and the loss log; returns every file the
-    run wrote."""
-    final_path = out / "checkpoint-final.ckpt"
-    save_checkpoint(result.final, final_path)
-    loss_path = out / "loss.csv"
-    write_loss_log(result.loss_rows, result.components, loss_path)
-    return [out / "checkpoint-last.ckpt", final_path, loss_path]
-
-
-def cmd_pretrain(args) -> int:
-    config = _read_config(PretrainConfig, args)
-    data, inputs = _load_training_data(args)
-    out = Path(args.out)
-    result = pretrain(args.method, data, config, on_epoch=_epoch_writer(out))
-    outputs = _write_final_outputs(result, out)
-    snapshot = {**dataclasses.asdict(config), "method": args.method}
-    _write_manifest(out / "manifest.json", "pretrain", snapshot, inputs, outputs, config.seed,
-                    args.started)
+    result = train(data, config, on_epoch)
+    save_checkpoint(result.final, outputs[1])
+    write_loss_log(result.loss_rows, result.components, outputs[2])
     final_total = result.loss_rows[-1]["total"] if result.loss_rows else float("nan")
-    print(f"{args.method}: {len(result.loss_rows)} steps, final loss {final_total:.4f} -> {out}")
-    return EXIT_OK
+    print(f"{result.method}: {len(result.loss_rows)} steps, final loss {final_total:.4f} -> {out}")
+    return {**dataclasses.asdict(config), **settings}, inputs, outputs, config.seed
 
 
-def cmd_teacher(args) -> int:
-    config = _read_config(PretrainConfig, args)
-    data, inputs = _load_training_data(args)
-    out = Path(args.out)
-    result = train_teacher(TeacherSpec(objective=args.objective), data, config,
-                           on_epoch=_epoch_writer(out))
-    outputs = _write_final_outputs(result, out)
-    snapshot = {**dataclasses.asdict(config), "objective": args.objective}
-    _write_manifest(out / "manifest.json", "teacher", snapshot, inputs, outputs, config.seed,
-                    args.started)
-    print(f"teacher:{args.objective} trained -> {out}")
-    return EXIT_OK
+# The trainers are looked up in this module at call time, where
+# perfbench/tracing.py wraps them.
+def cmd_pretrain(args):
+    return _train(args, lambda data, config, on_epoch: pretrain(
+        args.method, data, config, on_epoch=on_epoch), {"method": args.method}, {})
 
 
-def cmd_distill(args) -> int:
-    config = _read_config(PretrainConfig, args)
+def cmd_teacher(args):
+    spec = TeacherSpec(objective=args.objective)
+    return _train(args, lambda data, config, on_epoch: train_teacher(
+        spec, data, config, on_epoch=on_epoch), {"objective": args.objective}, {})
+
+
+def cmd_distill(args):
     teacher_path = _require_file(args.teacher, "teacher checkpoint")
-    data, inputs = _load_training_data(args)
-    inputs["teacher"] = teacher_path
-    teacher = load_checkpoint(teacher_path)
     spec = DistillSpec(mlm_weight=args.mlm_weight, nst_weight=args.nst_weight)
-    out = Path(args.out)
-    result = distill(teacher, data, spec, config, on_epoch=_epoch_writer(out))
-    outputs = _write_final_outputs(result, out)
-    snapshot = {**dataclasses.asdict(config), **dataclasses.asdict(spec)}
-    _write_manifest(out / "manifest.json", "distill", snapshot, inputs, outputs, config.seed,
-                    args.started)
-    print(f"distilled student -> {out}")
-    return EXIT_OK
+    return _train(args, lambda data, config, on_epoch: distill(
+        load_checkpoint(teacher_path), data, spec, config, on_epoch=on_epoch),
+        dataclasses.asdict(spec), {"teacher": teacher_path})
 
 
-def cmd_finetune(args) -> int:
+def _load_for_finetune(args):
+    """The config, checkpoint, dataset and manifest inputs of finetune and
+    eval."""
     config = _read_config(FinetuneConfig, args)
-    ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    dataset_path = _require_file(args.dataset, "dataset")
-    checkpoint = load_checkpoint(ckpt_path)
-    dataset = load_mcqa(dataset_path)
+    inputs = {"checkpoint": _require_file(args.checkpoint, "checkpoint"),
+              "dataset": _require_file(args.dataset, "dataset")}
+    return config, load_checkpoint(inputs["checkpoint"]), load_mcqa(inputs["dataset"]), inputs
+
+
+def cmd_finetune(args):
+    config, checkpoint, dataset, inputs = _load_for_finetune(args)
     train = dataset.split("train")
     if args.train_size == "full":
         subset = train
@@ -324,10 +282,10 @@ def cmd_finetune(args) -> int:
         if size > len(train):
             raise ConfigError(f"train split has {len(train)} items, cannot take {size}")
         subset = _subsample(dataset, size, config.seed, 0)
-    model = finetune(checkpoint, dataset, subset, args.learning_rate, config)
     test = dataset.split("test")
     if not test:
         raise ConfigError(f"dataset {dataset.name!r} has no test split")
+    model = finetune(checkpoint, dataset, subset, args.learning_rate, config)
     accuracy = evaluate(model, test, config.batch_size)
     result = {
         "dataset": dataset.name,
@@ -340,26 +298,14 @@ def cmd_finetune(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_lines(out, [json.dumps(result, indent=2, sort_keys=True)])
-    _write_manifest(
-        Path(str(out) + ".manifest.json"),
-        "finetune",
-        {**dataclasses.asdict(config), "learning_rate": args.learning_rate,
-         "train_size": args.train_size},
-        {"checkpoint": ckpt_path, "dataset": dataset_path},
-        [out],
-        config.seed,
-        args.started,
-    )
     print(f"test accuracy {accuracy:.3f} -> {out}")
-    return EXIT_OK
+    snapshot = {**dataclasses.asdict(config), "learning_rate": args.learning_rate,
+                "train_size": args.train_size}
+    return snapshot, inputs, [out], config.seed
 
 
-def cmd_eval(args) -> int:
-    config = _read_config(FinetuneConfig, args)
-    ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    dataset_path = _require_file(args.dataset, "dataset")
-    checkpoint = load_checkpoint(ckpt_path)
-    dataset = load_mcqa(dataset_path)
+def cmd_eval(args):
+    config, checkpoint, dataset, inputs = _load_for_finetune(args)
     if args.protocol == "full":
         runs = [supervised_protocol(checkpoint, dataset, config, method=args.method)]
     else:
@@ -370,21 +316,12 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_runs(runs, out)
-    _write_manifest(
-        Path(str(out) + ".manifest.json"),
-        "eval",
-        {**dataclasses.asdict(config), "protocol": args.protocol},
-        {"checkpoint": ckpt_path, "dataset": dataset_path},
-        [out],
-        config.seed,
-        args.started,
-    )
     for run in runs:
         print(
             f"{run.method} {run.dataset} size={run.size}: "
             f"{100 * run.mean:.1f}±{100 * run.std:.1f} (lr={run.learning_rate})"
         )
-    return EXIT_OK
+    return {**dataclasses.asdict(config), "protocol": args.protocol}, inputs, [out], config.seed
 
 
 def _plot_csv(series) -> list[str]:
@@ -445,7 +382,7 @@ def _plot_svg(series) -> list[str]:
     return parts
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     runs = []
     inputs = {}
     for index, raw in enumerate(args.runs):
@@ -467,18 +404,10 @@ def cmd_report(args) -> int:
             svg_path = out / "plot.svg"
             write_lines(svg_path, _plot_svg(series))
             outputs.append(svg_path)
-    _write_manifest(
-        out / "manifest.json",
-        "report",
-        {"layout": args.layout, "plot_data": bool(args.plot_data),
-         "render": bool(args.render)},
-        inputs,
-        outputs,
-        args.seed if args.seed is not None else 0,
-        args.started,
-    )
     print(result.text)
-    return EXIT_OK
+    settings = {"layout": args.layout, "plot_data": bool(args.plot_data),
+                "render": bool(args.render)}
+    return settings, inputs, outputs, args.seed if args.seed is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +532,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help (0) or bad usage (2), printed by argparse
         return exc.code
-    args.started = time.perf_counter()
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        config, inputs, outputs, seed = args.func(args)
+        _write_manifest(Path(args.out), args.command, config, inputs, outputs, seed, started)
+        return EXIT_OK
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

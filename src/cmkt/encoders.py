@@ -558,9 +558,6 @@ class TextEncoder:
 
     # -------------------------------------------------------- param plumbing
 
-    def get_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
-
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         missing = set(self.params) - set(params)
         extra = set(params) - set(self.params)
@@ -600,10 +597,6 @@ class FeatureBank:
         self._features = features
         self._features.setflags(write=False)
         self._row_of = {img_id: row for row, img_id in enumerate(ids)}
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._ids)
 
     @property
     def dim(self) -> int:
@@ -686,10 +679,6 @@ class ImageEncoder:
         w = rng_for(seed, "init", "proj_w").normal(scale=0.2, size=(bank.dim, out_dim))
         return cls(bank, w, np.zeros(out_dim))
 
-    @property
-    def dim(self) -> int:
-        return self.params["proj_w"].shape[1]
-
     def project(self, image_ids: Sequence[str]) -> np.ndarray:
         """The ``(n, dim)`` projected features, not checked: a loaded bank's
         rows are finite, so a non-finite output means the projection diverged."""
@@ -704,13 +693,3 @@ class ImageEncoder:
 
     def get_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for k in ("proj_w", "proj_b"):
-            if k not in params:
-                raise ConfigError(f"missing image projection parameter {k}")
-            if params[k].shape != self.params[k].shape:
-                raise ShapeError(
-                    f"parameter {k}: shape {params[k].shape} does not match {self.params[k].shape}"
-                )
-            self.params[k] = np.asarray(params[k], dtype=np.float64).copy()

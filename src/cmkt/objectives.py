@@ -63,14 +63,6 @@ class EmbeddingBatch:
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "batch_ids", ids)
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 @dataclass
 class LossResult:

@@ -101,12 +101,6 @@ class Lexicon:
         candidate = candidate.lower()
         return candidate in self.synonyms(original) or candidate in self.hypernyms(original)
 
-    def words(self) -> frozenset[str]:
-        everything = set(self._syn) | set(self._parents)
-        for parents in self._parents.values():
-            everything |= parents
-        return frozenset(everything)
-
     def save(self, path: str | Path) -> None:
         lines = []
         for a in sorted(self._syn):

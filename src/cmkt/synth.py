@@ -98,9 +98,6 @@ class Scene:
     def values(self) -> tuple[int, int, int]:
         return (self.color, self.object, self.action)
 
-    def overlap(self, other: "Scene") -> int:
-        return sum(a == b for a, b in zip(self.values, other.values))
-
 
 def scene_from_index(index: int) -> Scene:
     if not 0 <= index < SCENE_SPACE:

@@ -617,6 +617,15 @@ class TestTeacherDistillCommands:
         assert "gone.ckpt" in capsys.readouterr().err
 
 
+def no_test_split(world_dir, tmp_path) -> Path:
+    """The world's MCQA dataset without its test items, saved in tmp_path."""
+    full = load_mcqa(world_dir / "mcqa.jsonl")
+    path = tmp_path / "no_test.jsonl"
+    save_mcqa(MCQADataset.from_items("trimmed", [i for i in full.items if i.split != "test"]),
+              path)
+    return path
+
+
 class TestFinetuneCommand:
     def test_writes_accuracy_json(self, world_dir, cmcl_dir, tiny_eval_config,
                                   tmp_path):
@@ -654,6 +663,25 @@ class TestFinetuneCommand:
         assert rc == 2
         assert "99999" in capsys.readouterr().err
 
+
+    def test_missing_test_split_exit_2_before_fine_tuning(self, world_dir, cmcl_dir,
+                                                          tiny_eval_config, tmp_path,
+                                                          capsys, monkeypatch):
+        calls = []
+        real = cli.finetune
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "finetune", spy)
+        rc = main(["finetune", "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+                   "--dataset", str(no_test_split(world_dir, tmp_path)),
+                   "--learning-rate", "0.1", "--train-size", "32",
+                   "--config", str(tiny_eval_config), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "no test split" in capsys.readouterr().err
+        assert calls == []
 
     def test_diverging_learning_rate_exit_3_with_step(self, world_dir, cmcl_dir,
                                                       tiny_eval_config, tmp_path, capsys):
@@ -900,17 +928,11 @@ class TestEvalCommand:
 
     def test_missing_test_split_exit_2(self, world_dir, cmcl_dir,
                                        tiny_eval_config, tmp_path, capsys):
-        full = load_mcqa(world_dir / "mcqa.jsonl")
-        trimmed = MCQADataset.from_items(
-            "trimmed", [i for i in full.items if i.split != "test"]
-        )
-        data_path = tmp_path / "no_test.jsonl"
-        save_mcqa(trimmed, data_path)
         rc = main(
             [
                 "eval",
                 "--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
-                "--dataset", str(data_path),
+                "--dataset", str(no_test_split(world_dir, tmp_path)),
                 "--protocol", "low64",
                 "--config", str(tiny_eval_config),
                 "--out", str(tmp_path / "runs.jsonl"),
@@ -955,6 +977,63 @@ def fabricated_runs():
                     )
                 )
     return runs
+
+
+MANIFEST_COMMANDS = ("synth", "perturb", "pretrain", "teacher", "distill", "finetune", "eval",
+                     "report")
+DIRECTORY_OUT = {"synth", "pretrain", "teacher", "distill", "report"}
+
+
+def manifest_argv(command, world_dir, cmcl_dir, teacher_dir, tiny_pretrain_config,
+                  tiny_eval_config, tmp_path, out):
+    """A succeeding argv of ``command`` that writes to ``out``."""
+    data = ["--pairs", str(world_dir / "pairs.tsv"), "--vocab", str(world_dir / "vocab.txt"),
+            "--config", str(tiny_pretrain_config), "--out", str(out)]
+    model = ["--checkpoint", str(cmcl_dir / "checkpoint-final.ckpt"),
+             "--dataset", str(world_dir / "mcqa.jsonl"), "--config", str(tiny_eval_config),
+             "--out", str(out)]
+    bank = ["--bank", str(world_dir / "features.npz")]
+    if command == "perturb":
+        return two_caption_perturb_argv(world_dir, tmp_path, out)
+    if command == "report":
+        save_runs(fabricated_runs(), tmp_path / "runs.jsonl")
+        return ["report", "--runs", str(tmp_path / "runs.jsonl"), "--out", str(out)]
+    return {
+        "synth": ["synth", "--out", str(out), "--seed", "3"],
+        "pretrain": ["pretrain", "--method", "MLM", *data],
+        "teacher": ["teacher", *bank, *data],
+        "distill": ["distill", "--teacher", str(teacher_dir / "checkpoint-final.ckpt"), *data],
+        "finetune": ["finetune", "--learning-rate", "0.1", "--train-size", "32", *model],
+        "eval": ["eval", "--protocol", "low64", *model],
+    }[command]
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+def test_each_command_writes_one_manifest_where_the_rule_puts_it(
+        command, world_dir, cmcl_dir, teacher_dir, tiny_pretrain_config, tiny_eval_config,
+        tmp_path):
+    """Inside a directory --out, beside a file --out; it names the command
+    and lists outputs that exist."""
+    out = tmp_path / "out"
+    assert main(manifest_argv(command, world_dir, cmcl_dir, teacher_dir, tiny_pretrain_config,
+                              tiny_eval_config, tmp_path, out)) == 0
+    expected = out / "manifest.json" if command in DIRECTORY_OUT else tmp_path / "out.manifest.json"
+    assert sorted(tmp_path.rglob("*manifest.json")) == [expected]
+    manifest = json.loads(expected.read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] and all(Path(p).is_file() for p in manifest["outputs"])
+
+
+def test_failed_command_writes_no_manifest(tmp_path, capsys):
+    """report cannot make its output directory where a file stands, and
+    leaves no manifest beside that file."""
+    runs_path = tmp_path / "runs.jsonl"
+    save_runs(fabricated_runs(), runs_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["report", "--runs", str(runs_path), "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*manifest.json"))
 
 
 class TestReportCommand:

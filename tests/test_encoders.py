@@ -625,14 +625,14 @@ class TestParamPlumbing:
 
     def test_name_mismatch_rejected(self):
         enc = TextEncoder(tiny_config(), seed=42)
-        bad = enc.get_params()
+        bad = {k: v.copy() for k, v in enc.params.items()}
         bad.pop("tok_emb")
         with pytest.raises(ConfigError):
             enc.set_params(bad)
 
     def test_shape_mismatch_rejected(self):
         enc = TextEncoder(tiny_config(), seed=42)
-        bad = enc.get_params()
+        bad = {k: v.copy() for k, v in enc.params.items()}
         bad["tok_emb"] = np.zeros((2, 2))
         with pytest.raises(ShapeError):
             enc.set_params(bad)
@@ -651,7 +651,7 @@ class TestFeatureBank:
         path = tmp_path / "feats.bin"
         bank.save(path)
         loaded = FeatureBank.load(path)
-        assert loaded.ids == bank.ids
+        assert loaded._ids == bank._ids
         np.testing.assert_array_equal(loaded._features, bank._features)
 
     def test_save_bytes_deterministic(self, bank, tmp_path):
@@ -754,12 +754,12 @@ class TestImageEncoder:
 
     def test_bank_untouched_by_training_motions(self, bank):
         enc = ImageEncoder.initialized(bank, out_dim=3, seed=7)
-        ids, before = bank.ids, bank._features.copy()
+        ids, before = list(bank._ids), bank._features.copy()
         for _ in range(5):
             grads = enc.backward(["img0", "img1"], np.ones((2, 3)))
             enc.params["proj_w"] -= 0.1 * grads["proj_w"]
             enc.params["proj_b"] -= 0.1 * grads["proj_b"]
-        assert bank.ids == ids
+        assert bank._ids == ids
         np.testing.assert_array_equal(bank._features, before)
 
     def test_shape_validation(self, bank):

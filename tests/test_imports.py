@@ -2,7 +2,8 @@
 ``demos``, at the top level or inside a function, is used, and no function in
 ``src/cmkt`` imports again from a module the file already imports at the top
 level. Every public function, class and method of ``src/cmkt`` is named by the
-package, a demo or the benchmark, not only by tests. Only ``cmkt/parallel.py``
+package, a demo or the benchmark, not only by tests; a method or property
+counts as named only by an attribute read or a dotted string. Only ``cmkt/parallel.py``
 forks, in the package and in ``scripts``. Also: what importing the CLI loads."""
 
 import ast
@@ -121,30 +122,37 @@ def public_definitions(tree: ast.Module, module: str) -> list[str]:
     return out
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
+def referenced_names(tree: ast.Module) -> tuple[set[str], set[str]]:
     """Every name read, every attribute, and each part of a dotted string
-    such as the tracer's ``"TextEncoder.forward"``."""
-    names = set()
+    such as the tracer's ``"TextEncoder.forward"``; then the attribute
+    reads and dotted-string parts alone, the only ways to reach a method."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and DOTTED.fullmatch(node.value):
-            names.update(node.value.split("."))
-    return names
+            attributes.update(node.value.split("."))
+    return names | attributes, attributes
 
 
 def uncalled_definitions(definitions: dict[str, str], callers: list[str]) -> list[str]:
     """Public definitions (module stem -> source) whose last name part no
-    caller source names."""
-    used = set().union(*(referenced_names(ast.parse(src)) for src in callers))
+    caller source names: a function or class by any name, attribute or
+    dotted string, a method or property by an attribute read or a dotted
+    string only, so a local variable of the same spelling does not count."""
+    names, attributes = set(), set()
+    for src in callers:
+        found, read = referenced_names(ast.parse(src))
+        names |= found
+        attributes |= read
     return sorted(
         name
         for module, src in definitions.items()
         for name in public_definitions(ast.parse(src), module)
-        if name.rsplit(".", 1)[-1] not in used
+        if name.rsplit(".", 1)[-1] not in (attributes if name.count(".") == 2 else names)
     )
 
 
@@ -234,14 +242,19 @@ def test_uncalled_scan_counts_names_attributes_and_dotted_strings():
         "def dead(): pass\n"
         "class Box:\n"
         "    def traced(self): pass\n"
+        "    def read(self): pass\n"
         "    def dead_method(self): pass\n"
+        "    def shadowed(self): pass\n"
+        "    def assigned(self): pass\n"
         "    def __len__(self): return 0\n"
     )}
     callers = [
-        "used_by_name()\nimport m\nm.used_as_attribute()\n",
+        "used_by_name()\nimport m\nm.used_as_attribute()\nbox.read()\n",
         'TARGETS = (("span", "m", "Box.traced"), "dead with spaces.dead_method")\n',
+        "shadowed = 1\nprint(shadowed)\nbox.assigned = shadowed\n",
     ]
-    assert uncalled_definitions(definitions, callers) == ["m.Box.dead_method", "m.dead"]
+    assert uncalled_definitions(definitions, callers) == [
+        "m.Box.assigned", "m.Box.dead_method", "m.Box.shadowed", "m.dead"]
 
 
 def test_scan_finds_unused_and_counts_all():

@@ -25,6 +25,7 @@ from cmkt.synth import (
     SCENE_SPACE,
     Scene,
     SynthConfig,
+    _scene_with_overlap,
     generate_world,
     image_feature,
     load_oracle_table,
@@ -78,11 +79,12 @@ class TestScenes:
         with pytest.raises(ConfigError):
             scene_from_index(SCENE_SPACE)
 
-    def test_overlap_counts_shared_attributes(self):
-        a = Scene(color=1, object=2, action=3)
-        assert a.overlap(Scene(color=1, object=2, action=3)) == 3
-        assert a.overlap(Scene(color=1, object=2, action=0)) == 2
-        assert a.overlap(Scene(color=0, object=0, action=0)) == 0
+    def test_scene_with_overlap_shares_exactly_that_many_attributes(self):
+        scene = Scene(color=1, object=2, action=3)
+        for overlap in range(4):
+            for draw in range(8):
+                other = _scene_with_overlap(scene, overlap, rng_for(0, "overlap", overlap, draw))
+                assert sum(a == b for a, b in zip(scene.values, other.values)) == overlap
 
     def test_bad_attribute_rejected(self):
         with pytest.raises(ConfigError):
@@ -139,9 +141,8 @@ class TestWorldDeterminism:
     def test_equal_configs_equal_artifacts(self, world):
         other = generate_world(SynthConfig())
         assert [p.caption for p in other.pairs] == [p.caption for p in world.pairs]
-        assert np.array_equal(
-            other.bank.vectors(other.bank.ids), world.bank.vectors(world.bank.ids)
-        )
+        assert other.bank._ids == world.bank._ids
+        assert np.array_equal(other.bank._features, world.bank._features)
         assert other.mcqa.items == world.mcqa.items
         assert other.similarity == world.similarity
         assert other.oracle_table == world.oracle_table
@@ -314,9 +315,8 @@ class TestPersistence:
         assert [(p.image_id, p.caption, p.split) for p in back.pairs] == [
             (p.image_id, p.caption, p.split) for p in world.pairs
         ]
-        assert np.allclose(
-            back.bank.vectors(back.bank.ids), world.bank.vectors(world.bank.ids)
-        )
+        assert back.bank._ids == world.bank._ids
+        assert np.allclose(back.bank._features, world.bank._features)
         assert back.mcqa.items == world.mcqa.items
         assert back.similarity == world.similarity
         assert back.oracle_table == world.oracle_table
