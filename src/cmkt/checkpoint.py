@@ -155,8 +155,11 @@ def bundled_config(ckpt: Checkpoint) -> tuple[TextEncoderConfig, Vocab]:
         raise ValidationError("checkpoint does not carry an encoder bundle")
     with parse_errors("checkpoint encoder_config", ValidationError):
         config = TextEncoderConfig(**ckpt.meta["encoder_config"])
-        if not fits(0, config.max_len):  # tokenizers slice by it
-            raise TypeError(f"max_len must be an integer, got {config.max_len!r}")
+        for f in dataclasses.fields(config):  # shapes and slices need ints
+            default = 0 if f.default is dataclasses.MISSING else f.default
+            value = getattr(config, f.name)
+            if not fits(default, value):
+                raise TypeError(f"{f.name} expects {type(default).__name__}, got {value!r}")
     with parse_errors("checkpoint vocab", ValidationError):
         vocab = Vocab(ckpt.meta["vocab"])
     if len(vocab) != config.vocab_size:
@@ -168,9 +171,7 @@ def bundled_config(ckpt: Checkpoint) -> tuple[TextEncoderConfig, Vocab]:
 
 
 def restore_text_encoder(ckpt: Checkpoint) -> tuple[TextEncoder, Vocab]:
-    """Rebuild the encoder and vocabulary a bundle describes."""
+    """Rebuild the encoder and vocabulary a bundle describes, the encoder
+    on its own copy of the bundle's text tensors."""
     config, vocab = bundled_config(ckpt)
-    with parse_errors("checkpoint encoder_config", ValidationError):
-        encoder = TextEncoder(config, seed=0)
-    encoder.set_params(ckpt.text_params())
-    return encoder, vocab
+    return TextEncoder.from_params(config, ckpt.text_params()), vocab

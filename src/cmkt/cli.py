@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -211,8 +212,14 @@ def _train(args, train, settings: dict, inputs: dict[str, Path]):
     final checkpoint and the loss log. ``on_epoch`` replaces
     ``out/checkpoint-last.ckpt`` as soon as each epoch ends, creating
     ``out`` on the first one, so a failed run keeps the checkpoint of its
-    last completed epoch. ``settings`` joins the config in the manifest,
-    ``inputs`` joins the pairs, vocab, bank and perturbation files."""
+    last completed epoch; a file standing where ``out`` or a parent of it
+    must go is bad input, reported before anything is read or trained.
+    ``settings`` joins the config in the manifest, ``inputs`` joins the
+    pairs, vocab, bank and perturbation files."""
+    out = Path(args.out)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(existing))
     config = _read_config(PretrainConfig, args)
     pairs_path = _require_file(args.pairs, "pairs file")
     vocab_path = _require_file(args.vocab, "vocab file")
@@ -227,7 +234,6 @@ def _train(args, train, settings: dict, inputs: dict[str, Path]):
         perturbations = load_records(inputs["perturbations"])
     data = TrainingData(pairs=load_pairs(pairs_path), vocab=Vocab.load(vocab_path),
                         bank=bank, perturbations=perturbations)
-    out = Path(args.out)
     outputs = [out / "checkpoint-last.ckpt", out / "checkpoint-final.ckpt", out / "loss.csv"]
 
     def on_epoch(ckpt) -> None:
@@ -540,7 +546,8 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (CmktError, FileNotFoundError, IsADirectoryError) as exc:
+    except (CmktError, FileNotFoundError, IsADirectoryError, FileExistsError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything unplanned is a runtime failure

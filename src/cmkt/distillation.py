@@ -35,6 +35,7 @@ from .training import (
     PretrainConfig,
     PretrainResult,
     TrainingData,
+    _ComponentEngine,
     assemble_records,
     pretrain,
     run_training_loop,
@@ -139,6 +140,7 @@ def distill(
 
     records, _ = assemble_records(MethodSpec.named("MLM"), data, config)
     student = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
+    engine = _ComponentEngine(config, student, None, data.vocab, [])
 
     row_of = {}  # distinct token sequence -> row of the teacher targets
     for rec in records:
@@ -161,9 +163,7 @@ def distill(
         None,
         vocab=data.vocab,
         records=records,
-        global_pool=[],
-        components=("mlm", "nst"),
-        weights=(spec.mlm_weight, spec.nst_weight),
+        steps={"mlm": (spec.mlm_weight, engine.fns["mlm"]), "nst": (spec.nst_weight, nst)},
         meta_base={
             "method": "CMKD",
             "seed": config.seed,
@@ -171,6 +171,5 @@ def distill(
             "mlm_weight": spec.mlm_weight,
             "nst_weight": spec.nst_weight,
         },
-        extra_components={"nst": nst},
         on_epoch=on_epoch,
     )

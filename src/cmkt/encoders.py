@@ -121,14 +121,8 @@ def _softmax_last(x):
 
 
 def _wgrad(a, b):
-    """Weight gradient of ``a @ W`` given output gradient ``b``: one GEMM over every leading axis."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
-
-
-def _row_wgrad(a, b, n):
-    """:func:`_wgrad` of two ``(n * length, .)`` row matrices, taken through
-    their ``(n, length, .)`` views."""
-    return _wgrad(a.reshape(n, -1, a.shape[-1]), b.reshape(n, -1, b.shape[-1]))
+    """Weight gradient of ``a @ W`` given output gradient ``b``, two row matrices: one GEMM."""
+    return a.T @ b
 
 
 def _embedding_grad(tokens, d_emb, vocab_size):
@@ -170,26 +164,26 @@ def _drop(x, site, rng, p, saved):
     return _apply_keep(x, keep, p)
 
 
-def _ffn_backward(d_r2, blk, keep, p_drop, P, p, grads, ones, n):
-    """Backward through the feed-forward half of block ``p`` over ``n``
-    sequences, from the gradient ``d_r2`` on its second layer norm's
-    input: its dropout site and ReLU feed-forward. Rebuilds the first
-    layer norm's output and the ReLU activation from the block cache
-    ``blk`` with the forward's operations, writes the parameter gradients
-    to ``grads`` and returns the gradient on the first layer norm's
-    output. Each temporary is freed after its last read."""
+def _ffn_backward(d_r2, blk, keep, p_drop, P, p, grads, ones):
+    """Backward through the feed-forward half of block ``p``, from the
+    gradient ``d_r2`` on its second layer norm's input: its dropout site
+    and ReLU feed-forward. Rebuilds the first layer norm's output and the
+    ReLU activation from the block cache ``blk`` with the forward's
+    operations, writes the parameter gradients to ``grads`` and returns
+    the gradient on the first layer norm's output. Each temporary is
+    freed after its last read."""
     d_ffn = _undrop(d_r2, keep, p_drop)
     y = _ln_output(blk["ln1"], P[p + "ln1_b"])
     h = y @ P[p + "w1"]
     h += P[p + "b1"]
     np.maximum(h, 0.0, out=h)
-    grads[p + "w2"] = _row_wgrad(h, d_ffn, n)
+    grads[p + "w2"] = _wgrad(h, d_ffn)
     grads[p + "b2"] = ones @ d_ffn
     d_pre = d_ffn @ P[p + "w2"].T
     del d_ffn
     d_pre *= h > 0
     del h
-    grads[p + "w1"] = _row_wgrad(y, d_pre, n)
+    grads[p + "w1"] = _wgrad(y, d_pre)
     del y
     grads[p + "b1"] = ones @ d_pre
     d_y = d_pre @ P[p + "w1"].T
@@ -215,7 +209,7 @@ def _attention_backward(d_r1, blk, keep, p_drop, x_in, P, p, grads, ones):
     qkv += blk.pop("b_qkv")
     qkv = qkv.reshape(n, length, 3 * d)
     q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    grads[p + "wo"] = _row_wgrad((attn @ v).reshape(n * length, d), d_proj, n)
+    grads[p + "wo"] = _wgrad((attn @ v).reshape(n * length, d), d_proj)
     grads[p + "bo"] = ones @ d_proj
     d_ctx = (d_proj @ P[p + "wo"].T).reshape(n, length, d)
     del d_proj
@@ -231,7 +225,7 @@ def _attention_backward(d_r1, blk, keep, p_drop, x_in, P, p, grads, ones):
     del d_q
     qkv[..., : 2 * d] *= 1.0 / np.sqrt(d)
     d_qkv = qkv.reshape(n * length, 3 * d)
-    g_qkv = _row_wgrad(x_in, d_qkv, n)
+    g_qkv = _wgrad(x_in, d_qkv)
     del x_in
     b_qkv = ones @ d_qkv
     for j, side in enumerate("qkv"):
@@ -240,6 +234,22 @@ def _attention_backward(d_r1, blk, keep, p_drop, x_in, P, p, grads, ones):
     d_x = d_qkv @ w_qkv.T
     d_x += d_r1
     return d_x
+
+
+def _param_shapes(c: TextEncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in the encoder's parameter order."""
+    d, f = c.dim, c.ffn_dim
+    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_len, d)}
+    for i in range(c.num_blocks):
+        p = f"blk{i}."
+        shapes.update({p + w: (d, d) for w in ("wq", "wk", "wv", "wo")})
+        shapes.update({p + b: (d,) for b in ("bq", "bk", "bv", "bo")})
+        shapes.update({p + "ln1_g": (d,), p + "ln1_b": (d,), p + "w1": (d, f), p + "b1": (f,),
+                       p + "w2": (f, d), p + "b2": (d,), p + "ln2_g": (d,), p + "ln2_b": (d,)})
+    for head, size in (("mlm", c.vocab_size), ("voken", c.voken_count)):
+        if size > 0:
+            shapes.update({head + "_w": (d, size), head + "_b": (size,)})
+    return shapes
 
 
 class TextEncoder:
@@ -254,35 +264,36 @@ class TextEncoder:
     """
 
     def __init__(self, config: TextEncoderConfig, seed: int = 0):
+        """A fresh encoder: each matrix drawn from ``rng_for(seed, "init",
+        name)``, each layer-norm gamma 1 and every other vector 0."""
         self.config = config
-        self.params: dict[str, np.ndarray] = {}
-        c = config
-        self._add_param(seed, "tok_emb", (c.vocab_size, c.dim))
-        self._add_param(seed, "pos_emb", (c.max_len, c.dim))
-        for i in range(c.num_blocks):
-            p = f"blk{i}."
-            for w in ("wq", "wk", "wv", "wo"):
-                self._add_param(seed, p + w, (c.dim, c.dim))
-            for b in ("bq", "bk", "bv", "bo"):
-                self.params[p + b] = np.zeros(c.dim)
-            self.params[p + "ln1_g"] = np.ones(c.dim)
-            self.params[p + "ln1_b"] = np.zeros(c.dim)
-            self._add_param(seed, p + "w1", (c.dim, c.ffn_dim))
-            self.params[p + "b1"] = np.zeros(c.ffn_dim)
-            self._add_param(seed, p + "w2", (c.ffn_dim, c.dim))
-            self.params[p + "b2"] = np.zeros(c.dim)
-            self.params[p + "ln2_g"] = np.ones(c.dim)
-            self.params[p + "ln2_b"] = np.zeros(c.dim)
-        self._add_param(seed, "mlm_w", (c.dim, c.vocab_size))
-        self.params["mlm_b"] = np.zeros(c.vocab_size)
-        if c.voken_count > 0:
-            self._add_param(seed, "voken_w", (c.dim, c.voken_count))
-            self.params["voken_b"] = np.zeros(c.voken_count)
+        self.params = {
+            name: rng_for(seed, "init", name).normal(scale=config.init_scale, size=shape)
+            if len(shape) == 2 else np.full(shape, 1.0 if name.endswith("_g") else 0.0)
+            for name, shape in _param_shapes(config).items()
+        }
 
-    def _add_param(self, seed, name, shape):
-        self.params[name] = rng_for(seed, "init", name).normal(
-            scale=self.config.init_scale, size=shape
-        )
+    @classmethod
+    def from_params(cls, config: TextEncoderConfig, params: dict[str, np.ndarray]) -> "TextEncoder":
+        """An encoder holding a private float64 copy of each of ``params``,
+        which must carry exactly the parameters ``config`` describes, each
+        in its shape; nothing is drawn."""
+        shapes = _param_shapes(config)
+        missing = set(shapes) - set(params)
+        extra = set(params) - set(shapes)
+        if missing or extra:
+            raise ConfigError(
+                f"parameter names do not match encoder: missing {sorted(missing)}, extra {sorted(extra)}"
+            )
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ShapeError(
+                    f"parameter {name}: shape {params[name].shape} does not match {shape}"
+                )
+        encoder = cls.__new__(cls)
+        encoder.config = config
+        encoder.params = {name: np.array(params[name], dtype=np.float64) for name in shapes}
+        return encoder
 
     @property
     def dim(self) -> int:
@@ -451,6 +462,7 @@ class TextEncoder:
         d_x = np.zeros((n * length, d))
         if d_hidden is not None:
             d_x += d_hidden.reshape(n * length, d)
+            del d_hidden  # freed here unless the caller keeps a reference
         if d_pooled is not None:
             d_x += self._pool_backward(d_pooled, pool_weights).reshape(n * length, d)
 
@@ -462,8 +474,7 @@ class TextEncoder:
             # each layer norm backward and each half returns the gradient
             # on its input; assigning it to d_x frees the gradient it took
             d_x, grads[p + "ln2_g"], grads[p + "ln2_b"] = _ln_backward(d_x, blk.pop("ln2"), ones)
-            d_x = _ffn_backward(d_x, blk, cache.pop(f"drop.{p}ffn"), p_drop,
-                                P, p, grads, ones, n)
+            d_x = _ffn_backward(d_x, blk, cache.pop(f"drop.{p}ffn"), p_drop, P, p, grads, ones)
             d_x, grads[p + "ln1_g"], grads[p + "ln1_b"] = _ln_backward(d_x, blk.pop("ln1"), ones)
             d_x = _attention_backward(d_x, blk, cache.pop(f"drop.{p}attn"), p_drop,
                                       self._block_input(cache, blk, i), P, p, grads, ones)
@@ -549,28 +560,13 @@ class TextEncoder:
         logits += self.params[head + "_b"]
         loss, d_logits = softmax_cross_entropy(logits, targets)
         # a position selected twice gets both gradients: the scatter-add
-        # of the embedding gradient, over flat batch positions
-        d_hidden = _embedding_grad(rows * length + cols, d_logits @ w.T, n * length)
-        grads = self.backward(cache, d_hidden=d_hidden.reshape(n, length, d))
+        # of the embedding gradient, over flat batch positions. No name
+        # here holds it, so backward frees it once it is copied.
+        grads = self.backward(cache, d_hidden=_embedding_grad(
+            rows * length + cols, d_logits @ w.T, n * length).reshape(n, length, d))
         grads[head + "_w"] = picked.T @ d_logits
         grads[head + "_b"] = np.ones(len(targets)) @ d_logits
         return loss, grads
-
-    # -------------------------------------------------------- param plumbing
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(params)
-        extra = set(params) - set(self.params)
-        if missing or extra:
-            raise ConfigError(
-                f"parameter names do not match encoder: missing {sorted(missing)}, extra {sorted(extra)}"
-            )
-        for k, v in params.items():
-            if v.shape != self.params[k].shape:
-                raise ShapeError(
-                    f"parameter {k}: shape {v.shape} does not match {self.params[k].shape}"
-                )
-            self.params[k] = np.asarray(v, dtype=np.float64).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +686,3 @@ class ImageEncoder:
     def backward(self, image_ids: Sequence[str], d_out: np.ndarray) -> dict[str, np.ndarray]:
         feats = self.bank.vectors(image_ids)
         return {"proj_w": feats.T @ d_out, "proj_b": d_out.sum(axis=0)}
-
-    def get_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}

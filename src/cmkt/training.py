@@ -395,9 +395,10 @@ def _check_finite(vectors: np.ndarray, what: str, step: int) -> np.ndarray:
 
 
 class _ComponentEngine:
-    """Per-method closures computing (loss, text grads, image grads) for
-    one batch at the current parameters. Each takes the batch's records
-    and their captions padded once by ``prepare_batch``."""
+    """Per-method step closures computing (loss, text grads, image grads)
+    for one batch at the current parameters, by component name in
+    ``fns``. Each takes the batch's records and their captions padded
+    once by ``prepare_batch``."""
 
     def __init__(
         self,
@@ -421,9 +422,6 @@ class _ComponentEngine:
             "voken": self._voken,
             "hinge": self._hinge,
         }
-
-    def run(self, component: str, batch, padded, epoch: int, step: int):
-        return self.fns[component](batch, padded, epoch, step)
 
     def _encode(self, padded, purpose, epoch, step):
         """Text forward under the dropout draw of ``purpose``; a
@@ -535,24 +533,20 @@ def run_training_loop(
     image_encoder: Optional[ImageEncoder],
     vocab: Vocab,
     records: list[TrainRecord],
-    global_pool: list[tuple[int, ...]],
-    components: tuple[str, ...],
-    weights: tuple[float, ...],
+    steps: dict[str, tuple[float, Callable]],
     meta_base: dict,
-    extra_components: Optional[dict[str, Callable]] = None,
     on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
     """Pretrain (the teacher trainer too) and distillation: a weighted mix
     of components on :func:`sgd_loop`, with checkpoint bundling.
 
-    ``meta_base["method"]`` names the run; hard negatives come from a
-    non-empty ``global_pool``. Each step pads its captions once and hands
-    the ``(tokens, mask)`` pair to every component. ``extra_components``
-    maps further component names to closures with the engine's ``(batch,
-    padded, epoch, step) -> (loss, text grads, image grads)`` signature.
-    A component of weight 0 is not run and logs 0.0. Each epoch's
-    checkpoint goes to ``on_epoch`` when the epoch ends and is not kept,
-    so a run holds one checkpoint at a time whatever its length.
+    ``steps`` maps each component name, in loss-row order, to its weight
+    and its step closure ``(records, padded, epoch, step) -> (loss, text
+    grads, image grads)``; each step pads its captions once and hands the
+    ``(tokens, mask)`` pair to every closure. ``meta_base["method"]``
+    names the run. A component of weight 0 is not run and logs 0.0. Each
+    epoch's checkpoint goes to ``on_epoch`` when the epoch ends and is not
+    kept, so a run holds one checkpoint at a time whatever its length.
 
     With exactly two components of non-zero weight, each step runs them
     side by side, one in this process and one in a
@@ -560,23 +554,21 @@ def run_training_loop(
     processes every step). The step then combines, warns and fails in
     component order, so the outputs are those of one process.
     """
-    engine = _ComponentEngine(config, encoder, image_encoder, vocab, global_pool)
-    engine.fns.update(extra_components or {})
     params = [encoder.params]
     if image_encoder is not None:
         params.append(image_encoder.params)
 
-    live = [c for c, w in zip(components, weights) if w != 0]
+    live = [c for c, (w, _) in steps.items() if w != 0]
     position = {id(rec): i for i, rec in enumerate(records)}  # the worker's records too
 
     def component_step(request):
         component, rows, padded, epoch, step = request
-        return engine.run(component, [records[i] for i in rows], padded, epoch, step)
+        return steps[component][1]([records[i] for i in rows], padded, epoch, step)
 
     def step_fn(batch, epoch, step):
         padded = encoder.prepare_batch([rec.tokens for rec in batch])
         if side_by_side is None:
-            outcomes = {c: functools.partial(engine.run, c, batch, padded, epoch, step)
+            outcomes = {c: functools.partial(steps[c][1], batch, padded, epoch, step)
                         for c in live}
         else:
             # The components swap processes every step only so that
@@ -592,7 +584,7 @@ def run_training_loop(
         image_grads: dict[str, np.ndarray] = {}
         row = {}
         total = 0.0
-        for component, weight in zip(components, weights):
+        for component, (weight, _) in steps.items():
             if weight == 0:
                 row[component] = 0.0
                 continue
@@ -608,7 +600,7 @@ def run_training_loop(
     def bundle(epoch: int, kind: str, step: int) -> Checkpoint:
         meta = dict(meta_base)
         meta.update({"epoch": epoch, "kind": kind, "step": step})
-        image_params = image_encoder.get_params() if image_encoder is not None else None
+        image_params = image_encoder.params if image_encoder is not None else None
         return bundle_text_encoder(encoder, vocab, meta, image_params=image_params)
 
     def end_epoch(epoch, step):
@@ -627,7 +619,7 @@ def run_training_loop(
         config=config,
         final=bundle(config.epochs, "final", len(loss_rows)),
         loss_rows=tuple(loss_rows),
-        components=components,
+        components=tuple(steps),
     )
 
 
@@ -663,6 +655,7 @@ def pretrain(
         bank_matrix = build_voken_bank(data.pairs, image_encoder, config.voken_count)
         records = _attach_vokens(records, encoder, bank_matrix)
 
+    engine = _ComponentEngine(config, encoder, image_encoder, data.vocab, global_pool)
     meta_base = {
         "method": method.name,
         "seed": config.seed,
@@ -675,9 +668,7 @@ def pretrain(
         image_encoder,
         vocab=data.vocab,
         records=records,
-        global_pool=global_pool,
-        components=method.components,
-        weights=(1.0,) * len(method.components),
+        steps={c: (1.0, engine.fns[c]) for c in method.components},
         meta_base=meta_base,
         on_epoch=on_epoch,
     )

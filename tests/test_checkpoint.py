@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from cmkt import ParseError, ValidationError
+from cmkt import ParseError, ValidationError, encoders
 from cmkt.checkpoint import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -199,6 +199,24 @@ class TestEncoderBundle:
         ckpt = bundle_text_encoder(encoder, vocab, {})
         ckpt.params["text.tok_emb"][0, 0] = 123.0
         assert encoder.params["tok_emb"][0, 0] != 123.0
+
+    def test_restore_draws_nothing(self, monkeypatch):
+        """The encoder is built from the bundle's tensors: restoring draws
+        no initial weights."""
+        encoder, vocab = self.make_encoder()
+        ckpt = bundle_text_encoder(encoder, vocab, {})
+        purposes, real = [], encoders.rng_for
+
+        def spy(seed, purpose, *rest):
+            purposes.append(purpose)
+            return real(seed, purpose, *rest)
+
+        monkeypatch.setattr(encoders, "rng_for", spy)
+        restored, _ = restore_text_encoder(ckpt)
+        assert "init" not in purposes
+        for name, tensor in encoder.params.items():
+            np.testing.assert_array_equal(restored.params[name], tensor)
+            assert not np.shares_memory(restored.params[name], ckpt.params["text." + name])
 
     def test_restore_rejects_plain_checkpoint(self):
         with pytest.raises(ValidationError, match="bundle"):

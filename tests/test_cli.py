@@ -1031,9 +1031,31 @@ def test_failed_command_writes_no_manifest(tmp_path, capsys):
     save_runs(fabricated_runs(), runs_path)
     out = tmp_path / "taken"
     out.write_text("")
-    assert main(["report", "--runs", str(runs_path), "--out", str(out)]) == 3
+    assert main(["report", "--runs", str(runs_path), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*manifest.json"))
+
+
+@pytest.mark.parametrize("command, where", [
+    (command, where) for command in ("synth", "pretrain", "teacher", "distill", "perturb")
+    for where in ("out", "parent") if (command, where) != ("perturb", "out")  # a file --out
+])
+def test_out_blocked_by_a_file_is_bad_input(command, where, world_dir, cmcl_dir, teacher_dir,
+                                            tiny_pretrain_config, tiny_eval_config, tmp_path,
+                                            monkeypatch, capsys):
+    """A file standing at --out or at a parent of it exits 2 and names the
+    file; the trainers stop before any training starts."""
+    calls = []
+    for name in ("pretrain", "train_teacher", "distill"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker if where == "out" else blocker / "out"
+    argv = manifest_argv(command, world_dir, cmcl_dir, teacher_dir, tiny_pretrain_config,
+                         tiny_eval_config, tmp_path, out)
+    assert main(argv) == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert calls == []
 
 
 class TestReportCommand:

@@ -285,6 +285,20 @@ class TestFinetune:
         assert model.predict(one) == [one[0].gold]
         assert model.loss_rows[-1]["total"] < 0.1
 
+    def test_finetune_leaves_checkpoint_tensors_unchanged(self):
+        """The fine-tuned encoder trains on its own copy of each tensor:
+        none shares memory with the checkpoint, whose tensors keep their
+        values while the encoder's move."""
+        ds, checkpoint = make_dataset(), make_checkpoint()
+        before = {name: tensor.copy() for name, tensor in checkpoint.params.items()}
+        cfg = FinetuneConfig(batch_size=4, seed=0, max_epochs_low_resource=2)
+        params = finetune(checkpoint, ds, ds.split("train")[:8], 0.5, cfg).encoder.params
+        assert not any(np.shares_memory(params[name], checkpoint.params["text." + name])
+                       for name in params)
+        assert any(not np.array_equal(params[name], before["text." + name]) for name in params)
+        for name, tensor in before.items():
+            np.testing.assert_array_equal(checkpoint.params[name], tensor)
+
     def test_predict_keeps_no_backward_cache(self, monkeypatch):
         ds = make_dataset()
         model = build_task_model(make_checkpoint(), seed=0)

@@ -274,8 +274,10 @@ class TestLoopBookkeeping:
         data, config = make_data(), small_config()
         records, pool = assemble_records(MethodSpec.named("TCL+MLM"), data, config)
         encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
-        result = run_training_loop(config, encoder, None, data.vocab, records, pool,
-                                   ("tcl", "mlm"), (0.5, 2.0), {"method": "mix"})
+        engine = training_module._ComponentEngine(config, encoder, None, data.vocab, pool)
+        steps = {"tcl": (0.5, engine.fns["tcl"]), "mlm": (2.0, engine.fns["mlm"])}
+        result = run_training_loop(config, encoder, None, data.vocab, records, steps,
+                                   {"method": "mix"})
         assert len(result.loss_rows) == 2 * math.ceil(10 / 4)
         for row in result.loss_rows:
             recombined = 0.5 * row["tcl"] + 2.0 * row["mlm"]
@@ -391,7 +393,7 @@ class TestLoopBookkeeping:
         batch = records[:4]
         padded = encoder.prepare_batch([rec.tokens for rec in batch])
         with pytest.raises(TrainingError, match="non-finite image embeddings at step 7") as err:
-            engine.run("cmcl", batch, padded, 0, 7)
+            engine.fns["cmcl"](batch, padded, 0, 7)
         assert err.value.step == 7
 
     @pytest.mark.parametrize("batch_size", [1, 16, 64])
@@ -786,12 +788,12 @@ def probe_loop(probe, weights=(1.0, 1.0)):
     """Three epochs of 10 captions in batches of 4 (9 steps) over the
     components ``a`` and ``b``, each ``probe(name, step)`` -> its loss."""
     data, config = make_data(), small_config(epochs=3)
-    records, pool = assemble_records(MethodSpec.named("MLM"), data, config)
+    records, _ = assemble_records(MethodSpec.named("MLM"), data, config)
     encoder = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
-    components = {name: lambda batch, padded, epoch, step, name=name: (probe(name, step), {}, {})
-                  for name in ("a", "b")}
-    result = run_training_loop(config, encoder, None, data.vocab, records, pool, ("a", "b"),
-                               weights, {"method": "probe"}, extra_components=components)
+    steps = {name: (weight, lambda batch, padded, epoch, step, name=name: (probe(name, step), {}, {}))
+             for name, weight in zip(("a", "b"), weights)}
+    result = run_training_loop(config, encoder, None, data.vocab, records, steps,
+                               {"method": "probe"})
     return result, encoder
 
 
