@@ -1,18 +1,13 @@
 """Versioned parameter containers with byte-stable serialization.
 
-The on-disk layout is magic, a length-prefixed JSON header (sorted keys,
-no whitespace), then raw little-endian float64 tensor data concatenated
-in sorted parameter-name order. Identical parameters and metadata always
-produce identical bytes, which is what makes whole-pipeline reruns
-byte-comparable.
+A checkpoint is a ``textio`` tensor container with the ``CMKTCKPT``
+magic: identical parameters and metadata always produce identical bytes,
+which is what makes whole-pipeline reruns byte-comparable.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +15,8 @@ import numpy as np
 
 from .corpus import Vocab
 from .encoders import TextEncoder, TextEncoderConfig
-from .errors import ParseError, ValidationError
-from .textio import fits, parse_errors, write_bytes
+from .errors import ValidationError
+from .textio import config_from, parse_errors, read_tensors, write_tensors
 
 CHECKPOINT_MAGIC = b"CMKTCKPT"
 CHECKPOINT_VERSION = 1
@@ -57,78 +52,12 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    names = sorted(ckpt.params)
-    index = [
-        {"name": n, "shape": list(ckpt.params[n].shape)}
-        for n in names
-    ]
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "meta": ckpt.meta,
-        "tensors": index,
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", len(header_bytes))
-    blob += header_bytes
-    for n in names:
-        blob += ckpt.params[n].astype("<f8").tobytes()
-    write_bytes(path, bytes(blob))
+    write_tensors(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ckpt.meta, ckpt.params)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 12 or raw[:8] != CHECKPOINT_MAGIC:
-        raise ParseError(f"{path}: not a checkpoint file (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    if len(raw) < 12 + header_len:
-        raise ParseError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: header is not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    if not isinstance(header.get("meta"), dict):
-        raise ParseError(f"{path}: header has no metadata object")
-    params: dict[str, np.ndarray] = {}
-    offset = 12 + header_len
-    for name, shape in _tensor_index(header, path).items():
-        nbytes = math.prod(shape) * 8
-        if offset + nbytes > len(raw):
-            raise ParseError(f"{path}: tensor {name!r} runs past end of file")
-        params[name] = (
-            np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()
-        )
-        offset += nbytes
-    if offset != len(raw):
-        raise ParseError(f"{path}: {len(raw) - offset} trailing bytes after tensors")
-    return Checkpoint(params=params, meta=header["meta"])
-
-
-def _tensor_index(header: dict, path: Path) -> dict[str, tuple[int, ...]]:
-    """The shape of each tensor the header lists, by name in file order."""
-    tensors = header.get("tensors")
-    if not isinstance(tensors, list):
-        raise ParseError(f"{path}: header has no tensor list")
-    index = {}
-    for position, entry in enumerate(tensors):
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not isinstance(name, str):
-            raise ParseError(f"{path}: tensor entry {position} has no name")
-        if name in index:
-            raise ParseError(f"{path}: tensor {name!r} listed twice")
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or not all(
-            type(n) is int and n >= 0 for n in shape
-        ):
-            raise ParseError(f"{path}: tensor {name!r} has a bad shape {shape!r}")
-        index[name] = tuple(shape)
-    return index
+    meta, params = read_tensors(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    return Checkpoint(params=params, meta=meta)
 
 
 def bundle_text_encoder(
@@ -154,12 +83,7 @@ def bundled_config(ckpt: Checkpoint) -> tuple[TextEncoderConfig, Vocab]:
     if "encoder_config" not in ckpt.meta or "vocab" not in ckpt.meta:
         raise ValidationError("checkpoint does not carry an encoder bundle")
     with parse_errors("checkpoint encoder_config", ValidationError):
-        config = TextEncoderConfig(**ckpt.meta["encoder_config"])
-        for f in dataclasses.fields(config):  # shapes and slices need ints
-            default = 0 if f.default is dataclasses.MISSING else f.default
-            value = getattr(config, f.name)
-            if not fits(default, value):
-                raise TypeError(f"{f.name} expects {type(default).__name__}, got {value!r}")
+        config = config_from(TextEncoderConfig, ckpt.meta["encoder_config"])
     with parse_errors("checkpoint vocab", ValidationError):
         vocab = Vocab(ckpt.meta["vocab"])
     if len(vocab) != config.vocab_size:

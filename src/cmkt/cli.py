@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import hashlib
 import json
 import math
 import os
@@ -59,7 +58,7 @@ from .perturbation import (
 )
 from .seeding import rng_for
 from .synth import SynthConfig, generate_world, load_oracle_table, save_world
-from .textio import read_config, write_bytes, write_lines
+from .textio import file_digest, read_config, write_bytes, write_lines
 from .training import (
     METHOD_NAMES,
     PretrainConfig,
@@ -94,12 +93,6 @@ def _require_file(raw: str, what: str) -> Path:
     return path
 
 
-def _hash_path(path: Path) -> str:
-    """Digest of an input file; every input has been read as a file by its
-    loader before the manifest is written."""
-    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
-
-
 def _write_manifest(
     out: Path,
     command: str,
@@ -127,7 +120,7 @@ def _write_manifest(
         "command": command,
         "config": config,
         "inputs": {
-            name: {"path": str(path), "blake2b": _hash_path(path)}
+            name: {"path": str(path), "blake2b": file_digest(path)}
             for name, path in inputs.items()
         },
         "outputs": sorted(str(p) for p in outputs),

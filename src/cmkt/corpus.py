@@ -21,7 +21,6 @@ UNK = "[unk]"
 MASK = "[mask]"
 SEP = "[sep]"
 SPECIALS = (PAD, UNK, MASK, SEP)
-SPECIAL_IDS = frozenset(range(len(SPECIALS)))
 
 TRAIN = "train"
 DEV = "dev"

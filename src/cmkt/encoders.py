@@ -13,7 +13,6 @@ trainable affine projection; no vision backbone lives here.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -24,14 +23,13 @@ import numpy as np
 from .errors import (
     ConfigError,
     FeatureLookupError,
-    ParseError,
     ShapeError,
     TokenizationError,
     ValidationError,
 )
 from .objectives import IMAGE, EmbeddingBatch, softmax_cross_entropy
 from .seeding import rng_for
-from .textio import parse_errors, read_lines, tab_fields, write_bytes, write_lines
+from .textio import parse_errors, read_tensors, write_tensors
 
 PAD_ID = 0
 LN_EPS = 1e-5
@@ -574,7 +572,7 @@ class TextEncoder:
 # ---------------------------------------------------------------------------
 
 FEATURE_MAGIC = b"CMKTFEAT"
-FEATURE_VERSION = 1
+FEATURE_VERSION = 2
 
 
 class FeatureBank:
@@ -613,43 +611,27 @@ class FeatureBank:
         return self._features[rows].astype(np.float64)
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        header = FEATURE_MAGIC + struct.pack(
-            "<III", FEATURE_VERSION, len(self), self.dim
-        )
-        write_bytes(path, header + self._features.astype("<f4").tobytes())
-        write_lines(
-            str(path) + ".ids", (f"{img_id}\t{row}" for row, img_id in enumerate(self._ids))
-        )
+        write_tensors(path, FEATURE_MAGIC, FEATURE_VERSION, {"ids": self._ids},
+                      {"features": self._features})
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureBank":
-        path = Path(path)
-        raw = path.read_bytes()
-        if len(raw) < 20 or raw[:8] != FEATURE_MAGIC:
-            raise ParseError(f"{path}: not a feature bank file (bad magic)")
-        version, count, dim = struct.unpack("<III", raw[8:20])
-        if version != FEATURE_VERSION:
-            raise ParseError(f"{path}: unsupported feature bank version {version}")
-        expected = 20 + count * dim * 4
-        if len(raw) != expected:
-            raise ParseError(f"{path}: expected {expected} bytes, found {len(raw)}")
-        features = np.frombuffer(raw[20:], dtype="<f4").reshape(count, dim)
-        bad = ~np.isfinite(features).all(axis=1)
-        if bad.any():
-            raise ParseError(f"{path}: feature row {int(np.argmax(bad))} holds a non-finite entry")
-        sidecar = str(path) + ".ids"
-        ids: list[Optional[str]] = [None] * count
-        for where, line in read_lines(sidecar):
-            with parse_errors(where):
-                img_id, row = tab_fields(line, 2)
-                row = int(row)
-                if not 0 <= row < count or ids[row] is not None:
-                    raise ValueError(f"bad or duplicate row {row}")
-            ids[row] = img_id
-        if None in ids:
-            raise ParseError(f"{sidecar}: id map does not cover all {count} rows")
-        with parse_errors(sidecar):
+        """The bank at ``path``; a malformed one is a ParseError naming it.
+        The float64 ``features`` tensor holds the float32 rows exactly."""
+        meta, tensors = read_tensors(path, FEATURE_MAGIC, FEATURE_VERSION, "feature bank")
+        with parse_errors(path):
+            if list(tensors) != ["features"]:
+                raise ValueError(f"expected the one tensor 'features', found {sorted(tensors)}")
+            ids = meta["ids"]
+            with np.errstate(over="ignore"):  # beyond float32 is inf, rejected below
+                features = tensors["features"].astype(np.float32)
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise TypeError("ids must be a list of strings")
+            if features.ndim != 2 or features.shape[0] != len(ids):
+                raise ValueError(f"{len(ids)} ids for features of shape {features.shape}")
+            bad = ~np.isfinite(features).all(axis=1)
+            if bad.any():
+                raise ValueError(f"feature row {int(np.argmax(bad))} holds a non-finite entry")
             return cls(ids, features)
 
 

@@ -19,6 +19,7 @@ from cmkt import cli, evaluation, training
 from cmkt.checkpoint import load_checkpoint
 from cmkt.cli import main
 from cmkt.corpus import Vocab, load_pairs
+from cmkt.encoders import FeatureBank
 from cmkt.evaluation import (
     EvalRun,
     FinetuneConfig,
@@ -164,7 +165,8 @@ class TestSynthCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 3
-        assert manifest["outputs"]
+        assert manifest["outputs"] == sorted(
+            str(p) for p in out.iterdir() if p.name != "manifest.json")
 
     def test_rerun_identical_outside_manifest(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -556,6 +558,24 @@ class TestPretrainCommand:
         assert set(manifest["inputs"]) == {"pairs", "vocab", "bank"}
         for entry in manifest["inputs"].values():
             assert len(entry["blake2b"]) == 32
+
+    def test_bank_hash_covers_the_ids(self, world_dir, tiny_pretrain_config, tmp_path):
+        """Two banks with equal rows whose ids differ in one place hash apart.
+        MLM loads the bank it is given without looking anything up in it."""
+        bank = FeatureBank.load(world_dir / "features.npz")
+        ids = list(bank._ids)
+        ids[-1] = "renamed"
+        digests = []
+        for name, bank_ids in (("a", bank._ids), ("b", ids)):
+            FeatureBank(bank_ids, bank._features).save(tmp_path / f"{name}.npz")
+            assert main(["pretrain", "--method", "MLM", "--pairs", str(world_dir / "pairs.tsv"),
+                         "--vocab", str(world_dir / "vocab.txt"),
+                         "--bank", str(tmp_path / f"{name}.npz"),
+                         "--config", str(tiny_pretrain_config),
+                         "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            digests.append(manifest["inputs"]["bank"]["blake2b"])
+        assert digests[0] != digests[1]
 
 
 RUN_FILES = ["checkpoint-final.ckpt", "checkpoint-last.ckpt", "loss.csv", "manifest.json"]

@@ -1,6 +1,9 @@
 """Behaviour and gradient checks for the text and image encoders."""
 
+import re
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from cmkt import (
     ValidationError,
 )
 from cmkt import encoders
-from cmkt.checkpoint import bundle_text_encoder, restore_text_encoder
+from cmkt.checkpoint import CHECKPOINT_MAGIC, bundle_text_encoder, restore_text_encoder
 from cmkt.corpus import SPECIALS, Vocab
 from cmkt.encoders import FeatureBank, ImageEncoder, TextEncoder, TextEncoderConfig
+from cmkt.textio import write_tensors
 
 STEP = 1e-5
 REL_TOL = 1e-4
@@ -679,20 +683,36 @@ def bank():
     )
 
 
+def bank_file(path, meta, tensors, version=encoders.FEATURE_VERSION):
+    """A feature bank container holding exactly ``meta`` and ``tensors``."""
+    write_tensors(path, encoders.FEATURE_MAGIC, version, meta,
+                  {name: np.asarray(t, dtype=np.float64) for name, t in tensors.items()})
+    return path
+
+
 class TestFeatureBank:
-    def test_roundtrip(self, bank, tmp_path):
+    def test_roundtrip(self, tmp_path):
+        """float32 rows through the float64 container come back bit for bit,
+        signed zero, subnormals and the float32 extremes included."""
+        edge = np.array([[-0.0, np.float32(1e-45), np.finfo(np.float32).max,
+                          np.finfo(np.float32).tiny],
+                         [np.float32(1 / 3), -np.float32(2.5e-38), 1.0, -7.0]], dtype=np.float32)
+        rng = np.random.default_rng(42)
+        rows = np.vstack([edge, rng.normal(size=(5, 4)).astype(np.float32)])
+        ids = [f"img{i}" for i in range(7)][::-1]
         path = tmp_path / "feats.bin"
-        bank.save(path)
+        FeatureBank(ids, rows).save(path)
         loaded = FeatureBank.load(path)
-        assert loaded._ids == bank._ids
-        np.testing.assert_array_equal(loaded._features, bank._features)
+        assert loaded._ids == ids
+        assert loaded._features.dtype == np.float32
+        np.testing.assert_array_equal(loaded._features.view(np.uint32), rows.view(np.uint32))
 
     def test_save_bytes_deterministic(self, bank, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         bank.save(p1)
         bank.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert (tmp_path / "a.bin.ids").read_text() == (tmp_path / "b.bin.ids").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin"]
 
     def test_unknown_id_rejected(self, bank):
         with pytest.raises(FeatureLookupError, match="nope"):
@@ -714,15 +734,6 @@ class TestFeatureBank:
         with pytest.raises(ParseError):
             FeatureBank.load(path)
 
-    def test_incomplete_sidecar_rejected(self, bank, tmp_path):
-        path = tmp_path / "feats.bin"
-        bank.save(path)
-        sidecar = tmp_path / "feats.bin.ids"
-        lines = sidecar.read_text().splitlines()
-        sidecar.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ParseError):
-            FeatureBank.load(path)
-
     def test_features_immutable(self, bank):
         with pytest.raises(ValueError):
             bank._features[0, 0] = 9.9
@@ -734,10 +745,63 @@ class TestFeatureBank:
         path = tmp_path / "feats.bin"
         bank.save(path)
         raw = bytearray(path.read_bytes())
-        row = 20 + 3 * bank.dim * 4
-        raw[row : row + 4] = np.array([value], dtype="<f4").tobytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        row = 12 + header_len + 3 * bank.dim * 8
+        raw[row : row + 8] = np.array([value], dtype="<f8").tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match="feats.bin: feature row 3 holds a non-finite entry"):
+            FeatureBank.load(path)
+
+    @pytest.mark.parametrize(
+        "meta, tensors, message",
+        [
+            ({"ids": ["a", "b"]}, {}, "expected the one tensor 'features', found \\[\\]"),
+            ({"ids": ["a", "b"]}, {"features": np.zeros((2, 3)), "extra": np.zeros(1)},
+             "found \\['extra', 'features'\\]"),
+            ({"ids": ["a", "b"]}, {"rows": np.zeros((2, 3))}, "found \\['rows'\\]"),
+            ({"ids": ["a", "b"]}, {"features": np.zeros(6)}, "2 ids for features of shape \\(6,\\)"),
+            ({"ids": ["a", "b"]}, {"features": np.zeros((2, 3, 1))}, "shape \\(2, 3, 1\\)"),
+            ({"ids": "ab"}, {"features": np.zeros((2, 3))}, "list of strings"),
+            ({"ids": ["a", 2]}, {"features": np.zeros((2, 3))}, "list of strings"),
+            ({}, {"features": np.zeros((2, 3))}, "missing field 'ids'"),
+            ({"ids": ["a", "b", "c"]}, {"features": np.zeros((2, 3))},
+             "3 ids for features of shape \\(2, 3\\)"),
+            ({"ids": ["a", "a"]}, {"features": np.zeros((2, 3))}, "unique"),
+            ({"ids": ["a", "b"]}, {"features": [[0.0, 1e300, 0.0], [0.0] * 3]},
+             "feature row 0 holds a non-finite entry"),
+        ],
+        ids=["no-tensor", "extra-tensor", "misnamed-tensor", "1-d", "3-d", "ids-not-list",
+             "id-not-string", "no-ids", "count-mismatch", "duplicate-ids", "beyond-float32"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_bank_is_parse_error_naming_file(self, tmp_path, meta, tensors, message):
+        path = bank_file(tmp_path / "features.npz", meta, tensors)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ") + ".*" + message):
+            FeatureBank.load(path)
+
+    def test_other_version_is_parse_error(self, tmp_path):
+        path = bank_file(tmp_path / "features.npz", {"ids": ["a"]},
+                         {"features": np.zeros((1, 2))}, version=1)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: unsupported feature bank "
+                                                       "version 1")):
+            FeatureBank.load(path)
+
+    @pytest.mark.parametrize("count", [0, 2, 5, 0x31, 0x7B])
+    def test_v1_layout_is_parse_error_naming_file(self, tmp_path, count):
+        """The layout before the tensor container: magic, a <III header of
+        version 1, row count and dim, then float32 rows, ids in a sidecar.
+        Counts whose low byte reads as JSON are among the cases."""
+        path = tmp_path / "features.npz"
+        path.write_bytes(encoders.FEATURE_MAGIC + struct.pack("<III", 1, count, 3)
+                         + np.ones((count, 3), dtype="<f4").tobytes())
+        Path(f"{path}.ids").write_text("".join(f"img{i}\t{i}\n" for i in range(count)))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
+            FeatureBank.load(path)
+
+    def test_checkpoint_is_not_a_bank(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_tensors(path, CHECKPOINT_MAGIC, 1, {}, {"features": np.zeros((1, 2))})
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not a feature bank file")):
             FeatureBank.load(path)
 
     def test_duplicate_ids_rejected(self):

@@ -21,7 +21,6 @@ from cmkt.training import load_similarity_set, read_loss_log, write_loss_log
 LOADERS = {
     "pairs.tsv": load_pairs,
     "features.npz": FeatureBank.load,
-    "features.npz.ids": lambda path: FeatureBank.load(path.with_suffix("")),
     "vocab.txt": Vocab.load,
     "lexicon.tsv": Lexicon.load,
     "postags.tsv": PosTagger.load,

@@ -3,7 +3,8 @@
 ``src/cmkt`` imports again from a module the file already imports at the top
 level. Every public function, class and method of ``src/cmkt`` is named by the
 package, a demo or the benchmark, not only by tests; a method or property
-counts as named only by an attribute read or a dotted string. Only ``cmkt/parallel.py``
+counts as named only by an attribute read or a dotted string, and the method
+names that two or more classes share are pinned. Only ``cmkt/parallel.py``
 forks, in the package and in ``scripts``. Also: what importing the CLI loads."""
 
 import ast
@@ -38,6 +39,24 @@ KEPT = {
 # readers of two on-disk formats, which criterion 8 and test_format_fuzz.py
 # round-trip against their writers
 UNCALLED_KEPT = {"evaluation.parse_report_csv", "synth.load_world"}
+
+# public method names that two or more classes define, with those classes.
+# The uncalled-definition scan matches a method by its name alone, so one
+# definition's caller keeps every namesake alive; each definition here was
+# checked to have a caller of its own. A new shared name, or a new class
+# sharing one of these, fails test_shared_method_names_are_pinned until it
+# is checked and added.
+SHARED_METHODS = {
+    "save": {"corpus.Vocab", "encoders.FeatureBank", "perturbation.Lexicon",
+             "perturbation.PosTagger"},
+    "load": {"corpus.Vocab", "encoders.FeatureBank", "perturbation.Lexicon",
+             "perturbation.PosTagger"},
+    "dim": {"encoders.TextEncoder", "encoders.FeatureBank"},
+    "backward": {"encoders.TextEncoder", "encoders.ImageEncoder"},
+    "encode": {"encoders.TextEncoder", "encoders.ImageEncoder"},
+    "top_candidates": {"perturbation.MaskedLMOracle", "perturbation.MockOracle",
+                       "perturbation.FrequencyOracle"},
+}
 
 # the one file allowed to fork: everything else runs side by side through
 # its map_forked
@@ -156,10 +175,26 @@ def uncalled_definitions(definitions: dict[str, str], callers: list[str]) -> lis
     )
 
 
+def package_definitions() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
 def package_uncalled() -> list[str]:
-    definitions = {path.stem: path.read_text(encoding="utf-8")
-                   for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    return uncalled_definitions(definitions, [path.read_text(encoding="utf-8") for path in CALLERS])
+    return uncalled_definitions(package_definitions(),
+                                [path.read_text(encoding="utf-8") for path in CALLERS])
+
+
+def shared_methods(definitions: dict[str, str]) -> dict[str, set[str]]:
+    """Each public method name that two or more classes define (module stem
+    -> source), with those classes as ``module.Class``."""
+    owners: dict[str, set[str]] = {}
+    for module, src in definitions.items():
+        for name in public_definitions(ast.parse(src), module):
+            if name.count(".") == 2:
+                owner, method = name.rsplit(".", 1)
+                owners.setdefault(method, set()).add(owner)
+    return {method: found for method, found in owners.items() if len(found) > 1}
 
 
 def fork_uses(source: str, module: str) -> list[str]:
@@ -232,6 +267,25 @@ def test_every_uncalled_exemption_is_still_uncalled():
     """An exemption holds only while its definition exists and still has no
     caller, so a stale one fails here."""
     assert UNCALLED_KEPT <= set(package_uncalled())
+
+
+def test_shared_method_names_are_pinned():
+    """A dead method hides behind a live namesake on another class, which
+    the uncalled scan cannot tell apart: find a caller for each new one."""
+    assert shared_methods(package_definitions()) == SHARED_METHODS
+
+
+def test_shared_method_scan_groups_classes_by_method_name():
+    definitions = {
+        "m": "class A:\n    def save(self): pass\n    def _hidden(self): pass\n"
+             "class B:\n    def save(self): pass\n    def _hidden(self): pass\n"
+             "    def own(self): pass\n"
+             "def save(): pass\n",
+        "n": "class C:\n    def save(self): pass\n    def own(self): pass\n"
+             "class _D:\n    def save(self): pass\n",
+    }
+    assert shared_methods(definitions) == {"save": {"m.A", "m.B", "n.C"},
+                                           "own": {"m.B", "n.C"}}
 
 
 def test_uncalled_scan_counts_names_attributes_and_dotted_strings():

@@ -43,7 +43,7 @@ def test_listing_covers_every_command_output(all_cores):
     runs = [f"pretrain-{m}" for m in METHOD_NAMES] + ["teacher-cmcl", "teacher-hinge"]
     expected = (
         {f"world/{name}" for name in WORLD_FILES.values()}
-        | {"world/features.npz.ids", "perturb.tsv", "finetune.json"}
+        | {"perturb.tsv", "finetune.json"}
         | {f"eval-{p}.jsonl" for p in ("low64", "low128", "full")}
         | {f"{run}/{f}" for run in runs
            for f in ("checkpoint-final.ckpt", "checkpoint-last.ckpt", "loss.csv")}

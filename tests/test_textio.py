@@ -1,22 +1,22 @@
 """The line-record reader and writer, the loaders built on them, and two
-scans that keep every other module of the package from reading text or
-writing files itself."""
+scans that keep every other module of the package from reading or writing
+files itself."""
 
 import ast
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cmkt.corpus import Vocab, load_pairs
-from cmkt.encoders import FeatureBank
+from cmkt.encoders import TextEncoderConfig
 from cmkt.errors import ConfigError, ParseError, ValidationError
-from cmkt.evaluation import load_mcqa, load_runs
+from cmkt.evaluation import FinetuneConfig, load_mcqa, load_runs
 from cmkt.perturbation import Lexicon, PosTagger, load_records
 from cmkt.synth import load_oracle_table
 from cmkt.synth import SynthConfig
 from cmkt.textio import (
+    config_from,
     parse_errors,
     read_config,
     read_lines,
@@ -55,6 +55,23 @@ class TestReadConfig:
         path = tmp_path / "c.json"
         path.write_text('{"noise": 0, "seed": 4}')
         assert read_config(SynthConfig, path) == SynthConfig(noise=0.0, seed=4)
+
+
+class TestConfigFrom:
+    def test_lists_become_tuples_and_fields_are_left_unchanged(self):
+        fields = {"learning_rates": [0.1, 1], "seed": 2}
+        config = config_from(FinetuneConfig, fields)
+        assert config.learning_rates == (0.1, 1.0) and config.seed == 2
+        assert fields == {"learning_rates": [0.1, 1], "seed": 2}
+
+    @pytest.mark.parametrize("value", [8.0, "8", True])
+    def test_field_without_default_checks_as_int(self, value):
+        with pytest.raises(TypeError, match="TextEncoderConfig.vocab_size expects int"):
+            config_from(TextEncoderConfig, {"vocab_size": value})
+
+    def test_missing_required_field_raises(self):
+        with pytest.raises(TypeError, match="vocab_size"):
+            config_from(TextEncoderConfig, {"dim": 4})
 
 
 class TestReadLines:
@@ -216,33 +233,8 @@ def test_duplicate_vocab_line_is_parse_error_naming_path(tmp_path):
         Vocab.load(path)
 
 
-class TestFeatureBankSidecar:
-    @pytest.fixture
-    def bank_path(self, tmp_path):
-        path = tmp_path / "features.npz"
-        FeatureBank(["a", "b"], np.zeros((2, 3))).save(path)
-        return path
-
-    @pytest.mark.parametrize("sidecar", ["a\t0\nb\t²\n", "a\t0\nb\tone\n", "a\t0\nb\n",
-                                         "a\t0\nb\t0\n", "a\t0\nb\t-1\n"])
-    def test_bad_row_is_parse_error_at_line_2(self, bank_path, sidecar):
-        Path(str(bank_path) + ".ids").write_text(sidecar, encoding="utf-8")
-        with pytest.raises(ParseError, match=re.escape(f"{bank_path}.ids:2: ")):
-            FeatureBank.load(bank_path)
-
-    def test_duplicate_id_is_parse_error_naming_sidecar(self, bank_path):
-        Path(str(bank_path) + ".ids").write_text("a\t0\na\t1\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=re.escape(f"{bank_path}.ids: ")):
-            FeatureBank.load(bank_path)
-
-    def test_non_utf8_is_parse_error(self, bank_path):
-        Path(str(bank_path) + ".ids").write_bytes(b"a\t0\n\xffb\t1\n")
-        with pytest.raises(ParseError, match="not UTF-8"):
-            FeatureBank.load(bank_path)
-
-
 # ---------------------------------------------------------------------------
-# only the reader module reads text
+# only the reader module reads files
 # ---------------------------------------------------------------------------
 
 
@@ -260,27 +252,28 @@ def _open_mode(call: ast.Call):
     return call.args[position] if len(call.args) > position else None
 
 
-def _reads_text(call: ast.Call) -> bool:
+def _reads(call: ast.Call) -> bool:
     mode = _open_mode(call)
     if mode is None:
         return True  # the default mode is "r"
     if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
         return True  # a computed mode may well be "r"
-    return "b" not in mode.value and not set("wax") & set(mode.value)
+    return not set("wax") & set(mode.value)
 
 
-def text_reads(source: str, module: str) -> list[str]:
-    """Calls that read a file as text: ``.read_text(``, and ``open`` with no
-    mode or a mode that neither writes nor is binary."""
+def file_reads(source: str, module: str) -> list[str]:
+    """Calls that read a file, as text or as bytes: ``.read_text(``,
+    ``.read_bytes(``, and ``open`` with no mode or a mode that does not
+    write."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "read_text" and isinstance(func, ast.Attribute):
-            found.append(f"{module}.py:{node.lineno}: read_text")
-        elif name == "open" and _reads_text(node):
+        if name in ("read_text", "read_bytes") and isinstance(func, ast.Attribute):
+            found.append(f"{module}.py:{node.lineno}: {name}")
+        elif name == "open" and _reads(node):
             found.append(f"{module}.py:{node.lineno}: open")
     return sorted(found)
 
@@ -291,7 +284,9 @@ def text_reads(source: str, module: str) -> list[str]:
     ids=lambda p: p.stem,
 )
 def test_no_module_reads_text_but_the_reader(path):
-    assert text_reads(path.read_text(encoding="utf-8"), path.stem) == []
+    """Nor bytes: the binary containers and the manifest's input digests
+    are read there too."""
+    assert file_reads(path.read_text(encoding="utf-8"), path.stem) == []
 
 
 def test_scan_finds_text_reads():
@@ -306,9 +301,13 @@ def test_scan_finds_text_reads():
         "f = Path('x').open()\n"
         "g = Path('x').open('wb')\n"
         "h = open('x', 'r+')\n"
+        "i = Path('x').read_bytes()\n"
+        "j = Path('x').open('rb')\n"
+        "k = io.open('x', mode='ab')\n"
     )
-    assert text_reads(source, "m") == [
-        "m.py:10: open", "m.py:3: read_text", "m.py:4: open", "m.py:7: open", "m.py:8: open",
+    assert file_reads(source, "m") == [
+        "m.py:10: open", "m.py:11: read_bytes", "m.py:12: open", "m.py:3: read_text",
+        "m.py:4: open", "m.py:5: open", "m.py:7: open", "m.py:8: open",
     ]
 
 
