@@ -37,7 +37,7 @@ def heldout_recall(checkpoint):
     else:
         # text-only methods never train a projection; use the random one
         image_encoder = ImageEncoder.initialized(world.bank, config.dim, seed=0)
-    vectors = image_encoder.encode([p.image_id for p in dev]).vectors
+    vectors = image_encoder.project([p.image_id for p in dev])
     seqs = [tokenize(p.caption, vocab, max_len=config.max_len) for p in dev]
     return retrieval_recall_at_1(encoder, vectors, seqs)
 
@@ -47,7 +47,7 @@ untrained = TextEncoder(config.encoder_config(len(world.vocab)), seed=0)
 raw = ImageEncoder.initialized(world.bank, config.dim, seed=0)
 seqs = [tokenize(p.caption, world.vocab, max_len=config.max_len) for p in dev]
 before = retrieval_recall_at_1(
-    untrained, raw.encode([p.image_id for p in dev]).vectors, seqs
+    untrained, raw.project([p.image_id for p in dev]), seqs
 )
 print(f"recall@1 = {before:.3f}  (chance is {1 / len(dev):.3f})\n")
 

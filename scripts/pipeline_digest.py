@@ -17,8 +17,9 @@ outputs exactly when ``diff`` finds nothing between their listings:
     python3 scripts/pipeline_digest.py --src b/src --seed 0 > b.txt
     diff a.txt b.txt
 
-BLAS runs on one thread in the subprocesses, so the listing does not
-depend on the core count.
+Every cmkt process runs OpenBLAS on one thread, whatever thread count it
+starts with, so the listing depends on neither the core count nor the
+environment's BLAS settings.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ EVALS = (("low64", "CMCL"), ("low128", "CMKD"), ("full", "CMCL+ANS"))
 
 def run_pipeline(src: Path, seed: int, epochs: int, work: Path) -> Path:
     """Runs every command in ``work``; returns the directory of outputs."""
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     configs = work / "config"
     configs.mkdir()
     for name, value in (

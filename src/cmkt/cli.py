@@ -47,6 +47,7 @@ from .evaluation import (
     save_runs,
     supervised_protocol,
 )
+from .parallel import pin_blas_threads
 from .perturbation import (
     FrequencyOracle,
     Lexicon,
@@ -101,6 +102,7 @@ def _write_manifest(
     outputs: list[Path],
     seed: int,
     started: float,
+    blas_threads: int | None,
 ) -> None:
     """Writes the command's manifest, inside ``out`` when the command left a
     directory there and beside it otherwise: inputs (hashed), outputs,
@@ -110,7 +112,8 @@ def _write_manifest(
     workers and the training step worker; 0, or what the launcher ran
     before ``exec``, when none ran), the user plus
     system CPU seconds of the process and of its reaped children, the
-    python and numpy versions and numpy's BLAS library. Like the
+    python and numpy versions, numpy's BLAS library and the OpenBLAS
+    thread count ``blas_threads`` the command ran with. Like the
     timestamp, the times vary between re-runs, so no byte comparison reads
     a manifest."""
     own, children = (resource.getrusage(who)
@@ -134,6 +137,7 @@ def _write_manifest(
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": blas_threads,
     }
     path = out / "manifest.json" if out.is_dir() else Path(f"{out}.manifest.json")
     write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])
@@ -532,9 +536,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help (0) or bad usage (2), printed by argparse
         return exc.code
     started = time.perf_counter()
+    blas_threads = pin_blas_threads()
     try:
         config, inputs, outputs, seed = args.func(args)
-        _write_manifest(Path(args.out), args.command, config, inputs, outputs, seed, started)
+        _write_manifest(Path(args.out), args.command, config, inputs, outputs, seed, started,
+                        blas_threads)
         return EXIT_OK
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)

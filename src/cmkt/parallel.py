@@ -2,9 +2,11 @@
 package that forks: :func:`map_forked` for a list of independent calls,
 :func:`step_worker` for the second loss component of each training step.
 
-Both run their workers the same way (one OpenBLAS thread, warnings kept
-and replayed by the parent, length-prefixed pickles on a pipe, kill and
-reap on every path), and both give what one process gives."""
+Every cmkt process runs OpenBLAS on one thread (:func:`pin_blas_threads`,
+which the CLI, the training loop and both of these call), so the cores go
+to forked workers. Both run their workers the same way (warnings kept and
+replayed by the parent, length-prefixed pickles on a pipe, kill and reap
+on every path), and both give what one process gives."""
 
 from __future__ import annotations
 
@@ -36,13 +38,20 @@ _BLAS_THREAD_FUNCTIONS = (
 # True in a forked worker, which already owns its core and forks no worker
 _in_worker = False
 
+# OpenBLAS's (get, set) pair once found: the loaded library does not change
+# within a process
+_blas = None
+
 # a message on a pipe: its length, then its pickle
 _LENGTH = struct.Struct("<Q")
 
 
 def _blas_threads():
     """OpenBLAS's ``(get, set)`` num-threads functions in this process, or
-    None when no loaded library exports them."""
+    None when no loaded library that can be opened exports them."""
+    global _blas
+    if _blas is not None:
+        return _blas
     try:
         maps = read_text("/proc/self/maps").splitlines()
     except (OSError, ParseError):
@@ -50,14 +59,31 @@ def _blas_threads():
     # a mapped file's path is a line's last field ("(deleted)" when unlinked)
     paths = sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1].lower()})
     for path in paths:
-        library = ctypes.CDLL(path)  # already loaded: the same handle
+        try:
+            library = ctypes.CDLL(path)  # already loaded: the same handle
+        except OSError:
+            continue
         for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
             get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                _blas = get, set_
+                return _blas
     return None
+
+
+def pin_blas_threads() -> Optional[int]:
+    """Runs OpenBLAS on one thread for the rest of the process (like the
+    training loop's malloc thresholds, the setting is never undone) and
+    returns the count it then reports, or None where no thread setter is
+    found. Forked workers inherit the pin. At dim 32 a second thread only
+    spins and holds a GEMM buffer of its own."""
+    blas = _blas_threads()
+    if blas is None:
+        return None
+    blas[1](1)
+    return blas[0]()
 
 
 def _worker_count(jobs: int) -> int:
@@ -124,11 +150,11 @@ def _reply(fd: int, report: tuple, what: str) -> None:
     _send(fd, payload)
 
 
-def _fork(work: Callable[[], None], set_blas_threads, close: Sequence[int] = ()) -> int:
-    """Forks a worker that closes the parent's ends of its pipes, pins
-    OpenBLAS to one thread (at this package's shapes a second one only
-    spins), runs ``work`` and exits, never returning into the caller's
-    stack; returns its pid."""
+def _fork(work: Callable[[], None], close: Sequence[int] = ()) -> int:
+    """Forks a worker that closes the parent's ends of its pipes, runs
+    ``work`` and exits, never returning into the caller's stack; returns
+    its pid. The worker inherits the parent's OpenBLAS thread count, which
+    the caller pins to one first."""
     pid = os.fork()
     if pid:
         return pid
@@ -138,7 +164,6 @@ def _fork(work: Callable[[], None], set_blas_threads, close: Sequence[int] = ())
         _in_worker = True
         for fd in close:
             os.close(fd)
-        set_blas_threads(1)
         work()
         code = 0
     finally:
@@ -216,11 +241,11 @@ def map_forked(fn: Callable, items: Sequence) -> list:
     :class:`TrainingError`; on every path, interrupts included, all workers
     are killed and reaped. The parent runs the loop itself when there is one
     item, one usable core, no ``os.fork``/``os.sched_getaffinity``, no
-    OpenBLAS thread setter, or when it is itself a worker."""
+    OpenBLAS thread setter, or when it is itself a worker. Each worker
+    runs the one OpenBLAS thread the parent pins before forking."""
     items = list(items)
     workers = _worker_count(len(items))
-    blas = _blas_threads() if workers > 1 else None
-    if blas is None:
+    if workers == 1 or pin_blas_threads() is None:
         return [fn(item) for item in items]
 
     reports = [None] * len(items)
@@ -229,7 +254,7 @@ def map_forked(fn: Callable, items: Sequence) -> list:
         for first in range(workers):
             pipes += os.pipe()
             running.append(_fork(functools.partial(
-                _serve_items, pipes[-1], fn, items, first, workers), blas[1], [pipes[-2]]))
+                _serve_items, pipes[-1], fn, items, first, workers), [pipes[-2]]))
             os.close(pipes.pop())  # the write end is the worker's alone
         for first, (pid, read_fd) in enumerate(zip(list(running), pipes)):
             index = first
@@ -286,29 +311,25 @@ def step_worker(fn: Callable, params: Sequence[dict]) -> Iterator[Optional[Calla
     returns its result, which must pickle. ``what`` names the worker's call
     in an error. A worker that dies is a :class:`TrainingError`.
 
-    For the block, the arrays of ``params`` live in one shared mapping and
-    both processes run one OpenBLAS thread; on the way out the worker is
-    killed and reaped, the arrays are copied back into private memory
-    (the mapping goes with its last view) and the thread count is
-    restored. Yields None, and changes nothing, where fewer than 2 usable
+    For the block, the arrays of ``params`` live in one shared mapping, and
+    the worker inherits the one OpenBLAS thread the parent pins before
+    forking; on the way out the worker is killed and reaped and the arrays
+    are copied back into private memory (the mapping goes with its last
+    view). Yields None, and shares nothing, where fewer than 2 usable
     cores, no ``os.fork`` or no OpenBLAS thread setter leave no room for a
     worker, and inside a worker, which already owns its core."""
-    blas = _blas_threads() if _worker_count(2) > 1 else None
-    if blas is None:
+    if _worker_count(2) == 1 or pin_blas_threads() is None:
         yield None
         return
-    get_blas_threads, set_blas_threads = blas
-    threads = get_blas_threads()
     running, fds = [], []
     try:
-        set_blas_threads(1)
         _share(params)
         request_read, request_write = os.pipe()
         reply_read, reply_write = os.pipe()
         fds += request_write, reply_read  # the parent's ends
         try:
             running.append(_fork(functools.partial(
-                _serve_steps, request_read, reply_write, fn), set_blas_threads, fds))
+                _serve_steps, request_read, reply_write, fn), fds))
         finally:
             # the worker's ends are the worker's alone, so its death ends both pipes
             os.close(request_read)
@@ -334,4 +355,3 @@ def step_worker(fn: Callable, params: Sequence[dict]) -> Iterator[Optional[Calla
         for d in params:
             for name, value in d.items():
                 d[name] = value.copy()
-        set_blas_threads(threads)

@@ -51,7 +51,7 @@ from .corpus import CaptionPair, Vocab, plan_dynamic_masking, tokenize
 from .encoders import FeatureBank, ImageEncoder, TextEncoder, TextEncoderConfig
 from .errors import ConfigError, DomainError, ParseError, ShapeError, TrainingError
 from .objectives import ans_loss, cmcl_total, hinge_loss, tcl_loss
-from .parallel import step_worker
+from .parallel import pin_blas_threads, step_worker
 from .perturbation import ADVERSARIAL_NEGATIVE, PerturbationRecord
 from .seeding import derive_seed, rng_for
 from .textio import parse_errors, read_lines, tab_fields, write_lines
@@ -347,6 +347,7 @@ def sgd_loop(
     ``end_epoch(epoch, steps so far)`` runs after each epoch. Returns the
     loss rows, each led by its step and epoch."""
     _keep_freed_heap()
+    pin_blas_threads()
     rows: list[dict] = []
     step = 0
     for epoch in range(1, epochs + 1):
@@ -427,6 +428,7 @@ class _ComponentEngine:
         """Text forward under the dropout draw of ``purpose``; a
         non-finite pooled output means training diverged."""
         cache = self.encoder.forward(*padded, derive_seed(self.config.seed, purpose, epoch, step))
+        del cache["hidden"]  # every caller reads only the pooled output
         _check_finite(cache["pooled"], "text", step)
         return cache
 
@@ -718,7 +720,7 @@ def build_voken_bank(
         raise ConfigError(
             f"voken bank needs {count} distinct images, corpus has {len(distinct)}"
         )
-    return image_encoder.encode(distinct[:count]).vectors
+    return image_encoder.project(distinct[:count])
 
 
 # ---------------------------------------------------------------------------

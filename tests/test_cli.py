@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cmkt import cli, evaluation, training
+from cmkt import cli, evaluation, parallel, training
 from cmkt.checkpoint import load_checkpoint
 from cmkt.cli import main
 from cmkt.corpus import Vocab, load_pairs
@@ -851,11 +851,14 @@ class TestEvalCommand:
                                                    tiny_pretrain_config, tmp_path):
         """A fresh ``distill`` process, whose two components run side by
         side, records its step worker's CPU seconds; an MLM ``pretrain``,
-        which forks none, records 0. Both name numpy's BLAS library."""
+        which forks none, records 0. Both name numpy's BLAS library and
+        the one OpenBLAS thread they ran with (null where no OpenBLAS
+        thread setter is found)."""
         data = ["--pairs", str(world_dir / "pairs.tsv"), "--vocab", str(world_dir / "vocab.txt"),
                 "--config", str(tiny_pretrain_config)]
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        threads = None if parallel._blas_threads() is None else 1
         manifests = {}
         for name, command in (("distill", ["distill", "--teacher",
                                            str(cmcl_dir / "checkpoint-final.ckpt")]),
@@ -867,6 +870,7 @@ class TestEvalCommand:
         for manifest in manifests.values():
             assert manifest["cpu_s"] > 0
             assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+            assert manifest["blas_threads"] == threads
         assert manifests["distill"]["cpu_children_s"] > 0
         assert manifests["mlm"]["cpu_children_s"] == 0
 
@@ -1236,6 +1240,24 @@ class TestAllocatorHook:
             raise OSError(f"{name}: cannot open shared object file")
 
         monkeypatch.setattr(training.ctypes, "CDLL", no_libc)
+        monkeypatch.setattr(parallel, "_blas", None)  # OpenBLAS cannot be opened either
         assert training._keep_freed_heap() is None
         assert main(self.pretrain_argv(world_dir, tiny_pretrain_config, tmp_path / "o")) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestBlasPin:
+    """Every command runs OpenBLAS on one thread from its start and leaves
+    it there, as the training loop does for library callers."""
+
+    def test_command_runs_and_leaves_one_thread(self, world_dir, tiny_pretrain_config,
+                                                tmp_path, blas_threads):
+        out = tmp_path / "o"
+        assert main(TestAllocatorHook.pretrain_argv(world_dir, tiny_pretrain_config, out)) == 0
+        assert blas_threads() == 1
+        assert json.loads((out / "manifest.json").read_text())["blas_threads"] == 1
+
+    def test_failed_command_is_pinned_too(self, tmp_path, blas_threads):
+        assert main(["perturb", "--pairs", str(tmp_path / "missing.tsv"), "--lexicon", "l",
+                     "--tags", "t", "--out", str(tmp_path / "r.tsv")]) == 2
+        assert blas_threads() == 1

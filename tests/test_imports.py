@@ -5,7 +5,8 @@ level. Every public function, class and method of ``src/cmkt`` is named by the
 package, a demo or the benchmark, not only by tests; a method or property
 counts as named only by an attribute read or a dotted string, and the method
 names that two or more classes share are pinned. Only ``cmkt/parallel.py``
-forks, in the package and in ``scripts``. Also: what importing the CLI loads."""
+forks and names OpenBLAS's thread functions, in the package and in
+``scripts``. Also: what importing the CLI loads."""
 
 import ast
 import importlib.util
@@ -62,6 +63,10 @@ SHARED_METHODS = {
 # its map_forked
 FORK_POOL = PACKAGE / "parallel.py"
 FORK_SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
+
+# OpenBLAS's thread functions and the BLAS thread variables, which only the
+# fork pool's one-thread pin names
+BLAS_THREADS = re.compile(r"num_threads", re.IGNORECASE)
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
@@ -234,6 +239,19 @@ def test_only_the_fork_pool_forks(path):
         assert uses, "the pool no longer forks: update FORK_POOL"
     else:
         assert uses == []
+
+
+@pytest.mark.parametrize("path", FORK_SCANNED, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_only_the_fork_pool_sets_blas_threads(path):
+    """Every cmkt process runs one OpenBLAS thread, pinned by
+    ``parallel.pin_blas_threads`` alone; a second place that sets the
+    count, or exports it to a subprocess, would duplicate or undo it."""
+    lines = [number for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if BLAS_THREADS.search(line)]
+    if path == FORK_POOL:
+        assert lines, "the pool no longer names the thread functions: update FORK_POOL"
+    else:
+        assert lines == []
 
 
 def test_fork_scan_finds_calls_and_imports():

@@ -1,7 +1,9 @@
 """The fork map and the step worker: results, errors, warnings, shared
 parameters and process hygiene of ``map_forked`` and ``step_worker``
-against the code they stand for, on cheap functions."""
+against the code they stand for, on cheap functions; and the one-thread
+OpenBLAS pin that every process and worker runs under."""
 
+import ctypes
 import os
 import signal
 import time
@@ -12,7 +14,7 @@ import pytest
 
 from cmkt import parallel
 from cmkt.errors import TrainingError
-from cmkt.parallel import map_forked, step_worker
+from cmkt.parallel import map_forked, pin_blas_threads, step_worker
 
 MULTI_CORE = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -52,6 +54,27 @@ def fail_at_one_and_two(x):
     if x in (1, 2):
         raise ValueError(f"item {x} failed")
     return x
+
+
+class TestBlasPin:
+    def test_pin_leaves_one_thread_and_is_idempotent(self, blas_threads):
+        assert pin_blas_threads() == 1
+        assert pin_blas_threads() == 1
+        assert blas_threads() == 1
+
+    def test_lookup_is_kept(self, monkeypatch):
+        found = parallel._blas_threads()
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: pytest.fail("looked up again"))
+        assert parallel._blas_threads() is found
+
+    def test_library_that_cannot_be_opened_is_no_setter(self, monkeypatch):
+        def cannot_open(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(parallel, "_blas", None)
+        monkeypatch.setattr(ctypes, "CDLL", cannot_open)
+        assert parallel._blas_threads() is None
+        assert pin_blas_threads() is None
 
 
 class TestInParent:
@@ -99,6 +122,12 @@ class TestMapForked:
         loop = shown_by(lambda: [warn_and_square(x) for x in range(4)], action)
         assert forked == loop
         assert_no_children_left()
+
+    def test_workers_and_parent_run_one_blas_thread(self, blas_threads):
+        out = map_forked(lambda x: (blas_threads(), os.getpid()), range(4))
+        assert {pid for _, pid in out} - {os.getpid()}, "no item ran in a worker"
+        assert [threads for threads, _ in out] == [1] * 4
+        assert blas_threads() == 1
 
     def test_dead_worker_raises(self):
         parent = os.getpid()
@@ -202,16 +231,14 @@ class TestStepWorker:
             assert shared_maps() == before + 1
         assert shared_maps() == before
 
-    def test_blas_threads_restored(self):
-        get_threads, set_threads = parallel._blas_threads()
-        threads = get_threads()
-        try:
-            set_threads(2)
-            with open_step_worker({"w": np.ones(1)}):
-                assert get_threads() == 1
-            assert get_threads() == 2
-        finally:
-            set_threads(threads)
+    def test_parent_stays_at_one_blas_thread(self, blas_threads):
+        """The pin is process-wide and never undone: the worker inherits it,
+        and the parent keeps it after the block."""
+        with open_step_worker({"w": np.ones(1)}, lambda arg: blas_threads()) as side_by_side:
+            assert blas_threads() == 1
+            mine, theirs = side_by_side(None, None, "step 0")
+            assert mine() == theirs() == 1
+        assert blas_threads() == 1
 
     def test_errors_and_warnings_replay_in_thunk_order(self):
         def fn(arg):

@@ -355,6 +355,56 @@ class TestLoopBookkeeping:
         checkpoint_bytes = sum(v.nbytes for v in result.final.params.values())
         assert eight - two < checkpoint_bytes
 
+    def test_cmcl_ans_step_peak_is_bounded(self):
+        """One CMCL+ANS step at the benchmark's width, 64 captions of 14
+        tokens with 4 hard negatives each over a 400-word vocabulary,
+        peaks at most 2,650 bytes per caption or negative token row above
+        its start under ``tracemalloc``: the contrastive encodes drop the
+        hidden states that no contrastive loss reads (holding them reads
+        about 2,810)."""
+        config = small_config(batch_size=64, max_len=16, dim=32, ffn_dim=64, num_blocks=2,
+                              hard_negative_cap=4)
+        rng = np.random.default_rng(0)
+
+        def caption():
+            return tuple(int(t) for t in rng.integers(4, 400, size=14))
+
+        ids = [f"img{i}" for i in range(64)]
+        records = [training_module.TrainRecord(i, caption(), negatives=(caption(),) * 4)
+                   for i in ids]
+        encoder = TextEncoder(config.encoder_config(400), seed=0)
+        images = ImageEncoder.initialized(FeatureBank(ids, rng.normal(size=(64, 16))),
+                                          config.dim, 0)
+        engine = training_module._ComponentEngine(config, encoder, images, make_data().vocab,
+                                                  [caption()])
+        padded = encoder.prepare_batch([rec.tokens for rec in records])
+
+        def step():
+            return engine.fns["cmcl"](records, padded, 1, 0)
+
+        step()  # first-use allocations land outside the measured step
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_650 * 64 * 5 * 14
+
+    def test_loop_runs_one_blas_thread(self, blas_threads):
+        """A library caller that never goes through the CLI still trains on
+        one OpenBLAS thread, and keeps it afterwards."""
+        seen = []
+
+        def step_fn(batch, epoch, step):
+            seen.append(blas_threads())
+            return {"total": 0.0}, [{"w": np.zeros(1)}]
+
+        training_module.sgd_loop(range(4), 0, "order", 1, 2, 0.1, step_fn, [{"w": np.ones(1)}])
+        assert seen == [1, 1]
+        assert blas_threads() == 1
+
     def test_checkpoints_restore_to_working_encoders(self):
         result = pretrain("MLM", make_data(), small_config(epochs=1))
         encoder, vocab = restore_text_encoder(result.final)
