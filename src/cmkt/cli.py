@@ -207,10 +207,11 @@ def _train(args, train, settings: dict, inputs: dict[str, Path]):
     """The body of pretrain, teacher and distill: reads the config and the
     training data, runs ``train(data, config, on_epoch)``, then writes the
     final checkpoint and the loss log. ``on_epoch`` replaces
-    ``out/checkpoint-last.ckpt`` as soon as each epoch ends, creating
-    ``out`` on the first one, so a failed run keeps the checkpoint of its
-    last completed epoch; a file standing where ``out`` or a parent of it
-    must go is bad input, reported before anything is read or trained.
+    ``out/checkpoint-last.ckpt`` and ``out/loss.csv`` as soon as each epoch
+    ends, creating ``out`` on the first one, so a failed run keeps the
+    checkpoint and the loss rows of its last completed epoch; a file
+    standing where ``out`` or a parent of it must go is bad input,
+    reported before anything is read or trained.
     ``settings`` joins the config in the manifest, ``inputs`` joins the
     pairs, vocab, bank and perturbation files."""
     out = Path(args.out)
@@ -233,13 +234,13 @@ def _train(args, train, settings: dict, inputs: dict[str, Path]):
                         bank=bank, perturbations=perturbations)
     outputs = [out / "checkpoint-last.ckpt", out / "checkpoint-final.ckpt", out / "loss.csv"]
 
-    def on_epoch(ckpt) -> None:
+    def write(run, checkpoint: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(ckpt, outputs[0])
+        save_checkpoint(run.final, checkpoint)
+        write_loss_log(run.loss_rows, run.components, outputs[2])
 
-    result = train(data, config, on_epoch)
-    save_checkpoint(result.final, outputs[1])
-    write_loss_log(result.loss_rows, result.components, outputs[2])
+    result = train(data, config, lambda run: write(run, outputs[0]))
+    write(result, outputs[1])
     final_total = result.loss_rows[-1]["total"] if result.loss_rows else float("nan")
     print(f"{result.method}: {len(result.loss_rows)} steps, final loss {final_total:.4f} -> {out}")
     return {**dataclasses.asdict(config), **settings}, inputs, outputs, config.seed

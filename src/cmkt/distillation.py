@@ -35,8 +35,8 @@ from .training import (
     PretrainConfig,
     PretrainResult,
     TrainingData,
-    _ComponentEngine,
     assemble_records,
+    mlm_batch_step,
     pretrain,
     run_training_loop,
 )
@@ -79,7 +79,7 @@ class DistillSpec:
 def train_teacher(spec: TeacherSpec, data: TrainingData, config: PretrainConfig,
                   on_epoch: Optional[EpochSink] = None) -> PretrainResult:
     """The fusion teacher: pre-training on image/caption pairs with the one
-    component ``spec.objective``; each epoch's checkpoint goes to ``on_epoch``."""
+    component ``spec.objective``; each epoch's run so far goes to ``on_epoch``."""
     return pretrain(MethodSpec(f"teacher:{spec.objective}", (spec.objective,)), data, config,
                     on_epoch)
 
@@ -115,8 +115,8 @@ def distill(
     on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
     """Train a text-only student against the teacher over the caption
-    corpus; hands each epoch's checkpoint to ``on_epoch`` and returns the
-    final checkpoint and the loss log."""
+    corpus; hands the run so far to ``on_epoch`` as each epoch ends and
+    returns the final checkpoint and the loss log."""
     teacher, teacher_vocab = restore_text_encoder(teacher_checkpoint)
     corpus_words = [data.vocab.word_of(i) for i in range(len(data.vocab))]
     teacher_words = [teacher_vocab.word_of(i) for i in range(len(teacher_vocab))]
@@ -140,7 +140,6 @@ def distill(
 
     records, _ = assemble_records(MethodSpec.named("MLM"), data, config)
     student = TextEncoder(config.encoder_config(len(data.vocab)), seed=config.seed)
-    engine = _ComponentEngine(config, student, None, data.vocab, [])
 
     row_of = {}  # distinct token sequence -> row of the teacher targets
     for rec in records:
@@ -151,6 +150,10 @@ def distill(
         for start in range(0, len(distinct), config.batch_size)
     ]
     targets = [np.concatenate(blocks) for blocks in zip(*chunks)]
+
+    def mlm(batch, padded, epoch, step):
+        loss, grads = mlm_batch_step(student, data.vocab, padded, config.seed, epoch, step)
+        return loss, grads, {}
 
     def nst(batch, padded, epoch, step):
         rows = [row_of[r.tokens] for r in batch]
@@ -163,7 +166,7 @@ def distill(
         None,
         vocab=data.vocab,
         records=records,
-        steps={"mlm": (spec.mlm_weight, engine.fns["mlm"]), "nst": (spec.nst_weight, nst)},
+        steps={"mlm": (spec.mlm_weight, mlm), "nst": (spec.nst_weight, nst)},
         meta_base={
             "method": "CMKD",
             "seed": config.seed,

@@ -4,9 +4,10 @@ package that forks: :func:`map_forked` for a list of independent calls,
 
 Every cmkt process runs OpenBLAS on one thread (:func:`pin_blas_threads`,
 which the CLI, the training loop and both of these call), so the cores go
-to forked workers. Both run their workers the same way (warnings kept and
-replayed by the parent, length-prefixed pickles on a pipe, kill and reap
-on every path), and both give what one process gives."""
+to forked workers. Both run on one worker lifecycle, :func:`_workers`
+(requests answered in order, length-prefixed pickles on pipes, warnings
+kept for the parent to replay, kill and reap on every path), and both
+give what one process gives."""
 
 from __future__ import annotations
 
@@ -150,45 +151,6 @@ def _reply(fd: int, report: tuple, what: str) -> None:
     _send(fd, payload)
 
 
-def _fork(work: Callable[[], None], close: Sequence[int] = ()) -> int:
-    """Forks a worker that closes the parent's ends of its pipes, runs
-    ``work`` and exits, never returning into the caller's stack; returns
-    its pid. The worker inherits the parent's OpenBLAS thread count, which
-    the caller pins to one first."""
-    pid = os.fork()
-    if pid:
-        return pid
-    global _in_worker
-    code = 1
-    try:
-        _in_worker = True
-        for fd in close:
-            os.close(fd)
-        work()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, running: list, complete: bool = True) -> None:
-    """Waits for ``pid``; a worker that failed, or ended before sending all
-    it owed, is a TrainingError."""
-    _, status = os.waitpid(pid, 0)
-    running.remove(pid)
-    if status or not complete:
-        raise TrainingError(
-            f"worker {pid} ended with exit status "
-            f"{os.waitstatus_to_exitcode(status)} before sending its results"
-        )
-
-
-def _kill(running: list) -> None:
-    for pid in running:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    running.clear()
-
-
 def _warn_again(message, category, filename: str, lineno: int) -> None:
     """Shows a worker's warning under the name and registry of the module it
     came from, so a filter that shows a warning once per location drops a
@@ -218,58 +180,109 @@ def _replay(report: tuple, show: Callable = _warn_again):
     return result
 
 
-def _serve_items(write_fd: int, fn: Callable, items: Sequence, first: int, stride: int) -> None:
-    """A map worker's loop: items ``first, first + stride, ...`` until one
-    fails, each one's report piped back."""
-    for index in range(first, len(items), stride):
-        report = _call(fn, items[index])
-        _reply(write_fd, report, f"item {index}")
-        if report[1] is not None:
-            break
+def _serve(read_fd: int, write_fd: int, fn: Callable) -> None:
+    """A worker's life: each request ``(what, arg)`` answered with the
+    report of ``fn(arg)``, until the parent closes the pipe."""
+    while (request := _receive(read_fd)) is not None:
+        what, arg = request
+        _reply(write_fd, _call(fn, arg), what)
+
+
+@contextlib.contextmanager
+def _workers(fn: Callable, count: int) -> Iterator[tuple[Callable, Callable]]:
+    """Forks ``count`` workers that each :func:`_serve` ``fn``, and yields
+    ``(ask, answer)``: ``ask(w, what, arg)`` queues the call ``fn(arg)``
+    on worker ``w``, and ``answer(w)`` is the report of that worker's
+    oldest unanswered call. A worker that dies is a TrainingError; on
+    every path, interrupts included, the workers are killed and reaped.
+    Each worker inherits the parent's OpenBLAS thread count, which the
+    caller pins to one first."""
+    global _in_worker
+    running, requests, replies = [], [], []  # each worker's pid and the parent's pipe ends
+    try:
+        for _ in range(count):
+            request_read, request_write = os.pipe()
+            requests.append(request_write)
+            reply_read, reply_write = os.pipe()
+            replies.append(reply_read)
+            try:
+                pid = os.fork()
+                if pid == 0:  # the worker, which never returns into the caller's stack
+                    try:
+                        _in_worker = True
+                        for fd in requests + replies:
+                            os.close(fd)
+                        _serve(request_read, reply_write, fn)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                running.append(pid)
+            finally:
+                # the worker's ends are the worker's alone, so its death ends both pipes
+                os.close(request_read)
+                os.close(reply_write)
+
+        def dead(w: int):
+            pid = running[w]
+            _, status = os.waitpid(pid, 0)
+            running[w] = None
+            raise TrainingError(f"worker {pid} ended with exit status "
+                                f"{os.waitstatus_to_exitcode(status)} before sending its results")
+
+        def ask(w: int, what: str, arg) -> None:
+            try:
+                _send(requests[w], pickle.dumps((what, arg)))
+            except BrokenPipeError:
+                dead(w)
+
+        def answer(w: int) -> tuple:
+            return _receive(replies[w]) or dead(w)  # a report is a non-empty tuple
+
+        yield ask, answer
+    finally:
+        for pid in running:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in requests + replies:
+            os.close(fd)
 
 
 def map_forked(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]`` for independent calls, computed in
     forked workers, one per usable core and at most one per item.
 
-    Worker ``w`` calls ``fn`` on items ``w, w + workers, ...`` and pipes
-    back the results, which must pickle (one that does not is a
-    :class:`TrainingError` naming its item). The parent then replays the loop:
-    item by item it shows the call's warnings under the originating
-    module's registry, and it raises the first failing item's error. A
-    worker that dies without sending its results is a
-    :class:`TrainingError`; on every path, interrupts included, all workers
-    are killed and reaped. The parent runs the loop itself when there is one
-    item, one usable core, no ``os.fork``/``os.sched_getaffinity``, no
-    OpenBLAS thread setter, or when it is itself a worker. Each worker
-    runs the one OpenBLAS thread the parent pins before forking."""
+    Item ``i`` goes to worker ``i % workers``, which reads it from its
+    forked copy of ``items`` and pipes back the result, which must pickle
+    (one that does not is a :class:`TrainingError` naming its item). A
+    worker has at most two items queued, one running and one waiting, so
+    it does not idle and neither pipe fills. The parent takes the answers
+    in item order and replays the loop: it shows each call's warnings
+    under the originating module's registry, and it raises the first
+    failing item's error as soon as that item is answered. A worker that
+    dies is a :class:`TrainingError`. The parent runs the loop itself when
+    there is one item, one usable core, no ``os.fork``/
+    ``os.sched_getaffinity``, no OpenBLAS thread setter, or when it is
+    itself a worker. Each worker runs the one OpenBLAS thread the parent
+    pins before forking."""
     items = list(items)
     workers = _worker_count(len(items))
     if workers == 1 or pin_blas_threads() is None:
         return [fn(item) for item in items]
 
-    reports = [None] * len(items)
-    running, pipes = [], []  # pids, then the read end of each one's pipe
-    try:
-        for first in range(workers):
-            pipes += os.pipe()
-            running.append(_fork(functools.partial(
-                _serve_items, pipes[-1], fn, items, first, workers), [pipes[-2]]))
-            os.close(pipes.pop())  # the write end is the worker's alone
-        for first, (pid, read_fd) in enumerate(zip(list(running), pipes)):
-            index = first
-            while (report := _receive(read_fd)) is not None:
-                reports[index] = report
-                index += workers
-            _reap(pid, running)
-    finally:
-        _kill(running)
-        for read_fd in pipes:
-            os.close(read_fd)
+    results = []
+    with _workers(lambda index: fn(items[index]), workers) as (ask, answer):
+        def ask_item(index: int) -> None:
+            if index < len(items):
+                ask(index % workers, f"item {index}", index)
 
-    # a worker stops at its first error, so every item up to the first
-    # failing one has a report
-    return [_replay(report) for report in reports]
+        for index in range(2 * workers):
+            ask_item(index)
+        for index in range(len(items)):
+            report = answer(index % workers)
+            ask_item(index + 2 * workers)  # the next item of this worker's stride
+            results.append(_replay(report))
+    return results
 
 
 def _share(params: Sequence[dict]) -> None:
@@ -286,14 +299,6 @@ def _share(params: Sequence[dict]) -> None:
         shared = np.frombuffer(mapping, value.dtype, value.size, offset).reshape(value.shape)
         shared[...] = value
         d[name] = shared
-
-
-def _serve_steps(read_fd: int, write_fd: int, fn: Callable) -> None:
-    """The step worker's life: each request ``(what, arg)`` answered with
-    the report of ``fn(arg)``, until the parent closes the pipe."""
-    while (request := _receive(read_fd)) is not None:
-        what, arg = request
-        _reply(write_fd, _call(fn, arg), what)
 
 
 @contextlib.contextmanager
@@ -321,37 +326,16 @@ def step_worker(fn: Callable, params: Sequence[dict]) -> Iterator[Optional[Calla
     if _worker_count(2) == 1 or pin_blas_threads() is None:
         yield None
         return
-    running, fds = [], []
     try:
         _share(params)
-        request_read, request_write = os.pipe()
-        reply_read, reply_write = os.pipe()
-        fds += request_write, reply_read  # the parent's ends
-        try:
-            running.append(_fork(functools.partial(
-                _serve_steps, request_read, reply_write, fn), fds))
-        finally:
-            # the worker's ends are the worker's alone, so its death ends both pipes
-            os.close(request_read)
-            os.close(reply_write)
-        pid = running[0]
+        with _workers(fn, 1) as (ask, answer):
+            def side_by_side(mine, theirs, what: str) -> tuple[Callable, Callable]:
+                ask(0, what, theirs)
+                own = _call(fn, mine)
+                return functools.partial(_replay, own, _show), functools.partial(_replay, answer(0))
 
-        def side_by_side(mine, theirs, what: str) -> tuple[Callable, Callable]:
-            try:
-                _send(request_write, pickle.dumps((what, theirs)))
-            except BrokenPipeError:
-                _reap(pid, running, complete=False)
-            own = _call(fn, mine)
-            report = _receive(reply_read)
-            if report is None:
-                _reap(pid, running, complete=False)
-            return functools.partial(_replay, own, _show), functools.partial(_replay, report)
-
-        yield side_by_side
+            yield side_by_side
     finally:
-        _kill(running)
-        for fd in fds:
-            os.close(fd)
         for d in params:
             for name, value in d.items():
                 d[name] = value.copy()

@@ -172,17 +172,20 @@ class TrainRecord:
     negatives: tuple[tuple[int, ...], ...] = ()
 
 
-# receives each epoch's checkpoint as soon as it is bundled
-EpochSink = Callable[[Checkpoint], None]
-
-
 @dataclass
 class PretrainResult:
+    """A training run as far as it went: ``final`` is its last checkpoint,
+    an epoch's in what ``on_epoch`` receives."""
+
     method: str
     config: PretrainConfig
     final: Checkpoint
     loss_rows: tuple[dict, ...]
     components: tuple[str, ...]
+
+
+# receives the run so far as soon as each epoch ends
+EpochSink = Callable[[PretrainResult], None]
 
 
 def _caption_key(caption: str) -> str:
@@ -337,14 +340,14 @@ def sgd_loop(
     learning_rate: float,
     step_fn: Callable[[list, int, int], tuple[dict, Sequence[dict]]],
     params: Sequence[dict],
-    end_epoch: Optional[Callable[[int, int], None]] = None,
+    end_epoch: Optional[Callable[[int, list[dict]], None]] = None,
 ) -> list[dict]:
     """The one training loop: each epoch visits ``items`` in the
     permutation drawn from ``(order_purpose, epoch)``, ``batch_size`` at a
     time. ``step_fn`` returns the step's loss row and its gradients, one
     dict per dict of ``params``, which SGD then updates in place. A
     non-finite loss or parameter raises TrainingError with the step.
-    ``end_epoch(epoch, steps so far)`` runs after each epoch. Returns the
+    ``end_epoch(epoch, rows so far)`` runs after each epoch. Returns the
     loss rows, each led by its step and epoch."""
     _keep_freed_heap()
     pin_blas_threads()
@@ -364,7 +367,7 @@ def sgd_loop(
             del grads, grad_dict  # kept, they would sit under the next step's peak memory
             step += 1
         if end_epoch is not None:
-            end_epoch(epoch, step)
+            end_epoch(epoch, rows)
     return rows
 
 
@@ -546,9 +549,9 @@ def run_training_loop(
     and its step closure ``(records, padded, epoch, step) -> (loss, text
     grads, image grads)``; each step pads its captions once and hands the
     ``(tokens, mask)`` pair to every closure. ``meta_base["method"]``
-    names the run. A component of weight 0 is not run and logs 0.0. Each
-    epoch's checkpoint goes to ``on_epoch`` when the epoch ends and is not
-    kept, so a run holds one checkpoint at a time whatever its length.
+    names the run. A component of weight 0 is not run and logs 0.0. When
+    each epoch ends, ``on_epoch`` receives the run so far, its checkpoint
+    not kept, so a run holds one checkpoint at a time whatever its length.
 
     With exactly two components of non-zero weight, each step runs them
     side by side, one in this process and one in a
@@ -599,15 +602,21 @@ def run_training_loop(
         row["total"] = total
         return row, [text_grads, image_grads][: len(params)]
 
-    def bundle(epoch: int, kind: str, step: int) -> Checkpoint:
+    def result(epoch: int, kind: str, loss_rows: list[dict]) -> PretrainResult:
         meta = dict(meta_base)
-        meta.update({"epoch": epoch, "kind": kind, "step": step})
+        meta.update({"epoch": epoch, "kind": kind, "step": len(loss_rows)})
         image_params = image_encoder.params if image_encoder is not None else None
-        return bundle_text_encoder(encoder, vocab, meta, image_params=image_params)
+        return PretrainResult(
+            method=meta_base["method"],
+            config=config,
+            final=bundle_text_encoder(encoder, vocab, meta, image_params=image_params),
+            loss_rows=tuple(loss_rows),
+            components=tuple(steps),
+        )
 
-    def end_epoch(epoch, step):
+    def end_epoch(epoch, loss_rows):
         if on_epoch is not None:
-            on_epoch(bundle(epoch, "epoch", step))
+            on_epoch(result(epoch, "epoch", loss_rows))
 
     worker = contextlib.nullcontext()
     if len(live) == 2:
@@ -616,13 +625,7 @@ def run_training_loop(
     with worker as side_by_side:
         loss_rows = sgd_loop(records, config.seed, "order", config.epochs, config.batch_size,
                              config.learning_rate, step_fn, params, end_epoch)
-    return PretrainResult(
-        method=meta_base["method"],
-        config=config,
-        final=bundle(config.epochs, "final", len(loss_rows)),
-        loss_rows=tuple(loss_rows),
-        components=tuple(steps),
-    )
+    return result(config.epochs, "final", loss_rows)
 
 
 def pretrain(
@@ -631,9 +634,9 @@ def pretrain(
     config: PretrainConfig,
     on_epoch: Optional[EpochSink] = None,
 ) -> PretrainResult:
-    """Run one named method over the corpus; hands each epoch's checkpoint
-    to ``on_epoch`` and returns the final checkpoint and the per-step loss
-    log."""
+    """Run one named method over the corpus; hands the run so far to
+    ``on_epoch`` as each epoch ends and returns the final checkpoint and
+    the per-step loss log."""
     if isinstance(method, str):
         method = MethodSpec.named(method)
     if method.name == "CMKD":

@@ -526,9 +526,9 @@ class TestPretrainCommand:
     def test_divergence_in_epoch_2_keeps_epoch_1_and_writes_no_manifest(
         self, world_dir, tiny_pretrain_config, tmp_path, monkeypatch, capsys
     ):
-        """Each epoch's checkpoint is on disk as soon as the epoch ends, so a
-        run that fails later keeps its last completed epoch; without a
-        manifest it reads as unfinished."""
+        """Each epoch's checkpoint and loss rows are on disk as soon as the
+        epoch ends, so a run that fails later keeps its last completed
+        epoch; without a manifest it reads as unfinished."""
         from cmkt import training
         from cmkt.corpus import load_pairs
         from cmkt.errors import TrainingError
@@ -543,15 +543,21 @@ class TestPretrainCommand:
             real_sgd(params, grads, lr, step)
 
         monkeypatch.setattr(training, "_sgd", diverge)
+        argv = ["pretrain", "--method", "MLM", "--pairs", str(world_dir / "pairs.tsv"),
+                "--vocab", str(world_dir / "vocab.txt"), "--config", str(tiny_pretrain_config)]
         out = tmp_path / "o"
-        rc = main(["pretrain", "--method", "MLM",
-                   "--pairs", str(world_dir / "pairs.tsv"),
-                   "--vocab", str(world_dir / "vocab.txt"),
-                   "--config", str(tiny_pretrain_config), "--out", str(out)])
+        rc = main(argv + ["--out", str(out)])
         assert rc == 3
         assert f"at step {first_step_of_epoch_2}" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["checkpoint-last.ckpt"]
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint-last.ckpt", "loss.csv"]
         assert load_checkpoint(out / "checkpoint-last.ckpt").meta["epoch"] == 1
+
+        # the loss log holds exactly the rows of epoch 1, byte for byte as a
+        # run that does not fail writes them
+        monkeypatch.undo()
+        assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+        lines = (tmp_path / "whole" / "loss.csv").read_bytes().splitlines(keepends=True)
+        assert (out / "loss.csv").read_bytes() == b"".join(lines[: 1 + first_step_of_epoch_2])
 
     def test_manifest_hashes_inputs(self, cmcl_dir):
         manifest = json.loads((cmcl_dir / "manifest.json").read_text())

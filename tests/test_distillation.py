@@ -206,7 +206,8 @@ class TestDistillRun:
         config = small_config()
         teacher = train_teacher(TeacherSpec("cmcl"), data, config)
         series = []
-        result = distill(teacher.final, data, DistillSpec(), config, on_epoch=series.append)
+        result = distill(teacher.final, data, DistillSpec(), config,
+                         on_epoch=lambda run: series.append(run.final))
         assert result.method == "CMKD"
         assert result.components == ("mlm", "nst")
         assert len(series) == config.epochs

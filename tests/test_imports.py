@@ -5,8 +5,9 @@ level. Every public function, class and method of ``src/cmkt`` is named by the
 package, a demo or the benchmark, not only by tests; a method or property
 counts as named only by an attribute read or a dotted string, and the method
 names that two or more classes share are pinned. Only ``cmkt/parallel.py``
-forks and names OpenBLAS's thread functions, in the package and in
-``scripts``. Also: what importing the CLI loads."""
+forks (at one site), pipes, kills and reaps, and names OpenBLAS's thread
+functions, in the package and in ``scripts``. Also: what importing the CLI
+loads."""
 
 import ast
 import importlib.util
@@ -59,9 +60,12 @@ SHARED_METHODS = {
                        "perturbation.FrequencyOracle"},
 }
 
-# the one file allowed to fork: everything else runs side by side through
-# its map_forked
+# the one file allowed to fork, at one site: everything else runs side by
+# side through its map_forked and step_worker
 FORK_POOL = PACKAGE / "parallel.py"
+# what starts, connects, signals or reaps a worker, which only the fork
+# pool's one worker lifecycle does
+PROCESS_CALLS = ("fork", "pipe", "kill", "waitpid")
 FORK_SCANNED = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
 
 # OpenBLAS's thread functions and the BLAS thread variables, which only the
@@ -202,15 +206,16 @@ def shared_methods(definitions: dict[str, str]) -> dict[str, set[str]]:
     return {method: found for method, found in owners.items() if len(found) > 1}
 
 
-def fork_uses(source: str, module: str) -> list[str]:
-    """Every ``os.fork`` reference and every ``fork`` imported from ``os``."""
+def fork_uses(source: str, module: str, names: tuple[str, ...] = ("fork",)) -> list[str]:
+    """Every ``os.<name>`` reference and every ``<name>`` imported from
+    ``os``, for each of ``names``."""
     return sorted(
         f"{module}.py:{node.lineno}"
         for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+        if (isinstance(node, ast.Attribute) and node.attr in names
             and isinstance(node.value, ast.Name) and node.value.id == "os")
         or (isinstance(node, ast.ImportFrom) and node.module == "os"
-            and any(alias.name == "fork" for alias in node.names))
+            and any(alias.name in names for alias in node.names))
     )
 
 
@@ -231,14 +236,15 @@ def test_no_function_reimports_a_top_level_module(path):
 
 @pytest.mark.parametrize("path", FORK_SCANNED, ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_only_the_fork_pool_forks(path):
-    """Work that runs side by side goes through ``parallel.map_forked``,
-    which kills and reaps its workers on every path, instead of forking on
-    its own."""
-    uses = fork_uses(path.read_text(encoding="utf-8"), path.stem)
+    """Work that runs side by side goes through ``cmkt.parallel``, whose one
+    worker lifecycle forks, connects, kills and reaps every worker, instead
+    of forking, piping, killing or reaping on its own."""
+    source = path.read_text(encoding="utf-8")
     if path == FORK_POOL:
-        assert uses, "the pool no longer forks: update FORK_POOL"
+        assert len(fork_uses(source, path.stem)) == 1, \
+            "the pool forks at one site, its worker lifecycle: update FORK_POOL"
     else:
-        assert uses == []
+        assert fork_uses(source, path.stem, PROCESS_CALLS) == []
 
 
 @pytest.mark.parametrize("path", FORK_SCANNED, ids=lambda p: f"{p.parent.name}/{p.stem}")
@@ -263,6 +269,8 @@ def test_fork_scan_finds_calls_and_imports():
         "run = os.forkpty\n"
     )
     assert fork_uses(source, "m") == ["m.py:2", "m.py:4"]
+    source += "os.kill(pid, 9)\nfrom os import pipe\nstatus = os.waitpid\nos.killpg(0, 9)\n"
+    assert fork_uses(source, "m", PROCESS_CALLS) == [f"m.py:{n}" for n in (2, 4, 6, 7, 8)]
 
 
 def test_every_kept_import_is_a_tracer_target():

@@ -114,6 +114,40 @@ class TestMapForked:
         assert outcome(lambda: map_forked(fail_at_one_and_two, range(4))) == expected
         assert_no_children_left()
 
+    def test_first_error_is_raised_without_waiting_for_later_items(self):
+        """Item 1 fails at once while every other item takes a second: the
+        error leaves as soon as item 0 is answered, not after either
+        worker's later items."""
+        def slow_but_one(x):
+            if x == 1:
+                raise ValueError("item 1 failed")
+            time.sleep(1.0)
+            return x
+
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="item 1 failed"):
+            map_forked(slow_but_one, range(6))
+        assert time.monotonic() - started < 2.0
+        assert_no_children_left()
+
+    def test_many_large_results_in_item_order(self):
+        """4,000 results of 1 KB, and as many requests, far more than a
+        64 KB pipe holds, come back in item order: the parent keeps at most
+        two calls queued on each worker and reads in item order, so neither
+        side blocks on a full pipe that the other never reads."""
+        def deadlocked(signum, frame):
+            raise TimeoutError("map_forked is stuck")
+
+        previous = signal.signal(signal.SIGALRM, deadlocked)
+        signal.alarm(30)
+        try:
+            out = map_forked(lambda x: bytes([x % 256]) * 1024, range(4000))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert out == [bytes([x % 256]) * 1024 for x in range(4000)]
+        assert_no_children_left()
+
     @pytest.mark.parametrize("action", ["default", "always", "module"])
     def test_warnings_match_the_loop(self, action):
         """Two workers that each show the same warning show it once under

@@ -324,9 +324,13 @@ class TestLoopBookkeeping:
         assert {"w", "b"} < changed
 
     def test_one_checkpoint_per_epoch_plus_final(self):
-        series = []
-        result = pretrain("MLM", make_data(), small_config(epochs=3), on_epoch=series.append)
+        runs = []
+        result = pretrain("MLM", make_data(), small_config(epochs=3), on_epoch=runs.append)
+        series = [run.final for run in runs]
         assert len(series) == 3
+        steps = len(result.loss_rows) // 3
+        assert [run.loss_rows for run in runs] == [
+            result.loss_rows[: steps * epoch] for epoch in (1, 2, 3)]
         assert [c.meta["epoch"] for c in series] == [1, 2, 3]
         assert all(c.meta["kind"] == "epoch" for c in series)
         assert result.final.meta["kind"] == "final"
@@ -342,7 +346,7 @@ class TestLoopBookkeeping:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             result = pretrain("MLM", data, small_config(epochs=epochs, dim=32, ffn_dim=64),
-                              on_epoch=lambda ckpt: None)
+                              on_epoch=lambda run: None)
             return tracemalloc.get_traced_memory()[1] - start, result
 
         tracemalloc.start()
@@ -646,14 +650,16 @@ class TestDeterminism:
 class TestImageProjectionTraining:
     def test_contrastive_training_moves_the_projection(self):
         series = []
-        pretrain("CMCL", make_data(), small_config(), on_epoch=series.append)
+        pretrain("CMCL", make_data(), small_config(),
+                 on_epoch=lambda run: series.append(run.final))
         first = series[0].image_params()["proj_w"]
         last = series[-1].image_params()["proj_w"]
         assert not np.array_equal(first, last)
 
     def test_voken_method_keeps_projection_fixed(self):
         series = []
-        pretrain("VOKEN+MLM", make_data(), small_config(), on_epoch=series.append)
+        pretrain("VOKEN+MLM", make_data(), small_config(),
+                 on_epoch=lambda run: series.append(run.final))
         first = series[0].image_params()["proj_w"]
         last = series[-1].image_params()["proj_w"]
         np.testing.assert_array_equal(first, last)
@@ -879,10 +885,14 @@ class TestStepWorkerLoop:
 
         def run(name):
             series = []
+
+            def on_epoch(so_far):
+                series.append(so_far.final)
+
             if teacher is None:
-                result = pretrain(method, data, config, on_epoch=series.append)
+                result = pretrain(method, data, config, on_epoch=on_epoch)
             else:
-                result = distill(teacher, data, DistillSpec(), config, on_epoch=series.append)
+                result = distill(teacher, data, DistillSpec(), config, on_epoch=on_epoch)
             paths = [tmp_path / f"{name}-{k}.ckpt" for k in range(len(series) + 1)]
             for checkpoint, path in zip([*series, result.final], paths):
                 save_checkpoint(checkpoint, path)
