@@ -14,7 +14,7 @@ training step for step, which this demo verifies bit for bit.
 """
 
 from cmkt.checkpoint import restore_text_encoder
-from cmkt.distillation import DistillSpec, TeacherSpec, distill, train_teacher
+from cmkt.distillation import DistillSpec, distill
 from cmkt.objectives import nst_loss
 from cmkt.synth import SynthConfig, generate_world
 from cmkt.training import PretrainConfig, TrainingData, pretrain
@@ -26,8 +26,8 @@ config = PretrainConfig(
     dim=32, ffn_dim=64, num_blocks=2, dropout=0.1,
 )
 
-print("=== 1. train the fusion teacher on image/caption pairs ===")
-teacher = train_teacher(TeacherSpec(objective="cmcl"), data, config)
+print("=== 1. train the fusion teacher: CMCL on image/caption pairs ===")
+teacher = pretrain("CMCL", data, config)
 print(f"teacher final loss: {teacher.loss_rows[-1]['total']:.4f}\n")
 
 print("=== 2. distill into a text-only student ===")

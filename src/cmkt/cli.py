@@ -31,12 +31,11 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Vocab, load_pairs
-from .distillation import DistillSpec, TeacherSpec, distill, train_teacher
+from .distillation import DistillSpec, distill, train_teacher
 from .encoders import FeatureBank
 from .errors import CmktError, ConfigError, TrainingError
 from .evaluation import (
     FinetuneConfig,
-    _subsample,
     evaluate,
     finetune,
     load_mcqa,
@@ -45,6 +44,7 @@ from .evaluation import (
     plot_series,
     report,
     save_runs,
+    subsample,
     supervised_protocol,
 )
 from .parallel import pin_blas_threads
@@ -254,9 +254,8 @@ def cmd_pretrain(args):
 
 
 def cmd_teacher(args):
-    spec = TeacherSpec(objective=args.objective)
     return _train(args, lambda data, config, on_epoch: train_teacher(
-        spec, data, config, on_epoch=on_epoch), {"objective": args.objective}, {})
+        data, config, on_epoch=on_epoch), {"objective": args.objective}, {})
 
 
 def cmd_distill(args):
@@ -285,7 +284,7 @@ def cmd_finetune(args):
         size = int(args.train_size)
         if size > len(train):
             raise ConfigError(f"train split has {len(train)} items, cannot take {size}")
-        subset = _subsample(dataset, size, config.seed, 0)
+        subset = subsample(dataset, size, config.seed, 0)
     test = dataset.split("test")
     if not test:
         raise ConfigError(f"dataset {dataset.name!r} has no test split")
@@ -478,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("teacher", parents=[common],
                        help="train a cross-modal teacher for distillation")
-    p.add_argument("--objective", choices=("cmcl", "hinge"), default="cmcl")
+    p.add_argument("--objective", choices=("cmcl",), default="cmcl")
     p.add_argument("--pairs", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--bank", required=True)

@@ -1,9 +1,11 @@
 """Cross-modal teacher/student transfer.
 
-A fusion teacher (text encoder plus image projection) trains under a
-cross-modal objective; a fresh text-only student then trains on captions
-alone with masked prediction plus an activation-matching penalty pulling
-its per-block pooled states toward the teacher's on the same clean text.
+The fusion teacher (text encoder plus image projection) is CMCL
+pre-training on image/caption pairs; ``distill`` takes any checkpoint
+that carries an image projection. A fresh text-only student then trains
+on captions alone with masked prediction plus an activation-matching
+penalty pulling its per-block pooled states toward the teacher's on the
+same clean text.
 
 The student trains on the pre-training loop (``run_training_loop``) with
 components ``mlm`` and ``nst``, the latter a closure over the frozen
@@ -41,22 +43,6 @@ from .training import (
     run_training_loop,
 )
 
-TEACHER_OBJECTIVES = ("cmcl", "hinge")
-
-
-@dataclass(frozen=True)
-class TeacherSpec:
-    """Which cross-modal objective the fusion teacher trains under."""
-
-    objective: str = "cmcl"
-
-    def __post_init__(self):
-        if self.objective not in TEACHER_OBJECTIVES:
-            raise ConfigError(
-                f"teacher objective must be one of {TEACHER_OBJECTIVES}, "
-                f"got {self.objective!r}"
-            )
-
 
 @dataclass(frozen=True)
 class DistillSpec:
@@ -76,12 +62,10 @@ class DistillSpec:
             raise ConfigError("at least one of mlm_weight, nst_weight must be positive")
 
 
-def train_teacher(spec: TeacherSpec, data: TrainingData, config: PretrainConfig,
+def train_teacher(data: TrainingData, config: PretrainConfig,
                   on_epoch: Optional[EpochSink] = None) -> PretrainResult:
-    """The fusion teacher: pre-training on image/caption pairs with the one
-    component ``spec.objective``; each epoch's run so far goes to ``on_epoch``."""
-    return pretrain(MethodSpec(f"teacher:{spec.objective}", (spec.objective,)), data, config,
-                    on_epoch)
+    """The fusion teacher, which is CMCL pre-training."""
+    return pretrain("CMCL", data, config, on_epoch)
 
 
 def nst_step(
@@ -117,6 +101,10 @@ def distill(
     """Train a text-only student against the teacher over the caption
     corpus; hands the run so far to ``on_epoch`` as each epoch ends and
     returns the final checkpoint and the loss log."""
+    teacher_method = teacher_checkpoint.meta.get("method", "unknown")
+    if not teacher_checkpoint.image_params():
+        raise ConfigError(f"teacher checkpoint of method {teacher_method!r} has no image "
+                          "projection; a cross-modal teacher is trained with images (CMCL)")
     teacher, teacher_vocab = restore_text_encoder(teacher_checkpoint)
     corpus_words = [data.vocab.word_of(i) for i in range(len(data.vocab))]
     teacher_words = [teacher_vocab.word_of(i) for i in range(len(teacher_vocab))]
@@ -170,7 +158,7 @@ def distill(
         meta_base={
             "method": "CMKD",
             "seed": config.seed,
-            "teacher": teacher_checkpoint.meta.get("method", "unknown"),
+            "teacher": teacher_method,
             "mlm_weight": spec.mlm_weight,
             "nst_weight": spec.nst_weight,
         },

@@ -399,7 +399,7 @@ def grid_search(
     )
 
 
-def _subsample(
+def subsample(
     dataset: MCQADataset, size: int, seed: int, index: int
 ) -> list[MCQAItem]:
     train = dataset.split("train")
@@ -438,7 +438,7 @@ def low_resource_protocol(
     runs = []
     for size in sizes:
         subsets = [
-            _subsample(dataset, size, config.seed, s) for s in range(n_subsamples)
+            subsample(dataset, size, config.seed, s) for s in range(n_subsamples)
         ]
         grid = grid_search(checkpoint, dataset, subsets[0], config, score=(test,))
         rest = _run_finetunes(

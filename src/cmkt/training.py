@@ -7,12 +7,12 @@ variants splice perturbed captions into the contrastive denominators;
 positive-augmentation (PSA) variants add them as extra training items.
 
 Aggregation: mlm, voken, and cmcl components are already per-item means;
-tcl and hinge objectives return batch sums, so the trainer divides them
-by the batch size. Logged component magnitudes are therefore comparable
-across batch sizes.
+the tcl objective returns batch sums, so the trainer divides them by the
+batch size. Logged component magnitudes are therefore comparable across
+batch sizes.
 
-``sgd_loop`` is the epoch/batch/update skeleton of pretraining, the
-teacher trainer, distillation and downstream fine-tuning; each of them
+``sgd_loop`` is the epoch/batch/update skeleton of pretraining,
+distillation and downstream fine-tuning; each of them
 hands it a step closure. Every random draw flows from the config seed
 through derive_seed with a documented purpose:
 
@@ -25,8 +25,6 @@ through derive_seed with a documented purpose:
     ("cmcl-text", epoch, step)     dropout for the caption forward
     ("cmcl-neg", epoch, step)      dropout for cmcl hard negatives
     ("voken-dropout", epoch, step)
-    ("hinge-text", epoch, step)
-    ("hinge-neg", epoch, step)     mismatched-pair permutations
     ("negfill", epoch, step, slot) pool sampling for short negative lists
     ("ft-dropout", epoch, step)    dropout for the fine-tuning forward
 
@@ -50,13 +48,14 @@ from .checkpoint import Checkpoint, bundle_text_encoder, restore_text_encoder
 from .corpus import CaptionPair, Vocab, plan_dynamic_masking, tokenize
 from .encoders import FeatureBank, ImageEncoder, TextEncoder, TextEncoderConfig
 from .errors import ConfigError, DomainError, ParseError, ShapeError, TrainingError
+# the margin loss is not called here; perfbench/tracing.py wraps this name
 from .objectives import ans_loss, cmcl_total, hinge_loss, tcl_loss
 from .parallel import pin_blas_threads, step_worker
 from .perturbation import ADVERSARIAL_NEGATIVE, PerturbationRecord
 from .seeding import derive_seed, rng_for
 from .textio import parse_errors, read_lines, tab_fields, write_lines
 
-_IMAGE_COMPONENTS = ("cmcl", "voken", "hinge")
+_IMAGE_COMPONENTS = ("cmcl", "voken")
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class PretrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 3
     temperature: float = 0.05
-    margin: float = 1.0
     seed: int = 0
     hard_negative_cap: int = 4
     voken_count: int = 16
@@ -129,8 +127,6 @@ class PretrainConfig:
         for name in ("learning_rate", "temperature"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.margin < 0:
-            raise ConfigError(f"margin must be non-negative, got {self.margin}")
         if self.hard_negative_cap < 0:
             raise ConfigError(
                 f"hard_negative_cap must be >= 0, got {self.hard_negative_cap}"
@@ -424,7 +420,6 @@ class _ComponentEngine:
             "tcl": self._tcl,
             "cmcl": self._cmcl,
             "voken": self._voken,
-            "hinge": self._hinge,
         }
 
     def _encode(self, padded, purpose, epoch, step):
@@ -499,26 +494,6 @@ class _ComponentEngine:
         dropout_seed = derive_seed(self.config.seed, "voken-dropout", epoch, step)
         loss, grads = self.encoder.voken_step(*padded, targets, dropout_seed)
         return loss, grads, {}
-
-    def _hinge(self, batch, padded, epoch, step):
-        image_ids = [rec.image_id for rec in batch]
-        cache_t = self._encode(padded, "hinge-text", epoch, step)
-        texts = cache_t["pooled"]
-        images = self._images(image_ids, step)
-        n = len(batch)
-        rng = rng_for(self.config.seed, "hinge-neg", epoch, step)
-        perm_img = rng.permutation(n)
-        perm_txt = rng.permutation(n)
-        result = hinge_loss(
-            images, texts, images[perm_img], texts[perm_txt], self.config.margin
-        )
-        d_text = result.gradients["text"].copy()
-        np.add.at(d_text, perm_txt, result.gradients["negative_texts"])
-        d_image = result.gradients["image"].copy()
-        np.add.at(d_image, perm_img, result.gradients["negative_images"])
-        grads = self.encoder.backward(cache_t, d_pooled=d_text / n)
-        image_grads = self.image_encoder.backward(image_ids, d_image / n)
-        return result.total / n, grads, image_grads
 
 
 def _attach_vokens(
@@ -641,8 +616,8 @@ def pretrain(
         method = MethodSpec.named(method)
     if method.name == "CMKD":
         raise ConfigError(
-            "CMKD needs a trained teacher checkpoint; run the distillation "
-            "driver (train_teacher, then distill) instead of pretrain"
+            "CMKD needs a trained teacher checkpoint: pretrain CMCL, then run "
+            "distill --teacher with that CMCL checkpoint"
         )
     _validate_inputs(method, data)
     records, global_pool = assemble_records(method, data, config)

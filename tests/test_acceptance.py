@@ -27,7 +27,7 @@ import oracles
 from cmkt.checkpoint import bundle_text_encoder, restore_text_encoder
 from cmkt.cli import main as cli_main
 from cmkt.corpus import ACTIONS, Vocab, plan_dynamic_masking, tokenize
-from cmkt.distillation import DistillSpec, TeacherSpec, distill, train_teacher
+from cmkt.distillation import DistillSpec, distill, train_teacher
 from cmkt.encoders import ImageEncoder, TextEncoder, TextEncoderConfig
 from cmkt.evaluation import (
     EvalRun,
@@ -368,7 +368,7 @@ def test_criterion_3_reduction_identities():
 
         # distillation with zero transfer weight replays the MLM-only loop
         data, config = _tiny_training_setup()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         mlm_run = pretrain("MLM", data, config)
         student = distill(
             teacher.final, data, DistillSpec(mlm_weight=1.0, nst_weight=0.0), config

@@ -187,7 +187,7 @@ def config_command(command, world_dir, cmcl_dir, out):
         return config, ["synth", "--out", str(out)], out / "manifest.json"
     if command == "pretrain":
         config = PretrainConfig(batch_size=16, max_len=12, learning_rate=0.05, epochs=1,
-                                temperature=0.1, margin=0.5, seed=4, hard_negative_cap=2,
+                                temperature=0.1, seed=4, hard_negative_cap=2,
                                 voken_count=8, dim=8, ffn_dim=16, num_blocks=1,
                                 dropout=0.2, pooling="first")
         argv = ["pretrain", "--method", "MLM", "--pairs", str(world_dir / "pairs.tsv"),
@@ -204,7 +204,8 @@ def config_command(command, world_dir, cmcl_dir, out):
 @pytest.mark.parametrize("command", ["synth", "pretrain", "eval"])
 def test_rejects_unknown_config_field(command, world_dir, cmcl_dir, tmp_path, capsys):
     """--config keys are exactly the fields of the command's config class:
-    every field round-trips into the manifest, and one key more is exit 2."""
+    every field round-trips into the manifest, and one key more is exit 2,
+    a field the class no longer has (pretrain's margin) included."""
     config, argv, manifest_path = config_command(command, world_dir, cmcl_dir,
                                                  tmp_path / "out")
     fields = json.loads(json.dumps(dataclasses.asdict(config)))
@@ -214,12 +215,13 @@ def test_rejects_unknown_config_field(command, world_dir, cmcl_dir, tmp_path, ca
     recorded = json.loads(manifest_path.read_text())["config"]
     assert {key: recorded[key] for key in fields} == fields
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**fields, "bogus": 1}))
-    capsys.readouterr()
-    assert main(argv + ["--config", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "bogus" in err and type(config).__name__ in err
+    for key in ("bogus", "margin") if command == "pretrain" else ("bogus",):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**fields, key: 1}))
+        capsys.readouterr()
+        assert main(argv + ["--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and type(config).__name__ in err
 
 
 WRONG_TYPED_FIELDS = {
@@ -503,8 +505,8 @@ class TestPretrainCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", [["pretrain", "--method", "CMCL"],
                                          ["pretrain", "--method", "TCL"],
-                                         ["teacher", "--objective", "hinge"]],
-                             ids=["CMCL", "TCL", "teacher-hinge"])
+                                         ["teacher", "--objective", "cmcl"]],
+                             ids=["CMCL", "TCL", "teacher"])
     def test_diverging_learning_rate_exit_3_with_step(self, world_dir, tmp_path,
                                                       command, capsys):
         cfg = tmp_path / "diverge.json"
@@ -610,6 +612,47 @@ class TestRunDirectory:
 class TestTeacherDistillCommands:
     def test_teacher_then_distill(self, student_dir):
         assert (student_dir / "checkpoint-final.ckpt").exists()
+
+    def test_teacher_is_cmcl_pretrain_byte_for_byte(self, world_dir, tiny_pretrain_config,
+                                                    tmp_path, capsys):
+        """The teacher subcommand writes what pretrain --method CMCL writes:
+        both checkpoints, the loss log and the printed summary line."""
+        data = ["--pairs", str(world_dir / "pairs.tsv"), "--vocab", str(world_dir / "vocab.txt"),
+                "--bank", str(world_dir / "features.npz"), "--config", str(tiny_pretrain_config)]
+        printed = {}
+        for name, command in (("teacher", ["teacher", "--objective", "cmcl"]),
+                              ("cmcl", ["pretrain", "--method", "CMCL"])):
+            assert main([*command, *data, "--out", str(tmp_path / name)]) == 0
+            printed[name] = capsys.readouterr().out.replace(str(tmp_path / name), "OUT")
+        assert printed["teacher"] == printed["cmcl"]
+        assert printed["cmcl"].startswith("CMCL: ")
+        for name in ("checkpoint-final.ckpt", "checkpoint-last.ckpt", "loss.csv"):
+            assert ((tmp_path / "teacher" / name).read_bytes()
+                    == (tmp_path / "cmcl" / name).read_bytes()), name
+
+    def test_hinge_objective_exit_2(self, world_dir, tiny_pretrain_config, tmp_path, capsys):
+        rc = main(["teacher", "--objective", "hinge", "--pairs", str(world_dir / "pairs.tsv"),
+                   "--vocab", str(world_dir / "vocab.txt"),
+                   "--bank", str(world_dir / "features.npz"),
+                   "--config", str(tiny_pretrain_config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "hinge" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_text_only_teacher_exit_2_names_its_method(self, world_dir, tiny_pretrain_config,
+                                                      tmp_path, capsys):
+        """A teacher that never saw an image cannot make a cross-modal student."""
+        data = ["--pairs", str(world_dir / "pairs.tsv"), "--vocab", str(world_dir / "vocab.txt"),
+                "--config", str(tiny_pretrain_config)]
+        assert main(["pretrain", "--method", "MLM", *data, "--out", str(tmp_path / "mlm")]) == 0
+        capsys.readouterr()
+        student = tmp_path / "student"
+        rc = main(["distill", "--teacher", str(tmp_path / "mlm" / "checkpoint-final.ckpt"),
+                   *data, "--out", str(student)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'MLM'" in err and "image projection" in err
+        assert not student.exists()
 
     def test_width_mismatch_exit_2_names_both_widths(self, world_dir, tiny_pretrain_config,
                                                      tmp_path, capsys):

@@ -8,7 +8,6 @@ from cmkt import (
     ConfigError,
     DistillSpec,
     PretrainConfig,
-    TeacherSpec,
     TrainingData,
     distill,
     nst_step,
@@ -58,12 +57,6 @@ def small_config(**overrides):
 
 
 class TestSpecs:
-    def test_teacher_objectives(self):
-        assert TeacherSpec("cmcl").objective == "cmcl"
-        assert TeacherSpec("hinge").objective == "hinge"
-        with pytest.raises(ConfigError, match="objective"):
-            TeacherSpec("mlm")
-
     def test_distill_weights_must_be_nonnegative(self):
         with pytest.raises(ConfigError, match="non-negative"):
             DistillSpec(mlm_weight=-1.0)
@@ -88,28 +81,22 @@ class TestSpecs:
 
 class TestTeacher:
     def test_cmcl_teacher_trains_and_bundles_image_params(self):
-        result = train_teacher(TeacherSpec("cmcl"), make_data(), small_config())
-        assert result.method == "teacher:cmcl"
+        result = train_teacher(make_data(), small_config())
+        assert result.method == "CMCL"
         assert "cmcl" in result.loss_rows[0]
         assert set(result.final.image_params()) == {"proj_w", "proj_b"}
-
-    def test_hinge_teacher_trains(self):
-        result = train_teacher(TeacherSpec("hinge"), make_data(), small_config())
-        row = result.loss_rows[0]
-        assert np.isfinite(row["hinge"])
-        assert row["hinge"] > 0
 
     def test_teacher_needs_bank(self):
         data = make_data()
         data.bank = None
         with pytest.raises(ConfigError, match="bank"):
-            train_teacher(TeacherSpec("cmcl"), data, small_config())
+            train_teacher(data, small_config())
 
     def test_teacher_is_deterministic(self):
         data = make_data()
         config = small_config()
-        r1 = train_teacher(TeacherSpec("cmcl"), data, config)
-        r2 = train_teacher(TeacherSpec("cmcl"), data, config)
+        r1 = train_teacher(data, config)
+        r2 = train_teacher(data, config)
         assert list(r1.loss_rows) == list(r2.loss_rows)
 
 
@@ -117,7 +104,7 @@ class TestZeroTransferReduction:
     def test_distill_without_transfer_matches_mlm_run_step_for_step(self):
         data = make_data()
         config = small_config()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         mlm_run = pretrain("MLM", data, config)
         dist_run = distill(
             teacher.final, data, DistillSpec(mlm_weight=1.0, nst_weight=0.0), config
@@ -131,7 +118,7 @@ class TestZeroTransferReduction:
     def test_zero_transfer_final_parameters_are_identical(self):
         data = make_data()
         config = small_config()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         mlm_run = pretrain("MLM", data, config)
         dist_run = distill(
             teacher.final, data, DistillSpec(mlm_weight=1.0, nst_weight=0.0), config
@@ -147,7 +134,7 @@ class TestNstAlignment:
     def test_student_identical_to_teacher_scores_zero(self):
         data = make_data()
         config = small_config()
-        teacher_run = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher_run = train_teacher(data, config)
         teacher, _ = restore_text_encoder(teacher_run.final)
         twin, _ = restore_text_encoder(teacher_run.final)
         seqs = [[4, 5, 6], [7, 8]]
@@ -160,7 +147,7 @@ class TestNstAlignment:
         config = small_config(
             learning_rate=0.1, epochs=6, batch_size=8, dropout=0.0
         )
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         result = distill(
             teacher.final,
             data,
@@ -181,7 +168,7 @@ class TestDistillValidation:
     def test_vocabulary_mismatch_rejected(self):
         data = make_data()
         config = small_config()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         other = make_data()
         other.vocab = Vocab.from_texts(["totally different words here"])
         with pytest.raises(ConfigError, match="vocabular"):
@@ -189,13 +176,20 @@ class TestDistillValidation:
 
     def test_block_count_mismatch_rejected(self):
         data = make_data()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, small_config(num_blocks=1))
+        teacher = train_teacher(data, small_config(num_blocks=1))
         with pytest.raises(ConfigError, match="block"):
             distill(teacher.final, data, DistillSpec(), small_config(num_blocks=2))
 
+    def test_teacher_without_image_projection_rejected(self):
+        data = make_data()
+        config = small_config()
+        mlm = pretrain("MLM", data, config)
+        with pytest.raises(ConfigError, match="'MLM'.*no image projection"):
+            distill(mlm.final, data, DistillSpec(), config)
+
     def test_student_max_len_beyond_teacher_rejected(self):
         data = make_data()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, small_config(max_len=8))
+        teacher = train_teacher(data, small_config(max_len=8))
         with pytest.raises(ConfigError, match="max_len"):
             distill(teacher.final, data, DistillSpec(), small_config(max_len=12))
 
@@ -204,14 +198,14 @@ class TestDistillRun:
     def test_loss_rows_and_checkpoints(self):
         data = make_data()
         config = small_config()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         series = []
         result = distill(teacher.final, data, DistillSpec(), config,
                          on_epoch=lambda run: series.append(run.final))
         assert result.method == "CMKD"
         assert result.components == ("mlm", "nst")
         assert len(series) == config.epochs
-        assert result.final.meta["teacher"] == "teacher:cmcl"
+        assert result.final.meta["teacher"] == "CMCL"
         row = result.loss_rows[0]
         assert set(row) == {"step", "epoch", "mlm", "nst", "total"}
         recombined = row["mlm"] + row["nst"]
@@ -220,7 +214,7 @@ class TestDistillRun:
     def test_determinism_and_checkpoint_bytes(self, tmp_path):
         data = make_data()
         config = small_config()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         r1 = distill(teacher.final, data, DistillSpec(), config)
         r2 = distill(teacher.final, data, DistillSpec(), config)
         assert list(r1.loss_rows) == list(r2.loss_rows)
@@ -232,7 +226,7 @@ class TestDistillRun:
     def test_teacher_runs_once_per_distinct_caption(self, monkeypatch):
         data = make_data()
         config = small_config(epochs=3)
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         seen = []
         real = TextEncoder.block_activations
 
@@ -247,7 +241,7 @@ class TestDistillRun:
     def test_cached_teacher_targets_match_per_batch_teacher(self, monkeypatch):
         data = make_data()
         config = small_config(epochs=3)
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         cached = distill(teacher.final, data, DistillSpec(), config)
         real = distillation.nst_step
         frozen, _ = restore_text_encoder(teacher.final)
@@ -269,7 +263,7 @@ class TestDistillRun:
     def test_student_checkpoint_is_text_only(self):
         data = make_data()
         config = small_config()
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = train_teacher(data, config)
         result = distill(teacher.final, data, DistillSpec(), config)
         assert result.final.image_params() == {}
         encoder, _ = restore_text_encoder(result.final)

@@ -656,20 +656,20 @@ class TestLowResourceProtocol:
         assert runs[0].mean == pytest.approx(float(np.mean(runs[0].accuracies)))
 
     def test_subsample_determinism(self):
-        from cmkt.evaluation import _subsample
+        from cmkt.evaluation import subsample
 
         ds = make_dataset(n_train=30)
-        a = _subsample(ds, 8, seed=2, index=1)
-        b = _subsample(ds, 8, seed=2, index=1)
+        a = subsample(ds, 8, seed=2, index=1)
+        b = subsample(ds, 8, seed=2, index=1)
         assert a == b
-        c = _subsample(ds, 8, seed=2, index=2)
+        c = subsample(ds, 8, seed=2, index=2)
         assert a != c
 
     def test_subsample_without_replacement(self):
-        from cmkt.evaluation import _subsample
+        from cmkt.evaluation import subsample
 
         ds = make_dataset(n_train=30)
-        sub = _subsample(ds, 30, seed=0, index=0)
+        sub = subsample(ds, 30, seed=0, index=0)
         assert len(set(id(i) for i in sub)) == 30
 
     def test_size_above_train_rejected(self):
@@ -700,12 +700,12 @@ def reference_low_resource(checkpoint, dataset, config, sizes, n_subsamples=5):
     """The protocol as it was written before the grid's model was reused:
     every subsample, the first included, is fine-tuned again at the chosen
     rate."""
-    from cmkt.evaluation import _subsample
+    from cmkt.evaluation import subsample
 
     test = dataset.split("test")
     runs = []
     for size in sizes:
-        subsets = [_subsample(dataset, size, config.seed, s) for s in range(n_subsamples)]
+        subsets = [subsample(dataset, size, config.seed, s) for s in range(n_subsamples)]
         grid = grid_search(checkpoint, dataset, subsets[0], config)
         accuracies = [
             evaluate(finetune(checkpoint, dataset, sub, grid.best_learning_rate, config), test,

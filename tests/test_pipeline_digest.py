@@ -47,7 +47,7 @@ def all_cores() -> list[str]:
 def test_listing_covers_every_command_output(all_cores):
     lines = all_cores
     assert all(re.fullmatch(r"[0-9a-f]{32}  \S+", line) for line in lines), lines
-    runs = [f"pretrain-{m}" for m in METHOD_NAMES] + ["teacher-cmcl", "teacher-hinge"]
+    runs = [f"pretrain-{m}" for m in METHOD_NAMES] + ["teacher-cmcl"]
     expected = (
         {f"world/{name}" for name in WORLD_FILES.values()}
         | {"perturb.tsv", "finetune.json"}

@@ -21,7 +21,6 @@ from cmkt import (
     ParseError,
     PretrainConfig,
     ShapeError,
-    TeacherSpec,
     TrainingData,
     TrainingError,
     assign_vokens,
@@ -35,7 +34,6 @@ from cmkt import (
     save_checkpoint,
     save_similarity_set,
     tcl_loss,
-    train_teacher,
     write_loss_log,
 )
 from cmkt import training as training_module
@@ -154,7 +152,6 @@ class TestPretrainConfig:
         assert config.learning_rate == 1e-4
         assert config.epochs == 3
         assert config.temperature == 0.05
-        assert config.margin == 1.0
 
     @pytest.mark.parametrize(
         "field,value",
@@ -163,7 +160,6 @@ class TestPretrainConfig:
             ("epochs", 0),
             ("learning_rate", 0.0),
             ("temperature", -0.1),
-            ("margin", -1.0),
             ("dropout", 1.0),
             ("hard_negative_cap", -1),
         ],
@@ -306,7 +302,7 @@ class TestLoopBookkeeping:
         data, config = make_data(), small_config(epochs=1)
         mlm = pretrain("MLM", data, config)
         assert updates(mlm.loss_rows, 1)
-        teacher = train_teacher(TeacherSpec("cmcl"), data, config)
+        teacher = pretrain("CMCL", data, config)
         assert {"proj_w", "proj_b"} <= updates(teacher.loss_rows, 2)
         student = distill(teacher.final, data, DistillSpec(), config)
         assert updates(student.loss_rows, 1)
@@ -578,7 +574,7 @@ class TestOnePaddingPerStep:
         training and are not counted."""
         data = make_data()
         config = small_config(epochs=1)
-        teacher = train_teacher(TeacherSpec(), data, config) if method == "CMKD" else None
+        teacher = pretrain("CMCL", data, config) if method == "CMKD" else None
         calls, in_teacher = [], []
         prepare_batch, block_activations = TextEncoder.prepare_batch, TextEncoder.block_activations
 
@@ -881,7 +877,7 @@ class TestStepWorkerLoop:
     @pytest.mark.parametrize("method", ["TCL+MLM", "VOKEN+MLM", "CMKD"])
     def test_outputs_match_one_process(self, method, tmp_path, monkeypatch):
         data, config = make_data(), small_config(epochs=3)
-        teacher = train_teacher(TeacherSpec(), data, config).final if method == "CMKD" else None
+        teacher = pretrain("CMCL", data, config).final if method == "CMKD" else None
 
         def run(name):
             series = []
