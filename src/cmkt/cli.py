@@ -234,10 +234,12 @@ def _train(args, train, settings: dict, inputs: dict[str, Path]):
                         bank=bank, perturbations=perturbations)
     outputs = [out / "checkpoint-last.ckpt", out / "checkpoint-final.ckpt", out / "loss.csv"]
 
+    rendered: list[str] = []  # the loss log's rows, each rendered once per run
+
     def write(run, checkpoint: Path) -> None:
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(run.final, checkpoint)
-        write_loss_log(run.loss_rows, run.components, outputs[2])
+        write_loss_log(run.loss_rows, run.components, outputs[2], rendered)
 
     result = train(data, config, lambda run: write(run, outputs[0]))
     write(result, outputs[1])

@@ -185,9 +185,12 @@ class FrequencyOracle:
         return self._ranked[:k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationRecord:
-    """One single-word substitution and which side of the filter it fell on."""
+    """One single-word substitution and which side of the filter it fell on.
+
+    Slotted: an ANS run holds 15 of these per caption for the whole run.
+    """
 
     original_caption: str
     position: int
@@ -308,10 +311,15 @@ def save_records(records: Sequence[PerturbationRecord], path: str | Path) -> Non
 
 
 def load_records(path: str | Path) -> list[PerturbationRecord]:
+    """The file's records; equal strings across them are one shared object,
+    since a caption, its words and the two verdicts repeat line after line."""
+    shared: dict[str, str] = {}
     records = []
     for where, line in read_lines(path):
         with parse_errors(where):
-            caption, position, original, replacement, verdict = tab_fields(line, 5)
+            caption, position, original, replacement, verdict = (
+                shared.setdefault(field, field) for field in tab_fields(line, 5)
+            )
             records.append(
                 PerturbationRecord(caption, int(position), original, replacement, verdict)
             )

@@ -628,11 +628,13 @@ def pretrain(
         seed=config.seed,
     )
     image_encoder = None
-    if method.needs_images:
+    if "cmcl" in method.components:  # the one component that trains the projection
         image_encoder = ImageEncoder.initialized(data.bank, config.dim, config.seed)
 
     if "voken" in method.components:
-        bank_matrix = build_voken_bank(data.pairs, image_encoder, config.voken_count)
+        # an untrained projection that no checkpoint stores
+        untrained = ImageEncoder.initialized(data.bank, config.dim, config.seed)
+        bank_matrix = build_voken_bank(data.pairs, untrained, config.voken_count)
         records = _attach_vokens(records, encoder, bank_matrix)
 
     engine = _ComponentEngine(config, encoder, image_encoder, data.vocab, global_pool)
@@ -728,15 +730,22 @@ def save_similarity_set(items: Sequence[tuple[str, str, float]], path: str | Pat
 # ---------------------------------------------------------------------------
 
 
-def write_loss_log(rows: Sequence[dict], components: Sequence[str], path: str | Path) -> None:
+def write_loss_log(rows: Sequence[dict], components: Sequence[str], path: str | Path,
+                   rendered: Optional[list[str]] = None) -> None:
     """CSV with step, epoch, one column per component, and the total; floats
-    as their repr, CRLF line ends (the csv module's dialect)."""
+    as their repr, CRLF line ends (the csv module's dialect).
+
+    A caller that rewrites one run's log as its rows grow passes the same
+    ``rendered`` list to every call. The list keeps the rows rendered so
+    far, so each call renders only the rows that earlier calls did not."""
     columns = ["step", "epoch", *components, "total"]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k])
-                              for k in columns))
-    write_lines(path, lines, end="\r\n")
+    rendered = [] if rendered is None else rendered
+    rendered.extend(_loss_row(row, columns) for row in rows[len(rendered):])
+    write_lines(path, [",".join(columns), *rendered], end="\r\n")
+
+
+def _loss_row(row: dict, columns: Sequence[str]) -> str:
+    return ",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in columns)
 
 
 def read_loss_log(path: str | Path) -> list[dict]:

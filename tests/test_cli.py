@@ -31,7 +31,7 @@ from cmkt.evaluation import (
 )
 from cmkt.perturbation import load_records
 from cmkt.synth import SynthConfig, generate_world, save_world
-from cmkt.training import PretrainConfig
+from cmkt.training import PretrainConfig, read_loss_log
 
 
 MULTI_CORE = pytest.mark.skipif(
@@ -560,6 +560,27 @@ class TestPretrainCommand:
         assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
         lines = (tmp_path / "whole" / "loss.csv").read_bytes().splitlines(keepends=True)
         assert (out / "loss.csv").read_bytes() == b"".join(lines[: 1 + first_step_of_epoch_2])
+
+    def test_each_loss_row_is_rendered_once(
+        self, world_dir, tiny_pretrain_config, tmp_path, monkeypatch
+    ):
+        """The loss log is rewritten as each epoch ends and once more at the
+        end, but every row is rendered only once in the run."""
+        rendered = []
+        real_row = training._loss_row
+
+        def counted_row(row, columns):
+            rendered.append(row)
+            return real_row(row, columns)
+
+        monkeypatch.setattr(training, "_loss_row", counted_row)
+        out = tmp_path / "o"
+        assert main(["pretrain", "--method", "MLM", "--pairs", str(world_dir / "pairs.tsv"),
+                     "--vocab", str(world_dir / "vocab.txt"),
+                     "--config", str(tiny_pretrain_config), "--out", str(out)]) == 0
+        rows = read_loss_log(out / "loss.csv")
+        assert {row["epoch"] for row in rows} == {1, 2}
+        assert rendered == rows
 
     def test_manifest_hashes_inputs(self, cmcl_dir):
         manifest = json.loads((cmcl_dir / "manifest.json").read_text())

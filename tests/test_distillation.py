@@ -187,6 +187,15 @@ class TestDistillValidation:
         with pytest.raises(ConfigError, match="'MLM'.*no image projection"):
             distill(mlm.final, data, DistillSpec(), config)
 
+    def test_voken_teacher_rejected(self):
+        """VOKEN+MLM reads the bank through an untrained projection that its
+        checkpoint does not store, so it is no cross-modal teacher."""
+        data = make_data()
+        config = small_config(voken_count=2)
+        voken = pretrain("VOKEN+MLM", data, config)
+        with pytest.raises(ConfigError, match="'VOKEN\\+MLM'.*no image projection"):
+            distill(voken.final, data, DistillSpec(), config)
+
     def test_student_max_len_beyond_teacher_rejected(self):
         data = make_data()
         teacher = train_teacher(data, small_config(max_len=8))

@@ -1,5 +1,7 @@
 """Perturbation pipeline: lexicon, tagging, oracles, and the ANS/PSA split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cmkt import ParseError, ValidationError
 from cmkt.perturbation import (
     ADVERSARIAL_NEGATIVE,
     EQUIVALENT_POSITIVE,
+    VERDICTS,
     FrequencyOracle,
     Lexicon,
     MockOracle,
@@ -293,6 +296,39 @@ class TestRecords:
         path = tmp_path / "perturb.tsv"
         save_records(records, path)
         assert load_records(path) == records
+
+    def test_loaded_records_share_their_strings(self, tmp_path):
+        """An ANS file, 15 records per caption over a small vocabulary,
+        loads into at most 128 bytes per record under ``tracemalloc``
+        (slotted records that share each repeated string hold about 88;
+        private copies and a per-record ``__dict__`` held about 400)."""
+        rng = np.random.default_rng(0)
+        words = [f"word{i}" for i in range(40)]
+        records = []
+        for index in range(256):
+            caption = " ".join(["a", *rng.choice(words, size=6), f"scene{index}"])
+            split = caption.split()
+            for position in (1, 3, 5):
+                for replacement in rng.choice(words, size=5, replace=False):
+                    if replacement == split[position]:
+                        replacement = "other"
+                    records.append(PerturbationRecord(
+                        caption, position, split[position], str(replacement),
+                        VERDICTS[int(rng.integers(2))]))
+        path = tmp_path / "perturb.tsv"
+        save_records(records, path)
+        load_records(path)  # first-use allocations land outside the measurement
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load_records(path)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert loaded == records
+        assert held <= 128 * len(records)
+        for first in range(0, len(loaded), 15):
+            assert len({id(r.original_caption) for r in loaded[first:first + 15]}) == 1
 
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "perturb.tsv"
